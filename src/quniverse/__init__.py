@@ -26,7 +26,6 @@ from .dynamics import (
     partial_trace,
     propagate,
     rho_dot_local,
-    schrodinger_rhs,
     trajectory,
 )
 from .iel import (
@@ -41,7 +40,6 @@ from .iel import (
     register_law,
 )
 from .locality import (
-    LinearSystem,
     SampleResult,
     SolvabilityReport,
     build_system,

@@ -102,6 +102,8 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
         else:
             merged[key] = default
+        if cast is float and merged[key] is not None and not np.isfinite(merged[key]):
+            raise UsageError(f"{key} must be finite, got {merged[key]!r}")
     return merged
 
 

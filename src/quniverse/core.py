@@ -98,6 +98,22 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return out
 
 
+def _validated_hamiltonian_params(omega_a, omega_b, h):
+    """Gaps as positive finite floats and the coupling table as a frozen finite 3x3."""
+    gaps = []
+    for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
+        gap = float(value)
+        if not (np.isfinite(gap) and gap > 0):
+            raise ValueError(f"{name} must be a positive real, got {value!r}")
+        gaps.append(gap)
+    h = np.asarray(h, dtype=float)
+    if h.shape != (3, 3):
+        raise ValueError(f"coupling table must be 3x3, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("coupling table must be finite")
+    return gaps[0], gaps[1], _frozen_array(h, float)
+
+
 @dataclass(frozen=True, eq=False)
 class UniverseState:
     """Pure global state: four complex amplitudes on the binary basis."""
@@ -130,20 +146,10 @@ class HamiltonianSpec:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        omega_a = float(self.omega_a)
-        omega_b = float(self.omega_b)
-        if not (np.isfinite(omega_a) and omega_a > 0):
-            raise ValueError(f"omega_a must be a positive real, got {self.omega_a!r}")
-        if not (np.isfinite(omega_b) and omega_b > 0):
-            raise ValueError(f"omega_b must be a positive real, got {self.omega_b!r}")
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (3, 3):
-            raise ValueError(f"coupling table must be 3x3, got shape {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("coupling table must be finite")
+        omega_a, omega_b, h = _validated_hamiltonian_params(self.omega_a, self.omega_b, self.h)
         object.__setattr__(self, "omega_a", omega_a)
         object.__setattr__(self, "omega_b", omega_b)
-        object.__setattr__(self, "h", _frozen_array(h, float))
+        object.__setattr__(self, "h", h)
         object.__setattr__(
             self, "matrix", _frozen_array(hamiltonian_matrix(omega_a, omega_b, h), complex)
         )
@@ -183,20 +189,12 @@ class ConfigRep:
         norm_sq = float(np.sum(r**2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"moduli not normalized: sum R_k^2 = {norm_sq!r}")
-        omega_a = float(self.omega_a)
-        omega_b = float(self.omega_b)
-        if not (np.isfinite(omega_a) and omega_a > 0):
-            raise ValueError(f"omega_a must be a positive real, got {self.omega_a!r}")
-        if not (np.isfinite(omega_b) and omega_b > 0):
-            raise ValueError(f"omega_b must be a positive real, got {self.omega_b!r}")
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (3, 3) or not np.all(np.isfinite(h)):
-            raise ValueError("coupling table must be a finite 3x3 array")
+        omega_a, omega_b, h = _validated_hamiltonian_params(self.omega_a, self.omega_b, self.h)
         object.__setattr__(self, "r", _frozen_array(r, float))
         object.__setattr__(self, "theta", _frozen_array(np.mod(theta, TWO_PI), float))
         object.__setattr__(self, "omega_a", omega_a)
         object.__setattr__(self, "omega_b", omega_b)
-        object.__setattr__(self, "h", _frozen_array(h, float))
+        object.__setattr__(self, "h", h)
 
     def to_array(self) -> np.ndarray:
         """Flat 19-vector in the :data:`COORD_NAMES` order."""

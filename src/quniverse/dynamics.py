@@ -19,12 +19,13 @@ from .core import Configuration, HamiltonianSpec, UniverseState
 __all__ = [
     "SUBSYSTEMS",
     "ExtendedStateRep",
+    "extended_coordinates",
     "extended_state",
     "finite_difference_rho_dot",
     "partial_trace",
     "propagate",
+    "rho_and_derivative",
     "rho_dot_local",
-    "schrodinger_rhs",
     "trajectory",
 ]
 
@@ -60,11 +61,6 @@ def _as_matrix(hamiltonian) -> np.ndarray:
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
     return mat
-
-
-def schrodinger_rhs(state, hamiltonian) -> np.ndarray:
-    """Time derivative of the global state, ``-i H psi`` (hbar = 1)."""
-    return -1j * (_as_matrix(hamiltonian) @ _as_psi(state))
 
 
 def trajectory(state, hamiltonian, times) -> np.ndarray:
@@ -113,16 +109,45 @@ def partial_trace(state_or_rho, keep: str) -> np.ndarray:
     return np.einsum("abad->bd", blocks)
 
 
+def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
+    """Global ``rho = |psi><psi|`` and ``rho_dot = -i [H, rho]`` of raw arrays.
+
+    No validation and no normalization, so it serves displaced
+    finite-difference points as well as valid configurations.  This is
+    the one place where the fault-injection sign enters.
+    """
+    rho = np.outer(psi, psi.conj())
+    rho_dot = _rho_dot_sign * (-1j * (matrix @ rho - rho @ matrix))
+    return rho, rho_dot
+
+
+def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -> np.ndarray:
+    """``(re_c, im_c, p1, re_cdot, im_cdot, p1dot)`` of one subsystem.
+
+    Reads the coherence and excited population of the reduced state and
+    of its derivative from the global ``(rho, rho_dot)`` pair.
+    """
+    red = partial_trace(rho, subsystem)
+    red_dot = partial_trace(rho_dot, subsystem)
+    return np.array(
+        [
+            red[0, 1].real,
+            red[0, 1].imag,
+            red[1, 1].real,
+            red_dot[0, 1].real,
+            red_dot[0, 1].imag,
+            red_dot[1, 1].real,
+        ]
+    )
+
+
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     """Time derivative of one reduced state, ``Tr_other(-i [H, rho])``.
 
     Traceless and Hermitian up to rounding.
     """
-    psi = config.state.psi
-    ham = config.hamiltonian.matrix
-    rho = np.outer(psi, psi.conj())
-    rho_dot = -1j * (ham @ rho - rho @ ham)
-    return _rho_dot_sign * partial_trace(rho_dot, keep=subsystem)
+    _, rho_dot = rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
+    return partial_trace(rho_dot, keep=subsystem)
 
 
 def finite_difference_rho_dot(
@@ -173,13 +198,5 @@ class ExtendedStateRep:
 
 def extended_state(config: Configuration, subsystem: str) -> ExtendedStateRep:
     """Pack the reduced state and its derivative into the six coordinates."""
-    rho = partial_trace(config.state, subsystem)
-    rho_dot = rho_dot_local(config, subsystem)
-    return ExtendedStateRep(
-        re_c=float(rho[0, 1].real),
-        im_c=float(rho[0, 1].imag),
-        p1=float(rho[1, 1].real),
-        re_cdot=float(rho_dot[0, 1].real),
-        im_cdot=float(rho_dot[0, 1].imag),
-        p1dot=float(rho_dot[1, 1].real),
-    )
+    rho, rho_dot = rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
+    return ExtendedStateRep(*extended_coordinates(rho, rho_dot, subsystem).tolist())

@@ -25,11 +25,10 @@ import numpy as np
 
 from . import core
 from .core import COORD_NAMES, ConfigRep
-from .dynamics import partial_trace
+from .dynamics import extended_coordinates, rho_and_derivative
 
 __all__ = [
     "JacobianEvaluationError",
-    "LinearSystem",
     "SAMPLER_ID",
     "SampleResult",
     "SolvabilityReport",
@@ -38,10 +37,8 @@ __all__ = [
     "hyperspherical_backward",
     "hyperspherical_forward",
     "numerical_jacobian",
-    "rep_mean_energy",
     "rep_norm_sq",
     "rep_observables",
-    "rep_sigma1",
     "run_experiment",
     "sample_interior_rep",
     "solve_least_squares",
@@ -81,58 +78,27 @@ def _psi_and_matrix(x: np.ndarray):
     return psi, matrix
 
 
-def _sigma1_entries(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -> np.ndarray:
-    red = partial_trace(rho, subsystem)
-    red_dot = partial_trace(rho_dot, subsystem)
-    return np.array(
-        [
-            red[0, 1].real,
-            red[0, 1].imag,
-            red[1, 1].real,
-            red_dot[0, 1].real,
-            red_dot[0, 1].imag,
-            red_dot[1, 1].real,
-        ]
-    )
-
-
-def rep_sigma1(x, subsystem: str) -> np.ndarray:
-    """Extended-state coordinates of one subsystem as a function of the raw 19-vector."""
-    x = np.asarray(x, dtype=float)
-    psi, matrix = _psi_and_matrix(x)
-    rho = np.outer(psi, psi.conj())
-    rho_dot = -1j * (matrix @ rho - rho @ matrix)
-    return _sigma1_entries(rho, rho_dot, subsystem)
-
-
 def rep_norm_sq(x) -> float:
     """Moduli norm ``sum R_k^2`` of a raw 19-vector."""
     x = np.asarray(x, dtype=float)
     return float(np.sum(x[:4] ** 2))
 
 
-def rep_mean_energy(x) -> float:
-    """Mean energy ``<psi|H|psi>`` of a raw 19-vector (no normalization)."""
-    x = np.asarray(x, dtype=float)
-    psi, matrix = _psi_and_matrix(x)
-    return float(np.real(np.vdot(psi, matrix @ psi)))
-
-
 def rep_observables(x) -> np.ndarray:
     """All 14 audited quantities in system row order.
 
     Rows 0-5 are the extended state of A, 6-11 that of B, row 12 the
-    moduli norm and row 13 the mean energy; one shared evaluation of the
-    state and Hamiltonian serves all of them.
+    moduli norm and row 13 the mean energy ``<psi|H|psi>``; one shared
+    evaluation of ``(rho, rho_dot)`` serves both extended states, through
+    the same formula as :func:`quniverse.dynamics.extended_state`.
     """
     x = np.asarray(x, dtype=float)
     psi, matrix = _psi_and_matrix(x)
-    rho = np.outer(psi, psi.conj())
-    rho_dot = -1j * (matrix @ rho - rho @ matrix)
+    rho, rho_dot = rho_and_derivative(psi, matrix)
     out = np.empty(14)
-    out[0:6] = _sigma1_entries(rho, rho_dot, "A")
-    out[6:12] = _sigma1_entries(rho, rho_dot, "B")
-    out[12] = np.sum(x[:4] ** 2)
+    out[0:6] = extended_coordinates(rho, rho_dot, "A")
+    out[6:12] = extended_coordinates(rho, rho_dot, "B")
+    out[12] = rep_norm_sq(x)
     out[13] = np.real(np.vdot(psi, matrix @ psi))
     return out
 
@@ -174,54 +140,35 @@ def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     return np.column_stack(columns)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSystem:
-    """The 14x19 audit system with its one-hot right-hand side."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if matrix.shape != (14, 19):
-            raise ValueError(f"audit matrix must be 14x19, got {matrix.shape}")
-        if rhs.shape != (14,) or np.any(rhs[:-1] != 0.0) or rhs[-1] == 0.0:
-            raise ValueError("right-hand side must be zero except for a nonzero last entry")
-        matrix.setflags(write=False)
-        rhs.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
-
-
-def build_system(x0, h_step: float = 1e-6, delta_e: float = 1.0) -> LinearSystem:
-    """Assemble the audit system at one representation.
-
-    One Jacobian pass over :func:`rep_observables` yields the rows in
-    order: extended state of A, extended state of B, moduli norm, mean
-    energy.  The right-hand side requests the energy increment
-    ``delta_e`` while pinning everything else to zero.
-    """
+def _energy_rhs(rows: int, delta_e: float) -> np.ndarray:
+    """Right-hand side asking for ``delta_e`` in the last row, zero elsewhere."""
     if delta_e == 0.0:
         raise ValueError("delta_e must be nonzero")
-    matrix = numerical_jacobian(rep_observables, x0, h_step)
-    rhs = np.zeros(14)
+    rhs = np.zeros(rows)
     rhs[-1] = float(delta_e)
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    return rhs
 
 
-def solve_least_squares(system, rhs=None):
+def build_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
+    """Assemble the 14x19 audit system at one representation.
+
+    Returns ``(matrix, rhs)``.  One Jacobian pass over
+    :func:`rep_observables` yields the rows in order: extended state of
+    A, extended state of B, moduli norm, mean energy.  The right-hand
+    side requests the energy increment ``delta_e`` while pinning
+    everything else to zero.
+    """
+    rhs = _energy_rhs(14, delta_e)
+    return numerical_jacobian(rep_observables, x0, h_step), rhs
+
+
+def solve_least_squares(system):
     """Minimum-norm least-squares solution and its achieved residual norm.
 
-    Accepts a :class:`LinearSystem` or an explicit ``(matrix, rhs)`` pair.
-    The residual is re-evaluated from the returned solution, not taken
-    from the factorization.
+    ``system`` is a ``(matrix, rhs)`` pair.  The residual is re-evaluated
+    from the returned solution, not taken from the factorization.
     """
-    if rhs is None:
-        matrix, rhs = system.matrix, system.rhs
-    else:
-        matrix = np.asarray(system, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
+    matrix, rhs = (np.asarray(a, dtype=float) for a in system)
     solution, _, _, _ = np.linalg.lstsq(matrix, rhs, rcond=LSTSQ_RCOND)
     residual = float(np.linalg.norm(matrix @ solution - rhs))
     return solution, residual
@@ -272,7 +219,6 @@ class SampleResult:
     rep: ConfigRep
     residual_norm: float
     solvable: bool
-    solution_norm: float
 
 
 @dataclass(frozen=True)
@@ -337,8 +283,7 @@ def run_experiment(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         rep = sample_interior_rep(rng)
         try:
-            system = build_system(rep, h_step=h_step, delta_e=delta_e)
-            solution, residual = solve_least_squares(system)
+            _, residual = solve_least_squares(build_system(rep, h_step=h_step, delta_e=delta_e))
         except JacobianEvaluationError:
             failed.append(index)
             continue
@@ -349,14 +294,7 @@ def run_experiment(
         n_solvable += int(solvable)
         residuals.append(residual)
         if keep_samples:
-            samples.append(
-                SampleResult(
-                    rep=rep,
-                    residual_norm=residual,
-                    solvable=solvable,
-                    solution_norm=float(np.linalg.norm(solution)),
-                )
-            )
+            samples.append(SampleResult(rep=rep, residual_norm=residual, solvable=solvable))
     return SolvabilityReport(
         n_samples=n,
         h_step=float(h_step),
@@ -463,12 +401,8 @@ def build_tangent_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
     noise; that equivalence is what justifies auditing with the extra
     norm row instead of intrinsic coordinates.
     """
-    if delta_e == 0.0:
-        raise ValueError("delta_e must be nonzero")
+    rhs = _energy_rhs(13, delta_e)
     x0 = _as_coords(x0)
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     y0 = np.concatenate([[alpha, beta, gamma], x0[4:]])
-    matrix = numerical_jacobian(_tangent_observables, y0, h_step)
-    rhs = np.zeros(13)
-    rhs[-1] = float(delta_e)
-    return matrix, rhs
+    return numerical_jacobian(_tangent_observables, y0, h_step), rhs

@@ -148,10 +148,11 @@ def _suite_dynamics(seed: int) -> SuiteResult:
             legal &= bool(np.max(np.abs(reduced - reduced.conj().T)) < 1e-12)
             legal &= abs(np.trace(reduced) - 1.0) < 1e-12
             legal &= bool(np.min(np.linalg.eigvalsh(reduced)) > -1e-12)
-        tie = locality.rep_sigma1(rep.to_array(), "A")
-        tie_ok &= bool(
-            np.max(np.abs(tie - dynamics.extended_state(config, "A").to_array())) < 1e-12
+        tie = locality.rep_observables(rep.to_array())[0:12]
+        typed = np.concatenate(
+            [dynamics.extended_state(config, s).to_array() for s in dynamics.SUBSYSTEMS]
         )
+        tie_ok &= bool(np.max(np.abs(tie - typed)) < 1e-12)
     rec.check("algebraic rho_dot matches finite-difference oracle", oracle_ok)
     rec.check("reduced states and derivatives are legal", legal)
     rec.check("raw coordinate route ties to extended_state", tie_ok)
@@ -286,9 +287,12 @@ def _suite_locality(seed: int) -> SuiteResult:
         gradient_ok &= bool(np.max(np.abs(jac[0] - expected)) < 1e-10)
     rec.check("norm-row jacobian matches the analytic gradient", gradient_ok)
 
-    matrix = rng.normal(size=(5, 19))
-    jac = locality.numerical_jacobian(lambda x: matrix @ x, rng.normal(size=19), 1e-6)
-    rec.check("linear maps differentiate exactly", bool(np.max(np.abs(jac - matrix)) < 1e-9))
+    # small integers and a power-of-two step keep every intermediate a
+    # short dyadic rational, so central differences carry no rounding at all
+    matrix = rng.integers(-9, 10, size=(5, 19)).astype(float)
+    point = rng.integers(-9, 10, size=19).astype(float)
+    jac = locality.numerical_jacobian(lambda x: matrix @ x, point, 2.0**-10)
+    rec.check("linear maps differentiate exactly", np.array_equal(jac, matrix))
 
     report = locality.run_experiment(n=25, seed=seed, keep_samples=True)
     rec.check("small experiment: every sample solvable", report.n_solvable == report.n_samples)
@@ -309,8 +313,7 @@ def _suite_locality(seed: int) -> SuiteResult:
 
     transport_ok = True
     for sample in report.samples[:3]:
-        system = locality.build_system(sample.rep)
-        solution, _ = locality.solve_least_squares(system)
+        solution, _ = locality.solve_least_squares(locality.build_system(sample.rep))
         dy = locality.transport_solution(solution, sample.rep)
         tangent_matrix, tangent_rhs = locality.build_tangent_system(sample.rep)
         transport_ok &= bool(

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from quniverse import dynamics
 from quniverse.cli import CSV_HEADER, main
@@ -163,6 +164,34 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     config.write_text(json.dumps({"detla": 0.64}))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
     assert "unknown config keys: detla" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "2", "--threshold", "nan"],
+        ["sample", "--n", "2", "--h-step", "inf"],
+        ["sample", "--n", "2", "--delta-e", "nan"],
+        ["simulate", "--omega-a", "nan"],
+        ["simulate", "--t-max", "inf"],
+    ],
+)
+def test_nonfinite_float_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"lambda_re": NaN}')
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert "error: lambda_re must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_all_suites_pass(tmp_path):

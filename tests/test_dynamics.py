@@ -13,29 +13,6 @@ def _random_config(seed):
     return core.rep_to_config(locality.sample_interior_rep(seed))
 
 
-def test_rhs_on_eigenvector():
-    config = _random_config(0)
-    energies, vectors = np.linalg.eigh(config.hamiltonian.matrix)
-    for k in range(4):
-        psi = vectors[:, k]
-        rhs = dynamics.schrodinger_rhs(psi, config.hamiltonian)
-        assert np.max(np.abs(rhs - (-1j) * energies[k] * psi)) < 1e-12
-
-
-def test_rhs_ground_state_uncoupled_is_zero():
-    ham = core.assemble_hamiltonian(1.0, 1.0, np.zeros((3, 3)))
-    state = core.UniverseState(np.array([1, 0, 0, 0], dtype=complex))
-    assert np.array_equal(dynamics.schrodinger_rhs(state, ham), np.zeros(4))
-
-
-def test_rhs_preserves_norm_to_first_order():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        config = core.rep_to_config(locality.sample_interior_rep(rng))
-        rhs = dynamics.schrodinger_rhs(config.state, config.hamiltonian)
-        assert abs(2.0 * np.real(np.vdot(config.state.psi, rhs))) < 1e-12
-
-
 def test_propagate_zero_time_is_identity():
     config = _random_config(2)
     after = dynamics.propagate(config.state, config.hamiltonian, 0.0)
