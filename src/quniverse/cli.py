@@ -128,7 +128,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         keep_samples=bool(params["per_sample"]),
     )
     payload = report.to_json_dict(per_sample=bool(params["per_sample"]))
-    Path(params["out"]).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    Path(params["out"]).write_text(text, encoding="utf-8")
     print(
         f"solvable {report.n_solvable}/{report.n_samples} "
         f"at threshold {report.threshold:g} -> {params['out']}"

@@ -79,17 +79,28 @@ def pauli(axis: str) -> np.ndarray:
         ) from None
 
 
-def hamiltonian_matrix(omega_a: float, omega_b: float, h) -> np.ndarray:
+def hamiltonian_matrix(omega_a, omega_b, h) -> np.ndarray:
     """Raw 4x4 total Hamiltonian, without any validation of the inputs.
 
     Bare part ``diag(0, omega_b, omega_a, omega_a + omega_b)`` plus the
     nine-term coupling sum ``sum_jk h[j, k] sigma_j (x) sigma_k``.  Kept
     free of range checks so it can be evaluated at finite-difference
     displacements that leave the physical parameter region.
+
+    Broadcasts over leading axes: gaps of shape ``(...)`` and couplings of
+    shape ``(..., 3, 3)`` give ``(..., 4, 4)``.  Each real or imaginary
+    part of an entry sums at most two nonzero products ``+-h[j, k]``, so
+    the summation order cannot change a bit and each matrix of a stack is
+    bitwise the one assembled from its own parameters.
     """
-    h = np.asarray(h, dtype=float).reshape(3, 3)
-    bare = np.diag([0.0, omega_b, omega_a, omega_a + omega_b]).astype(complex)
-    return bare + np.einsum("jk,jkab->ab", h, _PAULI_PAIRS)
+    h = np.asarray(h, dtype=float)
+    lead = h.shape[:-2]
+    bare = np.zeros(lead + (4, 4), dtype=complex)
+    bare[..., 1, 1] = omega_b
+    bare[..., 2, 2] = omega_a
+    bare[..., 3, 3] = np.add(omega_a, omega_b)
+    coupling = h.reshape(lead + (9,)) @ _PAULI_PAIRS.reshape(9, 16)
+    return bare + coupling.reshape(lead + (4, 4))
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -103,20 +103,26 @@ def partial_trace(state_or_rho, keep: str) -> np.ndarray:
             raise ValueError(
                 f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}"
             )
-    blocks = rho.reshape(2, 2, 2, 2)
+    return _reduced(rho, keep)
+
+
+def _reduced(m: np.ndarray, keep: str) -> np.ndarray:
+    """Partial trace of a ``(..., 4, 4)`` stack, as a sum of two 2x2 sub-blocks."""
     if keep == "A":
-        return np.einsum("abcb->ac", blocks)
-    return np.einsum("abad->bd", blocks)
+        return m[..., ::2, ::2] + m[..., 1::2, 1::2]
+    return m[..., :2, :2] + m[..., 2:, 2:]
 
 
 def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
     """Global ``rho = |psi><psi|`` and ``rho_dot = -i [H, rho]`` of raw arrays.
 
     No validation and no normalization, so it serves displaced
-    finite-difference points as well as valid configurations.  This is
-    the one place where the fault-injection sign enters.
+    finite-difference points as well as valid configurations.  Broadcasts
+    over leading axes: ``(..., 4)`` amplitudes and ``(..., 4, 4)``
+    Hamiltonians give two ``(..., 4, 4)`` stacks.  This is the one place
+    where the fault-injection sign enters.
     """
-    rho = np.outer(psi, psi.conj())
+    rho = psi[..., :, None] * psi[..., None, :].conj()
     rho_dot = _rho_dot_sign * (-1j * (matrix @ rho - rho @ matrix))
     return rho, rho_dot
 
@@ -124,21 +130,19 @@ def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
 def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -> np.ndarray:
     """``(re_c, im_c, p1, re_cdot, im_cdot, p1dot)`` of one subsystem.
 
-    Reads the coherence and excited population of the reduced state and
-    of its derivative from the global ``(rho, rho_dot)`` pair.
+    Reads the coherence and excited population (column 1 of the reduced
+    matrix) of the reduced state and of its derivative from the global
+    ``(rho, rho_dot)`` pair.  Broadcasts over leading axes: ``(..., 4, 4)``
+    stacks give ``(..., 6)``.
     """
-    red = partial_trace(rho, subsystem)
-    red_dot = partial_trace(rho_dot, subsystem)
-    return np.array(
-        [
-            red[0, 1].real,
-            red[0, 1].imag,
-            red[1, 1].real,
-            red_dot[0, 1].real,
-            red_dot[0, 1].imag,
-            red_dot[1, 1].real,
-        ]
+    _subsystem_index(subsystem)
+    columns = np.concatenate(
+        [_reduced(rho, subsystem)[..., 1], _reduced(rho_dot, subsystem)[..., 1]],
+        axis=-1,
+        dtype=complex,
     )
+    # (re c, im c, re p1, im p1) of the state, then of its derivative
+    return columns.view(float)[..., [0, 1, 2, 4, 5, 6]]
 
 
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:

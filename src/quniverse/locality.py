@@ -7,8 +7,9 @@ system whose right-hand side asks for a pure energy increment.  A solution
 is a direction in coordinate space that changes the mean energy at first
 order while leaving both extended states (and the norm constraint)
 unchanged, which rules out reconstructing the energy from those records
-alone.  ``run_experiment`` repeats the audit over seeded samples and
-aggregates residual norms.
+alone.  ``run_experiment`` repeats the audit over seeded samples, in
+chunks that share one stacked Jacobian evaluation, and aggregates the
+residual norms relative to the requested increment.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -59,6 +60,12 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 #: solutions must be tangent to the moduli sphere to transport
 TANGENCY_TOL = 1e-9
 
+#: samples per stacked Jacobian evaluation in :func:`run_experiment`.  The
+#: report does not depend on it; the per-call overhead of 38 kernel calls
+#: is shared by this many samples, and peak memory grows with it (about
+#: 0.7 MB at 64, 1.4 MB at 128).
+AUDIT_CHUNK = 64
+
 
 class JacobianEvaluationError(RuntimeError):
     """A displaced evaluation produced a non-finite value."""
@@ -73,15 +80,17 @@ class JacobianEvaluationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _psi_and_matrix(x: np.ndarray):
-    psi = x[:4] * np.exp(1j * x[4:8])
-    matrix = core.hamiltonian_matrix(x[8], x[9], x[10:19].reshape(3, 3))
+    psi = x[..., :4] * np.exp(1j * x[..., 4:8])
+    matrix = core.hamiltonian_matrix(
+        x[..., 8], x[..., 9], x[..., 10:19].reshape(x.shape[:-1] + (3, 3))
+    )
     return psi, matrix
 
 
-def rep_norm_sq(x) -> float:
-    """Moduli norm ``sum R_k^2`` of a raw 19-vector."""
+def rep_norm_sq(x):
+    """Moduli norm ``sum R_k^2`` of a raw 19-vector, or of each in a ``(..., 19)`` stack."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x[:4] ** 2))
+    return np.sum(x[..., :4] ** 2, axis=-1)
 
 
 def rep_observables(x) -> np.ndarray:
@@ -91,15 +100,17 @@ def rep_observables(x) -> np.ndarray:
     moduli norm and row 13 the mean energy ``<psi|H|psi>``; one shared
     evaluation of ``(rho, rho_dot)`` serves both extended states, through
     the same formula as :func:`quniverse.dynamics.extended_state`.
+    Broadcasts over leading axes: a ``(..., 19)`` stack gives ``(..., 14)``,
+    and each row of a stack is bitwise the row of its own 19-vector.
     """
     x = np.asarray(x, dtype=float)
     psi, matrix = _psi_and_matrix(x)
     rho, rho_dot = rho_and_derivative(psi, matrix)
-    out = np.empty(14)
-    out[0:6] = extended_coordinates(rho, rho_dot, "A")
-    out[6:12] = extended_coordinates(rho, rho_dot, "B")
-    out[12] = rep_norm_sq(x)
-    out[13] = np.real(np.vdot(psi, matrix @ psi))
+    out = np.empty(x.shape[:-1] + (14,))
+    out[..., 0:6] = extended_coordinates(rho, rho_dot, "A")
+    out[..., 6:12] = extended_coordinates(rho, rho_dot, "B")
+    out[..., 12] = rep_norm_sq(x)
+    out[..., 13] = np.vecdot(psi, (matrix @ psi[..., None])[..., 0]).real
     return out
 
 
@@ -116,28 +127,35 @@ def _as_coords(x0) -> np.ndarray:
 def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     """Two-point central-difference Jacobian of ``f`` at ``x0``.
 
-    ``f`` maps a coordinate vector to ``m`` reals; entry ``(i, j)`` is
+    ``f`` maps a coordinate vector to ``k`` reals; entry ``(i, j)`` is
     ``(f_i(x0 + h e_j) - f_i(x0 - h e_j)) / (2 h)``.  The step 1e-6 is
     near optimal for double precision and smooth integrands.
+
+    ``x0`` may also be an ``(m, d)`` stack of points when ``f`` maps an
+    ``(m, d)`` stack to ``(m, k)`` (or ``(m,)``) values row by row.  Then
+    column ``j`` of every point is displaced at once, ``f`` is called
+    ``2 d`` times in all and the result is the ``(m, k, d)`` stack of
+    Jacobians.  A non-finite value at any point raises.
     """
     x0 = _as_coords(x0)
     if h_step <= 0:
         raise ValueError(f"h_step must be positive, got {h_step!r}")
+    size = x0.shape[-1]
     columns = []
-    for j in range(x0.size):
+    for j in range(size):
         plus = x0.copy()
-        plus[j] += h_step
+        plus[..., j] += h_step
         minus = x0.copy()
-        minus[j] -= h_step
-        f_plus = np.atleast_1d(np.asarray(f(plus), dtype=float))
-        f_minus = np.atleast_1d(np.asarray(f(minus), dtype=float))
+        minus[..., j] -= h_step
+        f_plus = np.asarray(f(plus), dtype=float).reshape(x0.shape[:-1] + (-1,))
+        f_minus = np.asarray(f(minus), dtype=float).reshape(x0.shape[:-1] + (-1,))
         if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            name = COORD_NAMES[j] if x0.size == len(COORD_NAMES) else f"coordinate {j}"
+            name = COORD_NAMES[j] if size == len(COORD_NAMES) else f"coordinate {j}"
             raise JacobianEvaluationError(
                 f"non-finite value while displacing {name} by {h_step:g}"
             )
         columns.append((f_plus - f_minus) / (2.0 * h_step))
-    return np.column_stack(columns)
+    return np.stack(columns, axis=-1)
 
 
 def _energy_rhs(rows: int, delta_e: float) -> np.ndarray:
@@ -157,6 +175,10 @@ def build_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
     A, extended state of B, moduli norm, mean energy.  The right-hand
     side requests the energy increment ``delta_e`` while pinning
     everything else to zero.
+
+    ``x0`` may also be an ``(m, 19)`` stack; then ``matrix`` is the
+    ``(m, 14, 19)`` stack of the systems, each bitwise the matrix built
+    from its own representation, and the one ``rhs`` serves them all.
     """
     rhs = _energy_rhs(14, delta_e)
     return numerical_jacobian(rep_observables, x0, h_step), rhs
@@ -166,9 +188,11 @@ def solve_least_squares(system):
     """Minimum-norm least-squares solution and its achieved residual norm.
 
     ``system`` is a ``(matrix, rhs)`` pair.  The residual is re-evaluated
-    from the returned solution, not taken from the factorization.
+    from the returned solution, not taken from the factorization.  The
+    pair is made C-contiguous first: lstsq on a strided view of the same
+    numbers can differ in the last bits.
     """
-    matrix, rhs = (np.asarray(a, dtype=float) for a in system)
+    matrix, rhs = (np.ascontiguousarray(a, dtype=float) for a in system)
     solution, _, _, _ = np.linalg.lstsq(matrix, rhs, rcond=LSTSQ_RCOND)
     residual = float(np.linalg.norm(matrix @ solution - rhs))
     return solution, residual
@@ -214,7 +238,11 @@ def sample_interior_rep(rng) -> ConfigRep:
 
 @dataclass(frozen=True, eq=False)
 class SampleResult:
-    """One audited representation with its residual verdict."""
+    """One audited representation with its residual verdict.
+
+    ``residual_norm`` is relative to the requested energy increment,
+    ``||A dx - b|| / |delta_e|``.
+    """
 
     rep: ConfigRep
     residual_norm: float
@@ -223,15 +251,19 @@ class SampleResult:
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Aggregate outcome of a seeded solvability experiment."""
+    """Aggregate outcome of a seeded solvability experiment.
+
+    Residuals are relative to the requested energy increment; the maximum
+    and median are ``None`` when every sample failed.
+    """
 
     n_samples: int
     h_step: float
     threshold: float
     seed: int
     n_solvable: int
-    max_residual: float
-    median_residual: float
+    max_residual: float | None
+    median_residual: float | None
     sampler: str = SAMPLER_ID
     failed_indices: tuple = ()
     samples: tuple | None = None
@@ -258,6 +290,23 @@ class SolvabilityReport:
         return out
 
 
+def _chunk_matrices(reps, h_step: float) -> list:
+    """Audit matrices of a chunk of samples; ``None`` where evaluation turned non-finite."""
+    try:
+        matrices, _ = build_system(np.stack([rep.to_array() for rep in reps]), h_step)
+        return list(matrices)
+    except JacobianEvaluationError:
+        pass
+    # one bad sample spoils the stacked call; redo the chunk point by point
+    out = []
+    for rep in reps:
+        try:
+            out.append(build_system(rep, h_step)[0])
+        except JacobianEvaluationError:
+            out.append(None)
+    return out
+
+
 def run_experiment(
     n: int,
     seed: int,
@@ -269,40 +318,53 @@ def run_experiment(
     """Audit ``n`` freshly sampled interior representations.
 
     Each sample draws from its own substream ``(seed, index)``, so the
-    report is identical however the loop is scheduled.  Samples whose
-    evaluation turns non-finite are recorded in ``failed_indices`` and
-    excluded from ``n_solvable`` rather than aborting the run.
+    report is identical however the loop is scheduled; samples are
+    audited in chunks of :data:`AUDIT_CHUNK` through one stacked Jacobian
+    evaluation each.  A residual is judged relative to the request,
+    ``||A dx - b|| / |delta_e|``, because it scales with ``delta_e``.
+    Samples whose evaluation turns non-finite are recorded in
+    ``failed_indices`` and excluded from ``n_solvable`` rather than
+    aborting the run; numpy's overflow warnings for them are silenced.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
+    rhs = _energy_rhs(14, delta_e)
+    scale = abs(float(delta_e))
     residuals = []
     failed = []
     samples = []
     n_solvable = 0
-    for index in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        rep = sample_interior_rep(rng)
-        try:
-            _, residual = solve_least_squares(build_system(rep, h_step=h_step, delta_e=delta_e))
-        except JacobianEvaluationError:
-            failed.append(index)
-            continue
-        if not np.isfinite(residual):
-            failed.append(index)
-            continue
-        solvable = bool(residual < threshold)
-        n_solvable += int(solvable)
-        residuals.append(residual)
-        if keep_samples:
-            samples.append(SampleResult(rep=rep, residual_norm=residual, solvable=solvable))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, AUDIT_CHUNK):
+            indices = range(start, min(start + AUDIT_CHUNK, n))
+            reps = [
+                sample_interior_rep(
+                    np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                )
+                for i in indices
+            ]
+            for index, rep, matrix in zip(indices, reps, _chunk_matrices(reps, h_step)):
+                if matrix is None:
+                    failed.append(index)
+                    continue
+                _, residual = solve_least_squares((matrix, rhs))
+                residual /= scale
+                if not np.isfinite(residual):
+                    failed.append(index)
+                    continue
+                solvable = bool(residual < threshold)
+                n_solvable += int(solvable)
+                residuals.append(residual)
+                if keep_samples:
+                    samples.append(SampleResult(rep=rep, residual_norm=residual, solvable=solvable))
     return SolvabilityReport(
         n_samples=n,
         h_step=float(h_step),
         threshold=float(threshold),
         seed=int(seed),
         n_solvable=n_solvable,
-        max_residual=float(np.max(residuals)) if residuals else float("nan"),
-        median_residual=float(np.median(residuals)) if residuals else float("nan"),
+        max_residual=float(np.max(residuals)) if residuals else None,
+        median_residual=float(np.median(residuals)) if residuals else None,
         failed_indices=tuple(failed),
         samples=tuple(samples) if keep_samples else None,
     )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,35 @@ def test_sample_unsolvable_threshold_exits_one(tmp_path):
     )
     assert code == 1
     assert json.loads(out.read_text())["n_solvable"] == 0
+
+
+def test_sample_verdict_does_not_depend_on_delta_e(tmp_path):
+    # absolute residuals scale with the request: at delta_e 1000 about half
+    # of these samples used to exceed 1e-12
+    out = tmp_path / "report.json"
+    code = main(["sample", "--n", "200", "--seed", "3", "--delta-e", "1000", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["n_solvable"] == 200
+    assert report["max_residual"] < 1e-13
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sample_all_failed_report_is_strict_json(tmp_path, capsys):
+    # a step of 1e300 overflows every displaced evaluation
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sample", "--n", "20", "--seed", "0", "--h-step", "1e300", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert report["failed_indices"] == list(range(20))
+    assert report["n_solvable"] == 0
+    assert report["max_residual"] is None and report["median_residual"] is None
+    assert capsys.readouterr().err == ""
 
 
 def test_sample_output_is_byte_identical(tmp_path):

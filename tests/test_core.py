@@ -65,6 +65,23 @@ def test_hamiltonian_exactly_hermitian():
         assert np.array_equal(matrix, matrix.conj().T)
 
 
+def test_hamiltonian_matrix_broadcasts_bitwise():
+    rng = np.random.default_rng(9)
+    omega_a, omega_b = rng.uniform(0, 1, (2, 5, 3))
+    h = rng.uniform(-1, 1, (5, 3, 3, 3))
+    stack = core.hamiltonian_matrix(omega_a, omega_b, h)
+    assert stack.shape == (5, 3, 4, 4)
+    for idx in np.ndindex(5, 3):
+        point = core.hamiltonian_matrix(omega_a[idx], omega_b[idx], h[idx])
+        assert stack[idx].tobytes() == point.tobytes()
+        # at most two nonzero terms meet in any entry, so the loop order is moot
+        expected = np.diag([0.0, omega_b[idx], omega_a[idx], omega_a[idx] + omega_b[idx]])
+        for j, k in np.ndindex(3, 3):
+            pair = np.kron(core.pauli(core.AXES[j]), core.pauli(core.AXES[k]))
+            expected = expected + h[idx][j, k] * pair
+        assert np.array_equal(point, expected)
+
+
 def test_interaction_marginals_are_zero():
     # the coupling sum alone must have no identity component on either side
     rng = np.random.default_rng(8)

@@ -176,3 +176,31 @@ def test_extended_state_rejects_illegal_population():
         dynamics.ExtendedStateRep(0.0, 0.0, 1.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="coherence"):
         dynamics.ExtendedStateRep(0.9, 0.0, 0.5, 0.0, 0.0, 0.0)
+
+
+def test_extended_state_formula_broadcasts_bitwise():
+    configs = [_random_config(seed) for seed in range(30)]
+    psi = np.stack([c.state.psi for c in configs]).reshape(5, 6, 4)
+    matrix = np.stack([c.hamiltonian.matrix for c in configs]).reshape(5, 6, 4, 4)
+    rho, rho_dot = dynamics.rho_and_derivative(psi, matrix)
+    assert rho.shape == rho_dot.shape == (5, 6, 4, 4)
+    for subsystem in dynamics.SUBSYSTEMS:
+        stacked = dynamics.extended_coordinates(rho, rho_dot, subsystem)
+        assert stacked.shape == (5, 6, 6)
+        for flat, config in enumerate(configs):
+            idx = np.unravel_index(flat, (5, 6))
+            point_rho, point_rho_dot = dynamics.rho_and_derivative(
+                config.state.psi, config.hamiltonian.matrix
+            )
+            assert rho[idx].tobytes() == point_rho.tobytes()
+            assert rho_dot[idx].tobytes() == point_rho_dot.tobytes()
+            point = dynamics.extended_state(config, subsystem).to_array()
+            assert stacked[idx].tobytes() == point.tobytes()
+
+
+def test_extended_coordinates_of_real_matrices():
+    # a real rho must be read as complex, not reinterpreted bytewise
+    rho = np.diag([0.25, 0.25, 0.25, 0.25])
+    rho[0, 2] = rho[2, 0] = 0.1
+    coords = dynamics.extended_coordinates(rho, np.zeros((4, 4)), "A")
+    assert np.array_equal(coords, [0.1, 0.0, 0.5, 0.0, 0.0, 0.0])

@@ -102,6 +102,98 @@ def test_raw_route_derivative_rows_match_propagator_oracle():
             assert np.max(np.abs(raw[offset:offset + 3] - expected)) < 1e-8
 
 
+def test_stacked_evaluation_matches_points_bitwise():
+    # every other point displaced off the sphere, as finite-difference points are
+    rng = np.random.default_rng(23)
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(40)])
+    x[::2] += rng.normal(0.0, 1e-3, x[::2].shape)
+    observables = locality.rep_observables(x)
+    norms = locality.numerical_jacobian(locality.rep_norm_sq, x, h_step=1e-4)
+    systems, rhs = locality.build_system(x)
+    assert observables.shape == (40, 14)
+    assert norms.shape == (40, 1, 19)
+    assert systems.shape == (40, 14, 19) and systems.flags["C_CONTIGUOUS"]
+    for i in range(40):
+        assert observables[i].tobytes() == locality.rep_observables(x[i]).tobytes()
+        point_norm = locality.numerical_jacobian(locality.rep_norm_sq, x[i], h_step=1e-4)
+        assert norms[i].tobytes() == point_norm.tobytes()
+        matrix, point_rhs = locality.build_system(x[i])
+        assert systems[i].tobytes() == matrix.tobytes()
+        assert np.array_equal(rhs, point_rhs)
+
+
+def _exact_audit_jacobian(x):
+    """Forward-mode ``(m, 14, 19)`` Jacobian of ``rep_observables`` at an ``(m, 19)`` stack.
+
+    Tangents along the 19 coordinate directions: ``drho = dpsi psi^+ +
+    psi dpsi^+`` and ``drho_dot = -i([dH, rho] + [H, drho])``, read through
+    the linear ``extended_coordinates``; the norm row is ``2 R.dR`` and the
+    energy row ``2 Re(psi^+ H dpsi) + psi^+ dH psi``.
+    """
+    m = x.shape[0]
+    k = np.arange(4)
+    phase = np.exp(1j * x[:, 4:8])
+    psi = x[:, :4] * phase
+    matrix = core.hamiltonian_matrix(x[:, 8], x[:, 9], x[:, 10:].reshape(m, 3, 3))
+    dpsi = np.zeros((m, 19, 4), dtype=complex)
+    dpsi[:, k, k] = phase
+    dpsi[:, 4 + k, k] = 1j * psi
+    # H is linear in (omega_a, omega_b, h): its derivatives are H of unit vectors
+    unit = np.eye(11)
+    dmatrix = np.zeros((m, 19, 4, 4), dtype=complex)
+    dmatrix[:, 8:] = core.hamiltonian_matrix(unit[:, 0], unit[:, 1], unit[:, 2:].reshape(11, 3, 3))
+    psi, matrix = psi[:, None], matrix[:, None]
+    rho = psi[..., :, None] * psi[..., None, :].conj()
+    drho = dpsi[..., :, None] * psi[..., None, :].conj()
+    drho = drho + psi[..., :, None] * dpsi[..., None, :].conj()
+    drho_dot = -1j * (dmatrix @ rho - rho @ dmatrix + matrix @ drho - drho @ matrix)
+    jac = np.zeros((m, 19, 14))
+    jac[..., 0:6] = dynamics.extended_coordinates(drho, drho_dot, "A")
+    jac[..., 6:12] = dynamics.extended_coordinates(drho, drho_dot, "B")
+    jac[:, k, 12] = 2.0 * x[:, :4]
+    h_dpsi = (matrix @ dpsi[..., None])[..., 0]
+    dh_psi = (dmatrix @ psi[..., None])[..., 0]
+    jac[..., 13] = 2.0 * np.vecdot(psi, h_dpsi).real + np.vecdot(psi, dh_psi).real
+    return jac.transpose(0, 2, 1)
+
+
+def test_stacked_jacobian_matches_exact_oracle():
+    x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
+    matrices, _ = locality.build_system(x)
+    assert np.max(np.abs(matrices - _exact_audit_jacobian(x))) < 1e-8
+
+
+def test_failure_stays_with_its_sample_inside_a_chunk(monkeypatch):
+    # two poisoned samples, in the first and the second chunk: each chunk's
+    # stacked call fails, yet only those samples may be lost
+    n, bad = locality.AUDIT_CHUNK + 6, (5, locality.AUDIT_CHUNK + 2)
+    clean = locality.run_experiment(n=n, seed=31, keep_samples=True)
+    assert clean.failed_indices == ()
+    targets = [clean.samples[i].rep.to_array() for i in bad]
+    original = locality.rep_observables
+
+    def poisoned(x):
+        out = original(x)
+        for target in targets:
+            out[np.max(np.abs(np.asarray(x) - target), axis=-1) < 1e-5] = np.nan
+        return out
+
+    monkeypatch.setattr(locality, "rep_observables", poisoned)
+    report = locality.run_experiment(n=n, seed=31, keep_samples=True)
+    assert report.failed_indices == bad
+    assert report.n_solvable == n - len(bad)
+    expected = [s.residual_norm for i, s in enumerate(clean.samples) if i not in bad]
+    assert [s.residual_norm for s in report.samples] == expected
+
+
+def test_residuals_are_relative_to_the_request():
+    base = locality.run_experiment(n=20, seed=32, keep_samples=True)
+    scaled = locality.run_experiment(n=20, seed=32, delta_e=-1000.0, keep_samples=True)
+    assert scaled.n_solvable == 20
+    for one, two in zip(base.samples, scaled.samples):
+        assert abs(one.residual_norm - two.residual_norm) < 1e-14
+
+
 def test_build_system_shape_and_rhs():
     matrix, rhs = locality.build_system(locality.sample_interior_rep(5), delta_e=1.0)
     assert matrix.shape == (14, 19)
