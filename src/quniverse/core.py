@@ -26,9 +26,12 @@ __all__ = [
     "HamiltonianSpec",
     "UniverseState",
     "assemble_hamiltonian",
+    "check_states",
     "config_equal",
     "config_to_rep",
+    "expectation",
     "hamiltonian_matrix",
+    "mean_energies",
     "mean_energy",
     "pauli",
     "rep_to_config",
@@ -125,6 +128,31 @@ def _validated_hamiltonian_params(omega_a, omega_b, h):
     return gaps[0], gaps[1], _frozen_array(h, float)
 
 
+def _first_row(mask: np.ndarray):
+    """Index of the first flagged row of a boolean ``(...)`` stack (C order), or ``None``."""
+    if not np.count_nonzero(mask):
+        return None
+    return np.unravel_index(np.argmax(mask), mask.shape)
+
+
+def check_states(psi: np.ndarray) -> None:
+    """Require a ``(..., 4)`` stack of finite amplitudes with unit norm.
+
+    The checks :class:`UniverseState` applies to one state, applied to every
+    row of a stack; the first offending row raises the same ``ValueError``.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    # a non-finite amplitude makes the norm non-finite, so one test covers both
+    moduli = np.abs(psi)
+    norm_sq = np.vecdot(moduli, moduli)
+    row = _first_row(~(np.abs(norm_sq - 1.0) <= NORM_TOL))
+    if row is None:
+        return
+    if not (np.isfinite(psi[row].real).all() and np.isfinite(psi[row].imag).all()):
+        raise ValueError("state amplitudes must be finite")
+    raise ValueError(f"state not normalized: sum |psi_k|^2 = {float(norm_sq[row])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class UniverseState:
     """Pure global state: four complex amplitudes on the binary basis."""
@@ -135,11 +163,7 @@ class UniverseState:
         psi = np.asarray(self.psi, dtype=complex)
         if psi.shape != (4,):
             raise ValueError(f"state must hold 4 amplitudes, got shape {psi.shape}")
-        if not (np.all(np.isfinite(psi.real)) and np.all(np.isfinite(psi.imag))):
-            raise ValueError("state amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(psi) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |psi_k|^2 = {norm_sq!r}")
+        check_states(psi)
         object.__setattr__(self, "psi", _frozen_array(psi, complex))
 
 
@@ -269,9 +293,29 @@ def config_equal(a: Configuration, b: Configuration, tol: float = 1e-9) -> bool:
     return abs(overlap - 1.0) <= tol
 
 
+def expectation(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Raw ``<psi|M|psi>`` of a ``(..., 4)`` stack of amplitudes, as ``(...)`` complex.
+
+    The one mean-energy formula: no normalization and no checks, so it
+    serves displaced finite-difference points as well.  Each row is
+    bitwise the value computed from that row alone.
+    """
+    return np.vecdot(psi, (matrix @ psi[..., None])[..., 0])
+
+
+def mean_energies(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Real :func:`expectation` values of a ``(..., 4)`` stack, as ``(...)`` floats.
+
+    Raises ``ValueError`` on the first row whose value has an imaginary
+    part above 1e-12.
+    """
+    values = expectation(psi, matrix)
+    row = _first_row(np.abs(values.imag) > 1e-12)
+    if row is not None:
+        raise ValueError(f"mean energy came out non-real: {complex(values[row])!r}")
+    return values.real
+
+
 def mean_energy(config: Configuration) -> float:
     """Expectation value of the total Hamiltonian in the global state."""
-    value = complex(np.vdot(config.state.psi, config.hamiltonian.matrix @ config.state.psi))
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"mean energy came out non-real: {value!r}")
-    return value.real
+    return float(mean_energies(config.state.psi, config.hamiltonian.matrix))

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, UniverseState
+from .core import Configuration, HamiltonianSpec, UniverseState, _first_row
 
 __all__ = [
     "SUBSYSTEMS",
     "ExtendedStateRep",
+    "check_extended_coordinates",
     "extended_coordinates",
     "extended_state",
     "finite_difference_rho_dot",
@@ -113,6 +114,13 @@ def _reduced(m: np.ndarray, keep: str) -> np.ndarray:
     return m[..., :2, :2] + m[..., 2:, 2:]
 
 
+def _reduced_column(m: np.ndarray, keep: str) -> np.ndarray:
+    """Column 1 of :func:`_reduced`, summing only the two sub-block columns it needs."""
+    if keep == "A":
+        return m[..., ::2, 2] + m[..., 1::2, 3]
+    return m[..., :2, 1] + m[..., 2:, 3]
+
+
 def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
     """Global ``rho = |psi><psi|`` and ``rho_dot = -i [H, rho]`` of raw arrays.
 
@@ -137,7 +145,7 @@ def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -
     """
     _subsystem_index(subsystem)
     columns = np.concatenate(
-        [_reduced(rho, subsystem)[..., 1], _reduced(rho_dot, subsystem)[..., 1]],
+        [_reduced_column(rho, subsystem), _reduced_column(rho_dot, subsystem)],
         axis=-1,
         dtype=complex,
     )
@@ -167,6 +175,30 @@ def finite_difference_rho_dot(
     return (plus - minus) / (2.0 * step)
 
 
+def check_extended_coordinates(coords: np.ndarray) -> None:
+    """Require a ``(..., 6)`` stack of extended coordinates of positive 2x2 states.
+
+    The excited population must lie in ``[0, 1]`` and the coherence must obey
+    ``|c|^2 <= p1 (1 - p1)``, each up to 1e-12.  These are the checks
+    :class:`ExtendedStateRep` applies to one record, applied to every row of
+    a stack; the first offending row raises the same ``ValueError``.
+    """
+    # unpacking the transpose hands one record over as cheap numpy scalars;
+    # each result is transposed back before rows are located
+    re_c, im_c, p1 = coords.T[:3]
+    off_range = ~((-1e-12 <= p1) & (p1 <= 1.0 + 1e-12))
+    coh_sq = re_c * re_c + im_c * im_c
+    row = _first_row((off_range | (coh_sq > p1 * (1.0 - p1) + 1e-12)).T)
+    if row is None:
+        return
+    if off_range.T[row]:
+        raise ValueError(f"excited population out of range: {float(p1.T[row])!r}")
+    raise ValueError(
+        "coherence incompatible with a positive 2x2 state: "
+        f"|c|^2 = {float(coh_sq.T[row])!r}, p1 = {float(p1.T[row])!r}"
+    )
+
+
 @dataclass(frozen=True)
 class ExtendedStateRep:
     """Six real coordinates of one subsystem's state and its derivative.
@@ -185,14 +217,7 @@ class ExtendedStateRep:
     p1dot: float
 
     def __post_init__(self):
-        if not (-1e-12 <= self.p1 <= 1.0 + 1e-12):
-            raise ValueError(f"excited population out of range: {self.p1!r}")
-        coh_sq = self.re_c**2 + self.im_c**2
-        if coh_sq > self.p1 * (1.0 - self.p1) + 1e-12:
-            raise ValueError(
-                "coherence incompatible with a positive 2x2 state: "
-                f"|c|^2 = {coh_sq!r}, p1 = {self.p1!r}"
-            )
+        check_extended_coordinates(self.to_array())
 
     def to_array(self) -> np.ndarray:
         return np.array(

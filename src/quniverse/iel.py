@@ -1,7 +1,8 @@
 """Internal-energy laws: per-subsystem energy assignments and their audit.
 
-A *law* maps a configuration to a pair of real energies ``(u_a, u_b)``.
-The registry ships two entries:
+A *law* maps a stack of global states and the Hamiltonian to a pair of
+real energies ``(u_a, u_b)`` per state, NaN where it is undefined; one
+evaluation covers a whole trajectory.  The registry ships two entries:
 
 ``bare``
     The uncorrected assignment ``u_j = omega_j * p1_j``; it reads the gap
@@ -26,8 +27,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Configuration, mean_energy
-from .dynamics import SUBSYSTEMS, ExtendedStateRep, extended_state, partial_trace
+from .core import Configuration, HamiltonianSpec, mean_energy
+from .dynamics import (
+    SUBSYSTEMS,
+    ExtendedStateRep,
+    check_extended_coordinates,
+    extended_coordinates,
+    extended_state,  # noqa: F401  (perfbench traces iel.extended_state by name)
+    partial_trace,
+    rho_and_derivative,
+)
 
 __all__ = [
     "COHERENCE_CUTOFF",
@@ -92,56 +101,87 @@ class ConsistencyAudit:
     defect: float
 
 
+def _rotation_frequency(coords: np.ndarray) -> np.ndarray:
+    """``Im(cdot / c)`` of ``(..., 6)`` extended coordinates.
+
+    NaN where ``|c|`` is below :data:`COHERENCE_CUTOFF`.
+    """
+    # unpacking the transpose hands one record over as cheap numpy scalars
+    re_c, im_c, _, re_cdot, im_cdot, _ = coords.T
+    denom = re_c * re_c + im_c * im_c
+    # dividing by NaN where undefined gives NaN without a warning
+    defined_denom = np.where(np.sqrt(denom) >= COHERENCE_CUTOFF, denom, np.nan)
+    return ((re_c * im_cdot - im_c * re_cdot) / defined_denom).T
+
+
 def rc_frequency(ext: ExtendedStateRep) -> float:
     """Rotation frequency of the coherence phasor, ``Im(cdot / c)``."""
-    denom = ext.re_c**2 + ext.im_c**2
-    if math.sqrt(denom) < COHERENCE_CUTOFF:
+    freq = float(_rotation_frequency(ext.to_array()))
+    if math.isnan(freq):
         raise RCUndefinedError()
-    return (ext.re_c * ext.im_cdot - ext.im_c * ext.re_cdot) / denom
+    return freq
 
 
-def _bare_law(config: Configuration) -> EnergyPair:
-    gaps = (config.hamiltonian.omega_a, config.hamiltonian.omega_b)
+def _extended_pair(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> list:
+    """``(..., 6)`` extended coordinates of subsystems A and B from one ``(rho, rho_dot)``."""
+    rho, rho_dot = rho_and_derivative(psi, hamiltonian.matrix)
+    return [extended_coordinates(rho, rho_dot, subsystem) for subsystem in SUBSYSTEMS]
+
+
+def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
+    gaps = (hamiltonian.omega_a, hamiltonian.omega_b)
+    extended = _extended_pair(psi, hamiltonian)
+    return tuple(omega * ext[..., 2] for omega, ext in zip(gaps, extended))
+
+
+def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
     values = []
-    for subsystem, omega in zip(SUBSYSTEMS, gaps):
-        rho = partial_trace(config.state, subsystem)
-        values.append(omega * float(rho[1, 1].real))
-    return EnergyPair(*values)
+    for ext in _extended_pair(psi, hamiltonian):
+        check_extended_coordinates(ext)
+        values.append(ext[..., 2] * _rotation_frequency(ext))
+    return tuple(values)
 
 
-def _rc_law(config: Configuration) -> EnergyPair:
-    values = []
-    for subsystem in SUBSYSTEMS:
-        ext = extended_state(config, subsystem)
-        if math.hypot(ext.re_c, ext.im_c) < COHERENCE_CUTOFF:
-            raise RCUndefinedError(subsystem)
-        values.append(ext.p1 * rc_frequency(ext))
-    return EnergyPair(*values)
-
+#: a law maps a ``(..., 4)`` stack of states and the Hamiltonian to two
+#: ``(...)`` float arrays ``(u_a, u_b)``, NaN where it is undefined
+_Law = Callable[[np.ndarray, HamiltonianSpec], tuple]
 
 #: open registry of named laws; keys are stable CLI-facing identifiers
-LAWS: dict[str, Callable[[Configuration], EnergyPair]] = {
+LAWS: dict[str, _Law] = {
     "bare": _bare_law,
     "rc": _rc_law,
 }
 
 
-def register_law(name: str, evaluator: Callable[[Configuration], EnergyPair]) -> None:
-    """Add a named law to the registry.  Existing names cannot be rebound."""
+def register_law(name: str, evaluator: _Law) -> None:
+    """Add a named law to the registry.  Existing names cannot be rebound.
+
+    ``evaluator(psi, hamiltonian)`` takes a ``(..., 4)`` stack of states and
+    a :class:`~quniverse.core.HamiltonianSpec` and returns ``(u_a, u_b)``,
+    two ``(...)`` float arrays with NaN where the law is undefined.
+    """
     if name in LAWS:
         raise ValueError(f"law {name!r} is already registered")
     LAWS[name] = evaluator
 
 
 def evaluate_law(law: str, config: Configuration) -> EnergyPair:
-    """Apply a registered law to a configuration."""
+    """Apply a registered law to a configuration.
+
+    Raises :class:`RCUndefinedError` naming the first subsystem whose
+    energy is undefined (NaN).
+    """
     try:
         evaluator = LAWS[law]
     except KeyError:
         raise ValueError(
             f"unknown law {law!r}, registered: {sorted(LAWS)}"
         ) from None
-    return evaluator(config)
+    values = [float(u) for u in evaluator(config.state.psi, config.hamiltonian)]
+    for subsystem, value in zip(SUBSYSTEMS, values):
+        if math.isnan(value):
+            raise RCUndefinedError(subsystem)
+    return EnergyPair(*values)
 
 
 def effective_hamiltonian(law: str, config: Configuration, subsystem: str) -> np.ndarray:

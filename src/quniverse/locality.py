@@ -97,9 +97,10 @@ def rep_observables(x) -> np.ndarray:
     """All 14 audited quantities in system row order.
 
     Rows 0-5 are the extended state of A, 6-11 that of B, row 12 the
-    moduli norm and row 13 the mean energy ``<psi|H|psi>``; one shared
-    evaluation of ``(rho, rho_dot)`` serves both extended states, through
-    the same formula as :func:`quniverse.dynamics.extended_state`.
+    moduli norm and row 13 the mean energy ``<psi|H|psi>`` through
+    :func:`quniverse.core.expectation`; one shared evaluation of
+    ``(rho, rho_dot)`` serves both extended states, through the same
+    formula as :func:`quniverse.dynamics.extended_state`.
     Broadcasts over leading axes: a ``(..., 19)`` stack gives ``(..., 14)``,
     and each row of a stack is bitwise the row of its own 19-vector.
     """
@@ -110,7 +111,7 @@ def rep_observables(x) -> np.ndarray:
     out[..., 0:6] = extended_coordinates(rho, rho_dot, "A")
     out[..., 6:12] = extended_coordinates(rho, rho_dot, "B")
     out[..., 12] = rep_norm_sq(x)
-    out[..., 13] = np.vecdot(psi, (matrix @ psi[..., None])[..., 0]).real
+    out[..., 13] = core.expectation(psi, matrix).real
     return out
 
 
@@ -240,10 +241,12 @@ def sample_interior_rep(rng) -> ConfigRep:
 class SampleResult:
     """One audited representation with its residual verdict.
 
+    ``index`` is the sample's position in the run (its substream key);
     ``residual_norm`` is relative to the requested energy increment,
     ``||A dx - b|| / |delta_e|``.
     """
 
+    index: int
     rep: ConfigRep
     residual_norm: float
     solvable: bool
@@ -284,9 +287,7 @@ class SolvabilityReport:
         if per_sample:
             if self.samples is None:
                 raise ValueError("per-sample data was not kept for this run")
-            out["samples"] = [
-                [i, s.residual_norm] for i, s in enumerate(self.samples)
-            ]
+            out["samples"] = [[s.index, s.residual_norm] for s in self.samples]
         return out
 
 
@@ -356,7 +357,9 @@ def run_experiment(
                 n_solvable += int(solvable)
                 residuals.append(residual)
                 if keep_samples:
-                    samples.append(SampleResult(rep=rep, residual_norm=residual, solvable=solvable))
+                    samples.append(
+                        SampleResult(index=index, rep=rep, residual_norm=residual, solvable=solvable)
+                    )
     return SolvabilityReport(
         n_samples=n,
         h_step=float(h_step),

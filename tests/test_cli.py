@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quniverse import dynamics
+from quniverse import cli, core, dynamics, iel, models
 from quniverse.cli import CSV_HEADER, main
 
 
@@ -150,6 +150,91 @@ def test_simulate_undefined_points_emit_empty_cells(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "rotating-coherence law undefined" in captured.err
     assert "50 with energies" in captured.out
+
+
+def _pointwise_rows(law, alpha=0.0, n_steps=1000):
+    """CSV rows at the simulate defaults, one Configuration per row."""
+    spec = models.NumberConservingSpec(lam=complex(0.83, 0.41), delta=0.0)
+    ham = models.number_conserving_hamiltonian(spec, 1.0, 0.85)
+    amplitudes = np.array([1.0, 1.0, 1.0, alpha], dtype=complex)
+    initial = core.UniverseState(amplitudes / np.linalg.norm(amplitudes))
+    times = np.linspace(0.0, 20.0, n_steps + 1)
+    rows = []
+    for t, psi in zip(times, dynamics.trajectory(initial, ham, times)):
+        config = core.Configuration(state=core.UniverseState(psi), hamiltonian=ham)
+        mean_h = core.mean_energy(config)
+        try:
+            pair = iel.evaluate_law(law, config)
+        except iel.RCUndefinedError:
+            cells = [repr(float(t)), "", "", "", repr(mean_h), ""]
+        else:
+            cells = [repr(float(t))] + [
+                repr(v) for v in (pair.u_a, pair.u_b, pair.total, mean_h, pair.total - mean_h)
+            ]
+        rows.append(",".join(cells))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "law, alpha", [("rc", 0.0), ("bare", 0.0), ("rc", -1.0)], ids=["rc", "bare", "rc-undefined"]
+)
+def test_simulate_rows_equal_pointwise_evaluation(law, alpha, tmp_path):
+    # every cell is the repr of what evaluate_law and mean_energy give at
+    # that row's configuration, bit for bit
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--law", law, "--alpha", repr(alpha), "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[1:-1] == _pointwise_rows(law, alpha)
+
+
+def test_simulate_chunk_size_does_not_change_output(tmp_path, monkeypatch):
+    argv = ["simulate", "--alpha", "-1", "--n-steps", "40", "--out"]
+    default = tmp_path / "default.csv"
+    assert main(argv + [str(default)]) == 0
+    monkeypatch.setattr(cli, "SIMULATE_CHUNK", 7)
+    chunked = tmp_path / "chunked.csv"
+    assert main(argv + [str(chunked)]) == 0
+    assert chunked.read_bytes() == default.read_bytes()
+
+
+def test_simulate_summarizes_undefined_rows_in_one_line(tmp_path, capsys):
+    # without exchange the Hamiltonian is diagonal and alpha = -1 keeps both
+    # coherences at zero on every row
+    out = tmp_path / "t.csv"
+    argv = ["simulate", "--lambda-re", "0", "--lambda-im", "0", "--alpha", "-1",
+            "--n-steps", "10", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "rotating-coherence law undefined at 11 of 11 rows, t=0.0 to t=20.0; "
+        "emitting empty energy cells\n"
+    )
+    assert "0 with energies" in captured.out
+    rows = _read_csv(out)
+    assert all(r["u_a"] == r["u_b"] == r["u_total"] == r["defect"] == "" for r in rows)
+    assert all(r["mean_h"] != "" for r in rows)
+
+
+def test_simulate_runs_a_registered_law(tmp_path):
+    def excited_a(psi, ham):
+        p1_a = np.abs(psi[..., 2]) ** 2 + np.abs(psi[..., 3]) ** 2
+        return ham.omega_a * p1_a, np.zeros(psi.shape[:-1])
+
+    iel.register_law("test-excited-a", excited_a)
+    try:
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--law", "test-excited-a", "--n-steps", "20",
+                     "--out", str(out)]) == 0
+        rows = _read_csv(out)
+    finally:
+        iel.LAWS.pop("test-excited-a")
+    assert len(rows) == 21
+    # the initial state (|00> + |01> + |10>) / sqrt(3) has p1_A = 1/3
+    assert float(rows[0]["u_a"]) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert all(float(r["u_b"]) == 0.0 for r in rows)
+    assert "test-excited-a" not in iel.LAWS
 
 
 def test_simulate_bare_law(tmp_path):

@@ -121,6 +121,45 @@ def test_state_normalization_within_1e12():
         assert abs(np.sum(np.abs(config.state.psi) ** 2) - 1.0) < 1e-12
 
 
+def _valid_states(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("fault", ["unnormalized", "nonfinite"])
+def test_stacked_state_check_raises_what_one_state_raises(fault):
+    psi = _valid_states(12, seed=40)
+    core.check_states(psi)
+    if fault == "unnormalized":
+        psi[7] *= 1.1
+    else:
+        psi[7, 2] = np.inf
+    with pytest.raises(ValueError) as one:
+        core.UniverseState(psi[7])
+    with pytest.raises(ValueError) as stacked:
+        core.check_states(psi.reshape(3, 4, 4))
+    assert str(stacked.value) == str(one.value)
+
+
+def test_mean_energies_of_a_stack_equal_each_row():
+    configs = [core.rep_to_config(locality.sample_interior_rep(s)) for s in range(20)]
+    psi = np.stack([c.state.psi for c in configs])
+    matrix = np.stack([c.hamiltonian.matrix for c in configs])
+    values = core.mean_energies(psi, matrix)
+    assert values.shape == (20,)
+    assert values.tolist() == [core.mean_energy(c) for c in configs]
+
+
+def test_mean_energies_reject_a_non_real_row():
+    psi = _valid_states(5, seed=41)
+    skew = np.diag([1j, 0, 0, 0])
+    psi[:, 0] = 0.0
+    psi[3, 0] = 1.0
+    with pytest.raises(ValueError, match="mean energy came out non-real: 1j"):
+        core.mean_energies(psi, skew)
+
+
 def test_global_phase_shift_gives_equal_configuration():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -178,6 +178,38 @@ def test_extended_state_rejects_illegal_population():
         dynamics.ExtendedStateRep(0.9, 0.0, 0.5, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "bad_row",
+    [(0.0, 0.0, 1.5, 0.0, 0.0, 0.0), (0.9, 0.0, 0.5, 0.0, 0.0, 0.0)],
+    ids=["population", "coherence"],
+)
+def test_stacked_extended_check_raises_what_one_record_raises(bad_row):
+    configs = [_random_config(seed) for seed in range(8)]
+    psi = np.stack([c.state.psi for c in configs])
+    matrix = np.stack([c.hamiltonian.matrix for c in configs])
+    coords = dynamics.extended_coordinates(*dynamics.rho_and_derivative(psi, matrix), "A")
+    dynamics.check_extended_coordinates(coords)
+    coords[5] = bad_row
+    with pytest.raises(ValueError) as one:
+        dynamics.ExtendedStateRep(*bad_row)
+    with pytest.raises(ValueError) as stacked:
+        dynamics.check_extended_coordinates(coords.reshape(2, 4, 6))
+    assert str(stacked.value) == str(one.value)
+
+
+def test_extended_coordinates_are_column_one_of_the_partial_traces():
+    for seed in range(20):
+        config = _random_config(seed)
+        rho, rho_dot = dynamics.rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
+        for subsystem in dynamics.SUBSYSTEMS:
+            (c, p1), (cdot, p1dot) = (
+                dynamics.partial_trace(m, subsystem)[:, 1] for m in (rho, rho_dot)
+            )
+            expected = [c.real, c.imag, p1.real, cdot.real, cdot.imag, p1dot.real]
+            coords = dynamics.extended_coordinates(rho, rho_dot, subsystem)
+            assert coords.tolist() == expected
+
+
 def test_extended_state_formula_broadcasts_bitwise():
     configs = [_random_config(seed) for seed in range(30)]
     psi = np.stack([c.state.psi for c in configs]).reshape(5, 6, 4)

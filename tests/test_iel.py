@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quniverse import core, dynamics, iel, locality, models
 from quniverse.verification import random_control_case, random_uncoupled_config
@@ -87,13 +90,47 @@ def test_unknown_law_is_rejected():
 
 def test_registry_is_open_but_write_once():
     try:
-        iel.register_law("half-bare", lambda c: iel.EnergyPair(0.0, 0.0))
+        def zeros(psi, ham):
+            return np.zeros(psi.shape[:-1]), np.zeros(psi.shape[:-1])
+
+        iel.register_law("half-bare", zeros)
         config = random_uncoupled_config(np.random.default_rng(4))
         assert iel.evaluate_law("half-bare", config) == iel.EnergyPair(0.0, 0.0)
         with pytest.raises(ValueError, match="already registered"):
-            iel.register_law("half-bare", lambda c: iel.EnergyPair(1.0, 1.0))
+            iel.register_law("half-bare", lambda psi, ham: (1.0, 1.0))
+        assert iel.LAWS["half-bare"] is zeros
     finally:
         iel.LAWS.pop("half-bare", None)
+
+
+_unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    parts=arrays(float, st.tuples(st.integers(1, 12), st.just(8)), elements=_unit),
+    gaps=st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
+    couplings=arrays(float, (3, 3), elements=_unit),
+)
+@pytest.mark.parametrize("law", ["bare", "rc"])
+def test_stacked_law_equals_pointwise_evaluation(law, parts, gaps, couplings):
+    # float draws hit exact zeros often, so undefined rc rows are covered too
+    psi = parts[:, :4] + 1j * parts[:, 4:]
+    norms = np.linalg.norm(psi, axis=-1)
+    assume(np.all(norms > 1e-3))
+    psi /= norms[:, None]
+    ham = core.assemble_hamiltonian(gaps[0], gaps[1], couplings)
+    u_a, u_b = iel.LAWS[law](psi, ham)
+    assert u_a.shape == u_b.shape == psi.shape[:1]
+    for row, stacked in zip(psi, zip(u_a.tolist(), u_b.tolist())):
+        config = core.Configuration(state=core.UniverseState(row), hamiltonian=ham)
+        try:
+            pair = iel.evaluate_law(law, config)
+        except iel.RCUndefinedError as exc:
+            undefined = [s for s, u in zip(dynamics.SUBSYSTEMS, stacked) if np.isnan(u)]
+            assert undefined and exc.subsystem == undefined[0]
+        else:
+            assert [repr(u) for u in stacked] == [repr(pair.u_a), repr(pair.u_b)]
 
 
 def test_effective_hamiltonian_of_bare_law_is_bare():

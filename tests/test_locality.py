@@ -186,6 +186,27 @@ def test_failure_stays_with_its_sample_inside_a_chunk(monkeypatch):
     assert [s.residual_norm for s in report.samples] == expected
 
 
+def test_per_sample_pairs_name_their_own_sample(monkeypatch):
+    # after a failed sample, each later [index, residual] pair must still
+    # carry that sample's index, not its position among the kept samples
+    clean = locality.run_experiment(n=4, seed=31, keep_samples=True)
+    target = clean.samples[1].rep.to_array()
+    original = locality.rep_observables
+
+    def poisoned(x):
+        out = original(x)
+        out[np.max(np.abs(np.asarray(x) - target), axis=-1) < 1e-5] = np.nan
+        return out
+
+    monkeypatch.setattr(locality, "rep_observables", poisoned)
+    report = locality.run_experiment(n=4, seed=31, keep_samples=True)
+    assert report.failed_indices == (1,)
+    residuals = [s.residual_norm for s in clean.samples]
+    assert report.to_json_dict(per_sample=True)["samples"] == [
+        [0, residuals[0]], [2, residuals[2]], [3, residuals[3]]
+    ]
+
+
 def test_residuals_are_relative_to_the_request():
     base = locality.run_experiment(n=20, seed=32, keep_samples=True)
     scaled = locality.run_experiment(n=20, seed=32, delta_e=-1000.0, keep_samples=True)
