@@ -39,34 +39,81 @@ from .core import (
 
 __all__ = ["main"]
 
+
+class UsageError(Exception):
+    """Bad parameters; reported on stderr with exit status 2."""
+
+
+_NUMBER = (int, float)
+_KINDS = {int: "an integer", _NUMBER: "a number", bool: "true or false", str: "a string"}
+
+
+def _kind(kind, test=None, need: str = ""):
+    """Check of one parameter: a finite number, int, bool or str that passes
+    ``test``, numbers returned as floats; anything else raises UsageError."""
+    def check(key: str, value):
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+            raise UsageError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+        # NaN fails the comparison; a huge integer would overflow float()
+        if kind is _NUMBER and not abs(value) <= sys.float_info.max:
+            raise UsageError(f"{key} must be finite, got {value!r}")
+        if test is not None and not test(value):
+            raise UsageError(f"{key} must be {need}, got {value!r}")
+        return float(value) if kind is _NUMBER else value
+    return check
+
+
+def _one_of(options, what: str):
+    def check(key: str, value) -> str:
+        if _kind(str)(key, value) not in options:
+            raise UsageError(f"unknown {what} {value!r}, available: {', '.join(options)}")
+        return value
+    return check
+
+
+def _suites(key: str, value) -> list | None:
+    """Comma-separated suite names; ``None`` selects all of them."""
+    selection = [s.strip() for s in _kind(str)(key, value).split(",") if s.strip()]
+    if not selection:
+        raise UsageError("empty suite selection")
+    return None if selection == ["all"] else selection
+
+
+_REAL = _kind(_NUMBER)
+_POSITIVE = _kind(_NUMBER, lambda v: v > 0, "positive")
+_SEED = _kind(int, lambda v: v >= 0, "at least 0")
+_COUNT = _kind(int, lambda v: v >= 1, "at least 1")
+
+# key -> (default, check); the check of each key validates its flag or
+# config-file value once, in _merge.  A key whose default is None may be null.
 _SAMPLE_KEYS = {
-    "n": (5000, int),
-    "seed": (0, int),
-    "h_step": (1e-6, float),
-    "threshold": (1e-12, float),
-    "delta_e": (1.0, float),
-    "per_sample": (False, bool),
-    "out": ("solvability_report.json", str),
+    "n": (5000, _COUNT),
+    "seed": (0, _SEED),
+    "h_step": (1e-6, _POSITIVE),
+    "threshold": (1e-12, _POSITIVE),
+    "delta_e": (1.0, _kind(_NUMBER, lambda v: v != 0, "nonzero")),
+    "per_sample": (False, _kind(bool)),
+    "out": ("solvability_report.json", _kind(str)),
 }
 
 _SIMULATE_KEYS = {
-    "omega_a": (1.0, float),
-    "omega_b": (0.85, float),
-    "lambda_re": (0.83, float),
-    "lambda_im": (0.41, float),
-    "delta": (0.0, float),
-    "alpha": (0.0, float),
-    "t_max": (20.0, float),
-    "n_steps": (1000, int),
-    "law": ("rc", str),
-    "out": ("trajectory.csv", str),
+    "omega_a": (1.0, _POSITIVE),
+    "omega_b": (0.85, _POSITIVE),
+    "lambda_re": (0.83, _REAL),
+    "lambda_im": (0.41, _REAL),
+    "delta": (0.0, _REAL),
+    "alpha": (0.0, _REAL),
+    "t_max": (20.0, _POSITIVE),
+    "n_steps": (1000, _COUNT),
+    "law": ("rc", _one_of(iel.LAWS, "law")),
+    "out": ("trajectory.csv", _kind(str)),
 }
 
 _VERIFY_KEYS = {
-    "suite": ("all", str),
-    "seed": (2024, int),
-    "inject_fault": (None, str),
-    "out": (None, str),
+    "suite": ("all", _suites),
+    "seed": (2024, _SEED),
+    "inject_fault": (None, _one_of(dynamics.FAULTS, "fault")),
+    "out": (None, _kind(str)),
 }
 
 CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
@@ -74,10 +121,6 @@ CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
 #: trajectory rows per stacked law evaluation in ``simulate``; it bounds the
 #: ``(chunk, 4, 4)`` temporaries of the extended-state kernel
 SIMULATE_CHUNK = 512
-
-
-class UsageError(Exception):
-    """Bad parameters; reported on stderr with exit status 2."""
 
 
 def _load_config(path: str) -> dict:
@@ -94,45 +137,31 @@ def _load_config(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace, keys: dict) -> dict:
+    """Each key's flag value, else its config-file value, else its default, checked."""
     config = _load_config(args.config) if args.config else {}
     unknown = sorted(set(config) - set(keys))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
-    for key, (default, cast) in keys.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in config:
-            value = config[key]
-            try:
-                merged[key] = cast(value) if value is not None else None
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
-        else:
-            merged[key] = default
-        if cast is float and merged[key] is not None and not np.isfinite(merged[key]):
-            raise UsageError(f"{key} must be finite, got {merged[key]!r}")
+    for key, (default, check) in keys.items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        merged[key] = None if value is None and default is None else check(key, value)
     return merged
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = _merge(args, _SAMPLE_KEYS)
-    if params["n"] < 1:
-        raise UsageError(f"n must be at least 1, got {params['n']}")
-    if params["h_step"] <= 0 or params["threshold"] <= 0:
-        raise UsageError("h_step and threshold must be positive")
-    if params["delta_e"] == 0:
-        raise UsageError("delta_e must be nonzero")
     report = locality.run_experiment(
         n=params["n"],
         seed=params["seed"],
         h_step=params["h_step"],
         threshold=params["threshold"],
         delta_e=params["delta_e"],
-        keep_samples=bool(params["per_sample"]),
+        keep_samples=params["per_sample"],
     )
-    payload = report.to_json_dict(per_sample=bool(params["per_sample"]))
+    payload = report.to_json_dict(per_sample=params["per_sample"])
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     Path(params["out"]).write_text(text, encoding="utf-8")
     print(
@@ -144,15 +173,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _merge(args, _SIMULATE_KEYS)
-    if params["omega_a"] <= 0 or params["omega_b"] <= 0:
-        raise UsageError("omega_a and omega_b must be positive")
-    if params["t_max"] <= 0:
-        raise UsageError(f"t_max must be positive, got {params['t_max']}")
-    if params["n_steps"] < 1:
-        raise UsageError(f"n_steps must be at least 1, got {params['n_steps']}")
-    if params["law"] not in iel.LAWS:
-        raise UsageError(f"unknown law {params['law']!r}, available: {sorted(iel.LAWS)}")
-
     spec = models.NumberConservingSpec(
         lam=complex(params["lambda_re"], params["lambda_im"]), delta=params["delta"]
     )
@@ -216,27 +236,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
 
     params = _merge(args, _VERIFY_KEYS)
-    selection = [s.strip() for s in params["suite"].split(",") if s.strip()]
-    if not selection:
-        raise UsageError("empty suite selection")
-    names = list(verification.SUITES) if selection == ["all"] else selection
-    unknown = [n for n in names if n not in verification.SUITES]
-    if unknown:
-        raise UsageError(
-            f"unknown suites: {', '.join(unknown)}; "
-            f"available: {', '.join(verification.SUITES)} (or 'all')"
-        )
-    fault = params["inject_fault"]
-    if fault not in (None, "rho-dot-sign"):
-        raise UsageError(f"unknown fault {fault!r}, available: rho-dot-sign")
-
-    if fault == "rho-dot-sign":
-        dynamics._rho_dot_sign = -1.0
     try:
-        results = verification.run_suites(names, seed=params["seed"])
-    finally:
-        dynamics._rho_dot_sign = 1.0
-
+        results = verification.run_suites(params["suite"], params["seed"], params["inject_fault"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     summary = verification.summary_dict(results)
     text = json.dumps(summary, indent=2) + "\n"
     if params["out"]:
@@ -283,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", help="flat JSON config file; flags win")
     verify.add_argument("--suite", help="comma-separated suite names, or 'all' (default)")
     verify.add_argument("--seed", type=int, help="seed for the randomized checks (default 2024)")
-    verify.add_argument("--inject-fault", dest="inject_fault", choices=["rho-dot-sign"],
+    verify.add_argument("--inject-fault", dest="inject_fault", choices=dynamics.FAULTS,
                         help="flip a sign in the local derivative to prove the checks bite")
     verify.add_argument("--out", help="write the JSON summary here instead of stdout")
     verify.set_defaults(func=_cmd_verify)

@@ -10,6 +10,7 @@ independent oracle for tests.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 from .core import Configuration, HamiltonianSpec, UniverseState, _first_row
 
 __all__ = [
+    "FAULTS",
+    "RHO_DOT_SIGN",
     "SUBSYSTEMS",
     "ExtendedStateRep",
     "check_extended_coordinates",
@@ -32,9 +35,12 @@ __all__ = [
 
 SUBSYSTEMS = ("A", "B")
 
-# Test hook: flipped to -1.0 to fault-inject a sign error into rho_dot_local
-# so oracle suites can demonstrate they would catch one.
-_rho_dot_sign = 1.0
+#: sign of every ``rho_dot``, -1.0 under the ``rho-dot-sign`` fault; a context
+#: variable, so a fault set in one thread or task stays there
+RHO_DOT_SIGN: ContextVar[float] = ContextVar("RHO_DOT_SIGN", default=1.0)
+
+#: faults ``verification.run_suites`` can inject into this module
+FAULTS = ("rho-dot-sign",)
 
 
 def _subsystem_index(subsystem: str) -> int:
@@ -93,18 +99,11 @@ def partial_trace(state_or_rho, keep: str) -> np.ndarray:
     """
     _subsystem_index(keep)
     if isinstance(state_or_rho, UniverseState):
-        rho = np.outer(state_or_rho.psi, state_or_rho.psi.conj())
-    else:
-        arr = np.asarray(state_or_rho, dtype=complex)
-        if arr.shape == (4,):
-            rho = np.outer(arr, arr.conj())
-        elif arr.shape == (4, 4):
-            rho = arr
-        else:
-            raise ValueError(
-                f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}"
-            )
-    return _reduced(rho, keep)
+        state_or_rho = state_or_rho.psi
+    arr = np.asarray(state_or_rho, dtype=complex)
+    if arr.shape not in ((4,), (4, 4)):
+        raise ValueError(f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}")
+    return _reduced(_density(arr) if arr.shape == (4,) else arr, keep)
 
 
 def _reduced(m: np.ndarray, keep: str) -> np.ndarray:
@@ -130,9 +129,14 @@ def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
     Hamiltonians give two ``(..., 4, 4)`` stacks.  This is the one place
     where the fault-injection sign enters.
     """
-    rho = psi[..., :, None] * psi[..., None, :].conj()
-    rho_dot = _rho_dot_sign * (-1j * (matrix @ rho - rho @ matrix))
+    rho = _density(psi)
+    rho_dot = RHO_DOT_SIGN.get() * (-1j * (matrix @ rho - rho @ matrix))
     return rho, rho_dot
+
+
+def _density(psi: np.ndarray) -> np.ndarray:
+    """``|psi><psi|`` of a ``(..., 4)`` stack of raw amplitudes."""
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -> np.ndarray:

@@ -31,6 +31,8 @@ from .core import Configuration, HamiltonianSpec, mean_energy
 from .dynamics import (
     SUBSYSTEMS,
     ExtendedStateRep,
+    _density,
+    _reduced_column,
     check_extended_coordinates,
     extended_coordinates,
     extended_state,  # noqa: F401  (perfbench traces iel.extended_state by name)
@@ -122,21 +124,19 @@ def rc_frequency(ext: ExtendedStateRep) -> float:
     return freq
 
 
-def _extended_pair(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> list:
-    """``(..., 6)`` extended coordinates of subsystems A and B from one ``(rho, rho_dot)``."""
-    rho, rho_dot = rho_and_derivative(psi, hamiltonian.matrix)
-    return [extended_coordinates(rho, rho_dot, subsystem) for subsystem in SUBSYSTEMS]
-
-
 def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
+    # only the excited populations enter, so rho alone suffices
+    rho = _density(psi)
     gaps = (hamiltonian.omega_a, hamiltonian.omega_b)
-    extended = _extended_pair(psi, hamiltonian)
-    return tuple(omega * ext[..., 2] for omega, ext in zip(gaps, extended))
+    return tuple(omega * _reduced_column(rho, s)[..., 1].real for omega, s in zip(gaps, SUBSYSTEMS))
 
 
 def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
+    # one (rho, rho_dot) serves both subsystems
+    rho, rho_dot = rho_and_derivative(psi, hamiltonian.matrix)
     values = []
-    for ext in _extended_pair(psi, hamiltonian):
+    for subsystem in SUBSYSTEMS:
+        ext = extended_coordinates(rho, rho_dot, subsystem)
         check_extended_coordinates(ext)
         values.append(ext[..., 2] * _rotation_frequency(ext))
     return tuple(values)

@@ -1,26 +1,36 @@
-"""Seeded self-check suites behind the ``verify`` CLI command.
+"""Seeded invariant checks behind ``quniverse verify`` and the unit tests.
 
-Each suite runs a compact batch of the oracle-equivalence and invariant
-checks that also back the test suite, sized to finish in seconds.  All
-randomness is drawn from the seed handed in, so a run is reproducible.
+A check maps a random generator and a sample count ``n`` to its worst
+measured error, one per label when several labels share its sample loop.
+``verify`` runs each suite's checks in :data:`CHECKS` order on one generator
+seeded from the run seed; the unit tests run them at their own seeds and counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import core, dynamics, iel, locality, models
 
 __all__ = [
+    "CHECKS",
+    "EXACT",
     "SUITES",
     "SuiteResult",
     "random_control_case",
+    "random_spec",
     "random_uncoupled_config",
+    "run_check",
     "run_suites",
     "summary_dict",
 ]
+
+#: tolerance of an exact check: only an error of zero lies below it
+EXACT = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -32,17 +42,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-class _Recorder:
-    def __init__(self):
-        self.cases = 0
-        self.failures = []
-
-    def check(self, label: str, ok: bool):
-        self.cases += 1
-        if not ok:
-            self.failures.append(label)
 
 
 def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> models.ControlCaseState:
@@ -59,295 +58,287 @@ def random_uncoupled_config(rng: np.random.Generator, min_coherence: float = 0.0
     while True:
         rep = locality.sample_interior_rep(rng)
         config = core.rep_to_config(replace(rep, h=np.zeros((3, 3))))
-        coherences = [
-            abs(complex(dynamics.partial_trace(config.state, s)[0, 1]))
-            for s in dynamics.SUBSYSTEMS
-        ]
+        coherences = [abs(complex(dynamics.partial_trace(config.state, s)[0, 1]))
+                      for s in dynamics.SUBSYSTEMS]
         if min(coherences) > min_coherence:
             return config
 
 
-def _random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
+def random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
+    """Random exchange amplitude and dephasing strength, each part uniform in (-1, 1)."""
     lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return models.NumberConservingSpec(lam=lam, delta=float(rng.uniform(-1, 1)))
 
 
-def _suite_core(seed: int) -> SuiteResult:
-    rec = _Recorder()
-    rng = np.random.default_rng(seed)
+def _dist(a, b=0.0) -> float:
+    """Largest entrywise ``|a - b|``; a NaN propagates, so it fails any tolerance."""
+    return float(np.max(np.abs(np.subtract(a, b))))
 
-    sx, sy, sz = (core.pauli(a) for a in core.AXES)
-    rec.check("pauli: sigma_z excited-positive", sz[1, 1] == 1.0 and sz[0, 0] == -1.0)
-    rec.check("pauli: involution", np.array_equal(sx @ sx, np.eye(2)))
-    rec.check("pauli: cyclic product", np.allclose(sx @ sy, 1j * sz, atol=0))
 
-    hermitian = True
-    marginal_free = True
-    for _ in range(25):
-        rep = locality.sample_interior_rep(rng)
-        ham = core.assemble_hamiltonian(rep.omega_a, rep.omega_b, rep.h)
-        hermitian &= np.array_equal(ham.matrix, ham.matrix.conj().T)
-        interaction = ham.matrix - core.hamiltonian_matrix(
-            rep.omega_a, rep.omega_b, np.zeros((3, 3))
-        )
-        for s in dynamics.SUBSYSTEMS:
-            marginal_free &= bool(
-                np.max(np.abs(dynamics.partial_trace(interaction, s))) < 1e-14
-            )
-    rec.check("hamiltonian exactly hermitian", hermitian)
-    rec.check("interaction has traceless marginals", marginal_free)
+def _miss(ok: bool) -> float:
+    """Error of an exact assertion: zero where it holds, infinite where it fails."""
+    return 0.0 if ok else math.inf
 
-    gauge_ok = True
-    round_trip_ok = True
-    for _ in range(50):
+
+#: check name -> (suite, check, samples in ``verify``, ((label, tolerance), ...))
+CHECKS = {}
+
+
+def _check(suite: str, n: int, *cases):
+    """Enter the decorated check in :data:`CHECKS` under its name."""
+    def register(check):
+        CHECKS[check.__name__.lstrip("_")] = (suite, check, n, cases)
+        return check
+    return register
+
+
+@_check("core", 0, ("pauli: sigma_z excited-positive", EXACT), ("pauli: involution", EXACT),
+        ("pauli: cyclic product", EXACT))
+def _pauli(rng, n):
+    sx, sy, sz = paulis = [core.pauli(a) for a in core.AXES]
+    involution = [_dist(p @ p, np.eye(2)) for p in paulis] + [_dist(p, p.conj().T) for p in paulis]
+    cyclic = [_dist(sx @ sy, 1j * sz), _dist(sy @ sz, 1j * sx), _dist(sz @ sx, 1j * sy)]
+    return _dist(sz, np.diag([-1.0, 1.0])), _dist(involution), _dist(cyclic)
+
+
+@_check("core", 25, ("hamiltonian exactly hermitian", EXACT),
+        ("interaction has traceless marginals", EXACT))
+def _hamiltonian(rng, n):
+    reps = [locality.sample_interior_rep(rng) for _ in range(n)]
+    matrices = np.stack([core.assemble_hamiltonian(r.omega_a, r.omega_b, r.h).matrix for r in reps])
+    marginals = [dynamics.partial_trace(core.hamiltonian_matrix(0.0, 0.0, r.h), s)
+                 for r in reps for s in dynamics.SUBSYSTEMS]
+    return _dist(matrices, matrices.conj().swapaxes(-1, -2)), _dist(marginals)
+
+
+@_check("core", 50, ("mean energy is gauge invariant", 1e-12), ("representation round trip", 1e-12))
+def _gauge_and_round_trip(rng, n):
+    gauge, trip = [], []
+    for _ in range(n):
         rep = locality.sample_interior_rep(rng)
         config = core.rep_to_config(rep)
-        phi = rng.uniform(0, 2 * np.pi)
-        shifted = core.rep_to_config(replace(rep, theta=rep.theta + phi))
-        gauge_ok &= abs(core.mean_energy(config) - core.mean_energy(shifted)) < 1e-12
-        gauge_ok &= core.config_equal(config, shifted, tol=1e-12)
+        shifted = core.rep_to_config(replace(rep, theta=rep.theta + rng.uniform(0, 2 * np.pi)))
+        gauge.append(abs(core.mean_energy(config) - core.mean_energy(shifted))
+                     + _miss(core.config_equal(config, shifted, tol=1e-12)))
         back = core.config_to_rep(config)
-        round_trip_ok &= bool(
-            np.max(np.abs(back.r - rep.r)) < 1e-12
-            and np.max(np.abs(np.mod(back.theta - rep.theta + np.pi, 2 * np.pi) - np.pi)) < 1e-12
-            and np.max(np.abs(back.h - rep.h)) < 1e-12
-        )
-    rec.check("mean energy is gauge invariant", gauge_ok)
-    rec.check("representation round trip", round_trip_ok)
-    return SuiteResult("core", rec.cases, tuple(rec.failures))
+        wrapped = np.mod(back.theta - rep.theta + np.pi, 2 * np.pi) - np.pi
+        # the gaps and couplings come back bit for bit
+        exact = np.array_equal(back.to_array()[8:], rep.to_array()[8:])
+        trip.append(_dist(np.concatenate([back.r - rep.r, wrapped])) + _miss(exact))
+    return _dist(gauge), _dist(trip)
 
 
-def _suite_dynamics(seed: int) -> SuiteResult:
-    rec = _Recorder()
-    rng = np.random.default_rng(seed)
-
-    conserved = True
-    for _ in range(5):
+@_check("dynamics", 5, ("norm and energy conserved along trajectories", 1e-12))
+def _conservation(rng, n):
+    errors = []
+    for _ in range(n):
         config = core.rep_to_config(locality.sample_interior_rep(rng))
-        times = np.linspace(0.0, 25.0, 400)
-        states = dynamics.trajectory(config.state, config.hamiltonian, times)
-        norms = np.linalg.norm(states, axis=1)
+        states = dynamics.trajectory(config.state, config.hamiltonian, np.linspace(0.0, 50.0, 1000))
         energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), config.hamiltonian.matrix, states))
-        conserved &= bool(np.max(np.abs(norms - 1.0)) < 1e-12)
-        conserved &= bool(np.max(np.abs(energies - energies[0])) < 1e-12)
-    rec.check("norm and energy conserved along trajectories", conserved)
+        errors += [_dist(np.linalg.norm(states, axis=1), 1.0), _dist(energies, energies[0])]
+    return _dist(errors)
 
-    oracle_ok = True
-    legal = True
-    tie_ok = True
-    for _ in range(25):
+
+@_check("dynamics", 25, ("algebraic rho_dot matches finite-difference oracle", 1e-8),
+        ("reduced states and derivatives are legal", 1e-12),
+        ("raw coordinate route ties to extended_state", 1e-12))
+def _reduced_states(rng, n):
+    oracle, legal, tie = [], [], []
+    for _ in range(n):
         rep = locality.sample_interior_rep(rng)
         config = core.rep_to_config(rep)
         for s in dynamics.SUBSYSTEMS:
             algebraic = dynamics.rho_dot_local(config, s)
-            numeric = dynamics.finite_difference_rho_dot(config, s)
-            oracle_ok &= bool(np.max(np.abs(algebraic - numeric)) < 1e-8)
-            legal &= abs(np.trace(algebraic)) < 1e-12
-            legal &= bool(np.max(np.abs(algebraic - algebraic.conj().T)) < 1e-12)
+            oracle.append(_dist(algebraic, dynamics.finite_difference_rho_dot(config, s)))
             reduced = dynamics.partial_trace(config.state, s)
-            legal &= bool(np.max(np.abs(reduced - reduced.conj().T)) < 1e-12)
-            legal &= abs(np.trace(reduced) - 1.0) < 1e-12
-            legal &= bool(np.min(np.linalg.eigvalsh(reduced)) > -1e-12)
-        tie = locality.rep_observables(rep.to_array())[0:12]
-        typed = np.concatenate(
-            [dynamics.extended_state(config, s).to_array() for s in dynamics.SUBSYSTEMS]
-        )
-        tie_ok &= bool(np.max(np.abs(tie - typed)) < 1e-12)
-    rec.check("algebraic rho_dot matches finite-difference oracle", oracle_ok)
-    rec.check("reduced states and derivatives are legal", legal)
-    rec.check("raw coordinate route ties to extended_state", tie_ok)
+            legal += [abs(np.trace(algebraic)), _dist(algebraic, algebraic.conj().T),
+                      _dist(reduced, reduced.conj().T), abs(np.trace(reduced) - 1.0),
+                      _dist(np.minimum(np.linalg.eigvalsh(reduced), 0.0))]
+        raw = locality.rep_observables(rep.to_array())
+        typed = [dynamics.extended_state(config, s).to_array() for s in dynamics.SUBSYSTEMS]
+        tie += [_dist(raw[:12], np.concatenate(typed)), abs(raw[12] - 1.0),
+                abs(raw[13] - core.mean_energy(config))]
+    return _dist(oracle), _dist(legal), _dist(tie)
 
-    symmetric = True
-    for _ in range(10):
+
+@_check("dynamics", 10, ("A<->B relabeling symmetry", 1e-12))
+def _relabeling(rng, n):
+    # swapping the subsystems swaps |01> with |10> and the gaps, and transposes h
+    swap = [0, 2, 1, 3]
+    errors = []
+    for _ in range(n):
         rep = locality.sample_interior_rep(rng)
-        swapped = core.ConfigRep(
-            r=rep.r[[0, 2, 1, 3]],
-            theta=rep.theta[[0, 2, 1, 3]],
-            omega_a=rep.omega_b,
-            omega_b=rep.omega_a,
-            h=rep.h.T,
-        )
-        one = dynamics.extended_state(core.rep_to_config(rep), "B").to_array()
-        other = dynamics.extended_state(core.rep_to_config(swapped), "A").to_array()
-        symmetric &= bool(np.max(np.abs(one - other)) < 1e-12)
-    rec.check("A<->B relabeling symmetry", symmetric)
-    return SuiteResult("dynamics", rec.cases, tuple(rec.failures))
+        swapped = core.ConfigRep(r=rep.r[swap], theta=rep.theta[swap], omega_a=rep.omega_b,
+                                 omega_b=rep.omega_a, h=rep.h.T)
+        config, mirrored = core.rep_to_config(rep), core.rep_to_config(swapped)
+        for ours, theirs in (("B", "A"), ("A", "B")):
+            one = dynamics.extended_state(config, ours).to_array()
+            errors.append(_dist(one, dynamics.extended_state(mirrored, theirs).to_array()))
+    return _dist(errors)
 
 
-def _suite_models(seed: int) -> SuiteResult:
-    rec = _Recorder()
-    rng = np.random.default_rng(seed)
-
+@_check("models", 10, ("conserving family commutes with the number operator", EXACT))
+def _number_conservation(rng, n):
     number_op = models.number_operator()
-    commutes = True
-    for _ in range(10):
-        ham = models.number_conserving_hamiltonian(_random_spec(rng), 1.0, rng.uniform(0.2, 1.5))
-        commutes &= bool(
-            np.max(np.abs(ham.matrix @ number_op - number_op @ ham.matrix)) == 0.0
-        )
-    rec.check("conserving family commutes with the number operator", commutes)
+    hams = [models.number_conserving_hamiltonian(random_spec(rng), 1.0, rng.uniform(0.2, 1.5))
+            for _ in range(n)]
+    return _dist([_dist(ham.matrix @ number_op, number_op @ ham.matrix) for ham in hams])
 
-    rho_dot_ok = True
-    energies_ok = True
-    mean_ok = True
-    for _ in range(100):
+
+@_check("models", 100, ("analytic rho_dot matches general machinery", 1e-12),
+        ("analytic rc energies match the rc law", 1e-12),
+        ("analytic mean energy and energy offset", 1e-12))
+def _control_closed_forms(rng, n):
+    rho_dot, energies, mean = [], [], []
+    for _ in range(n):
         state = random_control_case(rng)
-        spec = _random_spec(rng)
-        omega_a, omega_b = rng.uniform(0.1, 1.0, 2)
-        config = models.control_configuration(state, spec, omega_a, omega_b)
-        for s in dynamics.SUBSYSTEMS:
-            analytic = models.control_rho_dot_analytic(state, spec, omega_a, omega_b, s)
-            rho_dot_ok &= bool(
-                np.max(np.abs(analytic - dynamics.rho_dot_local(config, s))) < 1e-12
-            )
-        closed = models.rc_energies_analytic(state, spec, omega_a, omega_b)
+        spec = random_spec(rng)
+        gaps = rng.uniform(0.1, 1.0, 2)
+        config = models.control_configuration(state, spec, *gaps)
+        rho_dot += [_dist(models.control_rho_dot_analytic(state, spec, *gaps, s),
+                          dynamics.rho_dot_local(config, s)) for s in dynamics.SUBSYSTEMS]
+        closed = models.rc_energies_analytic(state, spec, *gaps)
         pair = iel.evaluate_law("rc", config)
-        energies_ok &= abs(closed.u_a - pair.u_a) < 1e-12
-        energies_ok &= abs(closed.u_b - pair.u_b) < 1e-12
-        mean = models.mean_energy_analytic(state, spec, omega_a, omega_b)
-        mean_ok &= abs(mean - core.mean_energy(config)) < 1e-12
-        mean_ok &= abs(closed.u_total - (mean - spec.delta)) < 1e-10
-    rec.check("analytic rho_dot matches general machinery", rho_dot_ok)
-    rec.check("analytic rc energies match the rc law", energies_ok)
-    rec.check("analytic mean energy and energy offset", mean_ok)
-
-    confined = True
-    for _ in range(5):
-        state = random_control_case(rng)
-        spec = _random_spec(rng)
-        ham = models.number_conserving_hamiltonian(spec, 1.0, 0.85)
-        states = dynamics.trajectory(models.embed_control_state(state), ham, np.linspace(0, 30, 500))
-        confined &= bool(np.max(np.abs(states[:, 3])) < 1e-12)
-    rec.check("no-double-excitation block is invariant", confined)
-    return SuiteResult("models", rec.cases, tuple(rec.failures))
+        energies += [abs(closed.u_a - pair.u_a), abs(closed.u_b - pair.u_b),
+                     _miss(abs(closed.u_total - (closed.u_a + closed.u_b)) < 1e-14)]
+        analytic = models.mean_energy_analytic(state, spec, *gaps)
+        mean += [abs(analytic - core.mean_energy(config)),
+                 abs(closed.u_total - (analytic - spec.delta))]
+    return _dist(rho_dot), _dist(energies), _dist(mean)
 
 
-def _suite_iel(seed: int) -> SuiteResult:
-    rec = _Recorder()
-    rng = np.random.default_rng(seed)
+@_check("models", 5, ("no-double-excitation block is invariant", 1e-12))
+def _excitation_block(rng, n):
+    draws = [(random_control_case(rng), random_spec(rng)) for _ in range(n)]
+    return _dist([dynamics.trajectory(models.embed_control_state(state),
+                                      models.number_conserving_hamiltonian(spec, 1.0, 0.85),
+                                      np.linspace(0, 30, 500))[:, 3] for state, spec in draws])
 
-    recovered = True
-    for _ in range(25):
+
+@_check("iel", 25, ("rc reduces to bare without interaction", 1e-12))
+def _uncoupled(rng, n):
+    # both laws agree, rc splits <H> exactly, and each coherence rotates at its gap
+    errors = []
+    for _ in range(n):
         config = random_uncoupled_config(rng)
         bare = iel.evaluate_law("bare", config)
         rotating = iel.evaluate_law("rc", config)
-        recovered &= abs(bare.u_a - rotating.u_a) < 1e-12
-        recovered &= abs(bare.u_b - rotating.u_b) < 1e-12
-        for s in dynamics.SUBSYSTEMS:
-            omega = config.hamiltonian.omega_a if s == "A" else config.hamiltonian.omega_b
-            freq = iel.rc_frequency(dynamics.extended_state(config, s))
-            recovered &= abs(freq - omega) < 1e-10
-    rec.check("rc reduces to bare without interaction", recovered)
+        gaps = (config.hamiltonian.omega_a, config.hamiltonian.omega_b)
+        errors += [abs(bare.u_a - rotating.u_a), abs(bare.u_b - rotating.u_b),
+                   abs(rotating.total - core.mean_energy(config))]
+        errors += [abs(iel.rc_frequency(dynamics.extended_state(config, s)) - omega)
+                   for s, omega in zip(dynamics.SUBSYSTEMS, gaps)]
+    return _dist(errors)
 
-    offset_ok = True
-    gauge_ok = True
-    for _ in range(25):
+
+@_check("iel", 25, ("control-case defect is minus the dephasing strength", 1e-10),
+        ("rc law is gauge invariant", 1e-12))
+def _control_offset(rng, n):
+    offset, gauge = [], []
+    for _ in range(n):
         state = random_control_case(rng)
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         config = models.control_configuration(state, spec, 0.9, 0.6)
         audit = iel.consistency_audit("rc", config)
-        offset_ok &= abs(audit.defect + spec.delta) < 1e-10
-        phi = rng.uniform(0, 2 * np.pi)
-        shifted = core.Configuration(
-            state=core.UniverseState(config.state.psi * np.exp(1j * phi)),
-            hamiltonian=config.hamiltonian,
-        )
-        pair = iel.evaluate_law("rc", config)
-        pair_shifted = iel.evaluate_law("rc", shifted)
-        gauge_ok &= abs(pair.u_a - pair_shifted.u_a) < 1e-12
-        gauge_ok &= abs(pair.u_b - pair_shifted.u_b) < 1e-12
-    rec.check("control-case defect is minus the dephasing strength", offset_ok)
-    rec.check("rc law is gauge invariant", gauge_ok)
-
-    bare_ok = True
-    for _ in range(25):
-        config = core.rep_to_config(locality.sample_interior_rep(rng))
-        audit = iel.consistency_audit("bare", config)
-        interaction = config.hamiltonian.matrix - core.hamiltonian_matrix(
-            config.hamiltonian.omega_a, config.hamiltonian.omega_b, np.zeros((3, 3))
-        )
-        psi = config.state.psi
-        mean_int = float(np.real(np.vdot(psi, interaction @ psi)))
-        bare_ok &= abs(audit.defect + mean_int) < 1e-12
-    rec.check("bare defect equals minus the interaction average", bare_ok)
-    return SuiteResult("iel", rec.cases, tuple(rec.failures))
+        offset.append(abs(audit.defect + spec.delta)
+                      + _miss(audit.defect == audit.u_a + audit.u_b - audit.mean_h))
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        shifted = replace(config, state=core.UniverseState(config.state.psi * phase))
+        pair, pair_shifted = (iel.evaluate_law("rc", c) for c in (config, shifted))
+        gauge += [abs(pair.u_a - pair_shifted.u_a), abs(pair.u_b - pair_shifted.u_b)]
+    return _dist(offset), _dist(gauge)
 
 
-def _suite_locality(seed: int) -> SuiteResult:
-    rec = _Recorder()
-    rng = np.random.default_rng(seed)
-
-    gradient_ok = True
-    for _ in range(10):
+@_check("iel", 25, ("bare defect equals minus the interaction average", 1e-12))
+def _bare_defect(rng, n):
+    errors = []
+    for _ in range(n):
         rep = locality.sample_interior_rep(rng)
-        # quadratic: truncation-free at any step, so a larger step only
-        # lowers the rounding floor (~eps/h)
-        jac = locality.numerical_jacobian(locality.rep_norm_sq, rep, 1e-4)
-        expected = np.concatenate([2.0 * rep.r, np.zeros(15)])
-        gradient_ok &= bool(np.max(np.abs(jac[0] - expected)) < 1e-10)
-    rec.check("norm-row jacobian matches the analytic gradient", gradient_ok)
+        config = core.rep_to_config(rep)
+        psi = config.state.psi
+        coupling = float(np.real(np.vdot(psi, core.hamiltonian_matrix(0.0, 0.0, rep.h) @ psi)))
+        errors.append(abs(iel.consistency_audit("bare", config).defect + coupling))
+    return _dist(errors)
 
-    # small integers and a power-of-two step keep every intermediate a
-    # short dyadic rational, so central differences carry no rounding at all
-    matrix = rng.integers(-9, 10, size=(5, 19)).astype(float)
+
+@_check("locality", 10, ("norm-row jacobian matches the analytic gradient", 1e-10))
+def _norm_gradient(rng, n):
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    # quadratic: truncation-free at any step, so a larger step only lowers
+    # the rounding floor (~eps/h)
+    jac = locality.numerical_jacobian(locality.rep_norm_sq, x, 1e-4)
+    return _dist(jac[:, 0], np.concatenate([2.0 * x[:, :4], np.zeros((n, 15))], axis=1))
+
+
+@_check("locality", 5, ("linear maps differentiate exactly", EXACT))
+def _linear_map(rng, n):
+    # small integers and a power-of-two step keep every intermediate a short
+    # dyadic rational, so central differences carry no rounding at all
+    matrix = rng.integers(-9, 10, size=(n, 19)).astype(float)
     point = rng.integers(-9, 10, size=19).astype(float)
-    jac = locality.numerical_jacobian(lambda x: matrix @ x, point, 2.0**-10)
-    rec.check("linear maps differentiate exactly", np.array_equal(jac, matrix))
+    return _dist(locality.numerical_jacobian(lambda x: matrix @ x, point, 2.0**-10), matrix)
 
-    report = locality.run_experiment(n=25, seed=seed, keep_samples=True)
-    rec.check("small experiment: every sample solvable", report.n_solvable == report.n_samples)
-    repeat = locality.run_experiment(n=25, seed=seed, keep_samples=True)
-    rec.check(
-        "experiment is reproducible",
-        report.to_json_dict(per_sample=True) == repeat.to_json_dict(per_sample=True),
-    )
 
-    trips_ok = True
-    for _ in range(200):
-        moduli = rng.uniform(0.02, 1.0, 4)
-        moduli /= np.linalg.norm(moduli)
-        radius, alpha, beta, gamma = locality.hyperspherical_forward(moduli)
-        back = locality.hyperspherical_backward(radius, alpha, beta, gamma)
-        trips_ok &= bool(np.max(np.abs(back - moduli)) < 1e-12)
-    rec.check("hyperspherical round trips", trips_ok)
-
-    transport_ok = True
+@_check("locality", 25, ("small experiment: every sample solvable", EXACT),
+        ("experiment is reproducible", EXACT), ("hyperspherical round trips", 1e-12),
+        ("transported solutions satisfy the intrinsic system", 1e-8))
+def _audit_and_chart(rng, n):
+    # an n-sample audit (sample i drawn from (seed, i), as ``sample --seed`` does),
+    # 8n round trips through the chart, and three audited solutions transported
+    seed = rng.bit_generator.seed_seq.entropy
+    report, repeat = [locality.run_experiment(n=n, seed=seed, keep_samples=True) for _ in range(2)]
+    same = report.to_json_dict(per_sample=True) == repeat.to_json_dict(per_sample=True)
+    moduli = rng.uniform(0.02, 1.0, (8 * n, 4))
+    moduli /= np.linalg.norm(moduli, axis=1, keepdims=True)
+    trips = [locality.hyperspherical_backward(*locality.hyperspherical_forward(m)) for m in moduli]
+    transport = []
     for sample in report.samples[:3]:
         solution, _ = locality.solve_least_squares(locality.build_system(sample.rep))
-        dy = locality.transport_solution(solution, sample.rep)
         tangent_matrix, tangent_rhs = locality.build_tangent_system(sample.rep)
-        transport_ok &= bool(
-            np.linalg.norm(tangent_matrix @ dy - tangent_rhs) < 1e-8
-        )
-    rec.check("transported solutions satisfy the intrinsic system", transport_ok)
-    return SuiteResult("locality", rec.cases, tuple(rec.failures))
+        dy = locality.transport_solution(solution, sample.rep)
+        transport.append(float(np.linalg.norm(tangent_matrix @ dy - tangent_rhs)))
+    return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
 
-SUITES = {
-    "core": _suite_core,
-    "dynamics": _suite_dynamics,
-    "models": _suite_models,
-    "iel": _suite_iel,
-    "locality": _suite_locality,
-}
+def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:
+    """``(label, error, tolerance)`` of each case of one check, which passes
+    when ``error < tolerance``; ``n`` defaults to the count in ``verify``."""
+    _, check, default_n, cases = CHECKS[name]
+    errors = np.atleast_1d(check(rng, default_n if n is None else n))
+    return [(label, float(error), tol) for (label, tol), error in zip(cases, errors, strict=True)]
 
 
-def run_suites(names=None, seed: int = 2024) -> list:
-    """Run the named suites (all of them by default), in registry order."""
-    if names is None:
-        names = list(SUITES)
+def _run_suite(suite: str, seed: int) -> SuiteResult:
+    rng = np.random.default_rng(seed)
+    cases = [case for name, row in CHECKS.items() if row[0] == suite for case in run_check(name, rng)]
+    failures = tuple(label for label, error, tol in cases if not error < tol)
+    return SuiteResult(suite, len(cases), failures)
+
+
+#: suite name -> ``(seed) -> SuiteResult``, in the order of :data:`CHECKS`
+SUITES = {suite: partial(_run_suite, suite) for suite in dict.fromkeys(row[0] for row in CHECKS.values())}
+
+
+def run_suites(names=None, seed: int = 2024, fault: str | None = None) -> list:
+    """Run the named suites (all of them by default), in registry order.
+
+    ``fault``, one of ``dynamics.FAULTS``, is injected for the length of the run
+    through a context variable, so other threads and tasks never see it.
+    """
+    names = list(SUITES) if names is None else list(names)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suites {unknown}, available: {sorted(SUITES)}")
-    return [SUITES[name](seed) for name in names]
+        raise ValueError(f"unknown suites: {', '.join(unknown)}; available: {', '.join(SUITES)}")
+    if fault is not None and fault not in dynamics.FAULTS:
+        raise ValueError(f"unknown fault {fault!r}, available: {', '.join(dynamics.FAULTS)}")
+    token = dynamics.RHO_DOT_SIGN.set(-1.0 if fault == "rho-dot-sign" else 1.0)
+    try:
+        return [SUITES[name](seed) for name in names]
+    finally:
+        dynamics.RHO_DOT_SIGN.reset(token)
 
 
 def summary_dict(results) -> dict:
     """Machine-readable summary of a batch of suite results."""
-    return {
-        "suites": [
-            {"name": r.name, "cases": r.cases, "failures": list(r.failures)}
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
+    suites = [{"name": r.name, "cases": r.cases, "failures": list(r.failures)} for r in results]
+    return {"suites": suites, "all_passed": all(r.passed for r in results)}

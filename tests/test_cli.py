@@ -2,12 +2,13 @@
 
 import csv
 import json
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from quniverse import cli, core, dynamics, iel, models
+from quniverse import cli, core, dynamics, iel, locality, models, verification
 from quniverse.cli import CSV_HEADER, main
 
 
@@ -309,6 +310,24 @@ def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["sample", "--seed", "-1"], None, "seed must be at least 0, got -1"),
+    (["verify", "--seed", "-1"], None, "seed must be at least 0, got -1"),
+    (["sample"], {"per_sample": "false"}, "per_sample must be true or false, got 'false'"),
+    (["sample"], {"n": 2.7}, "n must be an integer, got 2.7"),
+    (["sample"], {"n": True}, "n must be an integer, got True"),
+    (["verify"], {"inject_fault": "rho-dot"}, "unknown fault 'rho-dot', available: rho-dot-sign"),
+], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault"])
+def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_all_suites_pass(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--out", str(out)]) == 0
@@ -337,8 +356,30 @@ def test_verify_injected_fault_fails_oracle_suites(tmp_path):
     assert not summary["all_passed"]
     for suite in summary["suites"]:
         assert suite["failures"], f"suite {suite['name']} should have caught the fault"
-    # the hook must be restored afterwards
-    assert dynamics._rho_dot_sign == 1.0
+    # the fault ends with the run
+    assert _rho_dot_error() < 1e-8
+
+
+def _rho_dot_error():
+    config = core.rep_to_config(locality.sample_interior_rep(3))
+    oracle = dynamics.finite_difference_rho_dot(config, "A")
+    return np.max(np.abs(dynamics.rho_dot_local(config, "A") - oracle))
+
+
+def test_injected_fault_stays_in_its_own_thread(monkeypatch):
+    errors = {}
+
+    def probe(seed):
+        # a thread started inside the faulted run must not see the fault
+        errors["run"] = _rho_dot_error()
+        thread = threading.Thread(target=lambda: errors.update(thread=_rho_dot_error()))
+        thread.start()
+        thread.join(timeout=30)
+        return verification.SuiteResult("core", 0, ())
+
+    monkeypatch.setitem(verification.SUITES, "core", probe)
+    verification.run_suites(["core"], fault="rho-dot-sign")
+    assert errors["run"] > 1e-3 and errors["thread"] < 1e-8
 
 
 def test_verify_empty_suite_selection_is_usage_error(capsys):

@@ -5,14 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quniverse import core, dynamics, locality
+from quniverse import core, locality
+from shared_checks import shared_check
 
-
-def test_pauli_z_assigns_positive_to_excited():
-    sz = core.pauli("z")
-    assert np.array_equal(sz, np.diag([-1.0, 1.0]).astype(complex))
-    excited = np.array([0.0, 1.0], dtype=complex)
-    assert np.array_equal(sz @ excited, excited)
+test_pauli_z_assigns_positive_to_excited = shared_check("pauli", seed=0, n=0)
+test_hamiltonian_exactly_hermitian = shared_check("hamiltonian", seed=7, n=50)
+test_interaction_marginals_are_zero = shared_check("hamiltonian", seed=8, n=20)
+test_global_phase_shift_gives_equal_configuration = shared_check("gauge_and_round_trip", seed=9, n=20)
+test_round_trip_preserves_coordinates = shared_check("gauge_and_round_trip", seed=0, n=100)
+test_mean_energy_gauge_invariant = shared_check("gauge_and_round_trip", seed=10, n=100)
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
@@ -57,14 +58,6 @@ def test_gap_validation():
         core.assemble_hamiltonian(1.0, -0.2, np.zeros((3, 3)))
 
 
-def test_hamiltonian_exactly_hermitian():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        h = rng.uniform(-1, 1, (3, 3))
-        matrix = core.assemble_hamiltonian(0.3, 1.2, h).matrix
-        assert np.array_equal(matrix, matrix.conj().T)
-
-
 def test_hamiltonian_matrix_broadcasts_bitwise():
     rng = np.random.default_rng(9)
     omega_a, omega_b = rng.uniform(0, 1, (2, 5, 3))
@@ -80,16 +73,6 @@ def test_hamiltonian_matrix_broadcasts_bitwise():
             pair = np.kron(core.pauli(core.AXES[j]), core.pauli(core.AXES[k]))
             expected = expected + h[idx][j, k] * pair
         assert np.array_equal(point, expected)
-
-
-def test_interaction_marginals_are_zero():
-    # the coupling sum alone must have no identity component on either side
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        interaction = core.hamiltonian_matrix(0.0, 0.0, rng.uniform(-1, 1, (3, 3)))
-        for subsystem in dynamics.SUBSYSTEMS:
-            marginal = dynamics.partial_trace(interaction, subsystem)
-            assert np.max(np.abs(marginal)) == 0.0
 
 
 def test_rep_to_config_ground_state():
@@ -160,14 +143,6 @@ def test_mean_energies_reject_a_non_real_row():
         core.mean_energies(psi, skew)
 
 
-def test_global_phase_shift_gives_equal_configuration():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        rep = locality.sample_interior_rep(rng)
-        shifted = replace(rep, theta=rep.theta + rng.uniform(0, 2 * np.pi))
-        assert core.config_equal(core.rep_to_config(rep), core.rep_to_config(shifted), tol=1e-12)
-
-
 def test_config_equal_rejects_gap_change():
     rep = locality.sample_interior_rep(3)
     a = core.rep_to_config(rep)
@@ -186,17 +161,6 @@ def test_config_equal_rejects_different_states():
     assert not core.config_equal(bell, product, tol=1e-6)
 
 
-def test_round_trip_preserves_coordinates():
-    for seed in range(100):
-        rep = locality.sample_interior_rep(seed)
-        back = core.config_to_rep(core.rep_to_config(rep))
-        assert np.max(np.abs(back.r - rep.r)) < 1e-12
-        wrapped = np.mod(back.theta - rep.theta + np.pi, 2 * np.pi) - np.pi
-        assert np.max(np.abs(wrapped)) < 1e-12
-        assert back.omega_a == rep.omega_a and back.omega_b == rep.omega_b
-        assert np.array_equal(back.h, rep.h)
-
-
 def test_mean_energy_ground_state_zero():
     config = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 0], dtype=complex)),
@@ -213,16 +177,6 @@ def test_mean_energy_ground_state_with_dephasing():
         hamiltonian=core.assemble_hamiltonian(1.0, 1.0, h),
     )
     assert abs(core.mean_energy(config) - 0.37) < 1e-15
-
-
-def test_mean_energy_gauge_invariant():
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        rep = locality.sample_interior_rep(rng)
-        shifted = replace(rep, theta=rep.theta + rng.uniform(0, 2 * np.pi))
-        before = core.mean_energy(core.rep_to_config(rep))
-        after = core.mean_energy(core.rep_to_config(shifted))
-        assert abs(before - after) < 1e-12
 
 
 def test_serialization_order():

@@ -7,6 +7,13 @@ import pytest
 
 from quniverse import core, dynamics, locality
 from quniverse.verification import random_control_case
+from shared_checks import shared_check
+
+test_norm_and_energy_conserved_along_trajectory = shared_check("conservation", seed=0, n=5)
+test_reduced_states_are_legal_density_matrices = shared_check("reduced_states", seed=5, n=100)
+test_rho_dot_is_traceless_hermitian = shared_check("reduced_states", seed=7, n=50)
+test_rho_dot_matches_finite_difference_oracle = shared_check("reduced_states", seed=8, n=100)
+test_extended_state_relabeling_symmetry = shared_check("relabeling", seed=11, n=25)
 
 
 def _random_config(seed):
@@ -31,19 +38,6 @@ def test_propagate_group_property():
         )
         one_step = dynamics.propagate(config.state, config.hamiltonian, t1 + t2)
         assert np.max(np.abs(two_steps.psi - one_step.psi)) < 1e-10
-
-
-def test_norm_and_energy_conserved_along_trajectory():
-    for seed in range(5):
-        config = _random_config(seed)
-        times = np.linspace(0.0, 50.0, 1000)
-        states = dynamics.trajectory(config.state, config.hamiltonian, times)
-        norms = np.linalg.norm(states, axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-12
-        energies = np.real(
-            np.einsum("ti,ij,tj->t", states.conj(), config.hamiltonian.matrix, states)
-        )
-        assert np.max(np.abs(energies - energies[0])) < 1e-12
 
 
 def test_partial_trace_ground_state():
@@ -77,17 +71,6 @@ def test_partial_trace_rejects_bad_shapes():
         dynamics.partial_trace(np.zeros(4), "C")
 
 
-def test_reduced_states_are_legal_density_matrices():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        config = core.rep_to_config(locality.sample_interior_rep(rng))
-        for subsystem in dynamics.SUBSYSTEMS:
-            reduced = dynamics.partial_trace(config.state, subsystem)
-            assert np.max(np.abs(reduced - reduced.conj().T)) < 1e-12
-            assert abs(np.trace(reduced).real - 1.0) < 1e-12
-            assert np.min(np.linalg.eigvalsh(reduced)) > -1e-12
-
-
 def test_rho_dot_uncoupled_rotates_coherence():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -98,26 +81,6 @@ def test_rho_dot_uncoupled_rotates_coherence():
             rho_dot = dynamics.rho_dot_local(config, subsystem)
             assert abs(rho_dot[0, 1] - 1j * omega * rho[0, 1]) < 1e-12
             assert abs(rho_dot[0, 0]) < 1e-12 and abs(rho_dot[1, 1]) < 1e-12
-
-
-def test_rho_dot_is_traceless_hermitian():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        config = core.rep_to_config(locality.sample_interior_rep(rng))
-        for subsystem in dynamics.SUBSYSTEMS:
-            rho_dot = dynamics.rho_dot_local(config, subsystem)
-            assert abs(np.trace(rho_dot)) < 1e-12
-            assert np.max(np.abs(rho_dot - rho_dot.conj().T)) < 1e-12
-
-
-def test_rho_dot_matches_finite_difference_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        config = core.rep_to_config(locality.sample_interior_rep(rng))
-        for subsystem in dynamics.SUBSYSTEMS:
-            algebraic = dynamics.rho_dot_local(config, subsystem)
-            numeric = dynamics.finite_difference_rho_dot(config, subsystem, step=1e-6)
-            assert np.max(np.abs(algebraic - numeric)) < 1e-8
 
 
 def test_extended_state_of_stationary_ground_state_is_zero():
@@ -149,25 +112,6 @@ def test_extended_state_gauge_invariant():
         for subsystem in dynamics.SUBSYSTEMS:
             one = dynamics.extended_state(core.rep_to_config(rep), subsystem)
             two = dynamics.extended_state(core.rep_to_config(shifted), subsystem)
-            assert np.max(np.abs(one.to_array() - two.to_array())) < 1e-12
-
-
-def test_extended_state_relabeling_symmetry():
-    # swapping the subsystems means swapping |01> with |10>, the gaps, and
-    # transposing the coupling table
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        rep = locality.sample_interior_rep(rng)
-        swapped = core.ConfigRep(
-            r=rep.r[[0, 2, 1, 3]],
-            theta=rep.theta[[0, 2, 1, 3]],
-            omega_a=rep.omega_b,
-            omega_b=rep.omega_a,
-            h=rep.h.T,
-        )
-        for ours, theirs in (("A", "B"), ("B", "A")):
-            one = dynamics.extended_state(core.rep_to_config(rep), ours)
-            two = dynamics.extended_state(core.rep_to_config(swapped), theirs)
             assert np.max(np.abs(one.to_array() - two.to_array())) < 1e-12
 
 

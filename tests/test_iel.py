@@ -10,22 +10,19 @@ from hypothesis.extra.numpy import arrays
 
 from quniverse import core, dynamics, iel, locality, models
 from quniverse.verification import random_control_case, random_uncoupled_config
+from shared_checks import shared_check
+
+test_rc_frequency_recovers_gap_without_interaction = shared_check("uncoupled", seed=0, n=25)
+test_rc_equals_bare_without_interaction = shared_check("uncoupled", seed=1, n=25)
+test_audit_uncoupled_rc_has_zero_defect = shared_check("uncoupled", seed=7, n=25)
+test_audit_control_case_defect_is_minus_dephasing = shared_check("control_offset", seed=0, n=25)
+test_audit_bare_defect_is_minus_interaction_average = shared_check("bare_defect", seed=8, n=25)
 
 
 def _control(seed, lam=0.83 + 0.41j, delta=0.64, omega_a=1.0, omega_b=0.85):
     state = random_control_case(np.random.default_rng(seed))
     spec = models.NumberConservingSpec(lam=lam, delta=delta)
     return state, spec, models.control_configuration(state, spec, omega_a, omega_b)
-
-
-def test_rc_frequency_recovers_gap_without_interaction():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        config = random_uncoupled_config(rng)
-        gaps = (config.hamiltonian.omega_a, config.hamiltonian.omega_b)
-        for subsystem, omega in zip(dynamics.SUBSYSTEMS, gaps):
-            ext = dynamics.extended_state(config, subsystem)
-            assert abs(iel.rc_frequency(ext) - omega) < 1e-10
 
 
 def test_rc_frequency_pure_rotation():
@@ -49,16 +46,6 @@ def test_rc_frequency_cutoff():
     )
     with pytest.raises(iel.RCUndefinedError):
         iel.rc_frequency(ext)
-
-
-def test_rc_equals_bare_without_interaction():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        config = random_uncoupled_config(rng)
-        bare = iel.evaluate_law("bare", config)
-        rotating = iel.evaluate_law("rc", config)
-        assert abs(bare.u_a - rotating.u_a) < 1e-12
-        assert abs(bare.u_b - rotating.u_b) < 1e-12
 
 
 def test_rc_control_case_frequency_formula():
@@ -169,33 +156,6 @@ def test_effective_hamiltonian_undefined_at_zero_population():
     )
     with pytest.raises(iel.UndefinedObservableError, match="population"):
         iel.effective_hamiltonian("bare", config, "A")
-
-
-def test_audit_uncoupled_rc_has_zero_defect():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        config = random_uncoupled_config(rng)
-        assert abs(iel.consistency_audit("rc", config).defect) < 1e-12
-
-
-def test_audit_control_case_defect_is_minus_dephasing():
-    for seed in range(25):
-        delta = float(np.random.default_rng(1000 + seed).uniform(-1, 1))
-        _, _, config = _control(seed, delta=delta)
-        audit = iel.consistency_audit("rc", config)
-        assert abs(audit.defect + delta) < 1e-10
-        assert audit.defect == audit.u_a + audit.u_b - audit.mean_h
-
-
-def test_audit_bare_defect_is_minus_interaction_average():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        rep = locality.sample_interior_rep(rng)
-        config = core.rep_to_config(rep)
-        interaction = core.hamiltonian_matrix(0.0, 0.0, rep.h)
-        psi = config.state.psi
-        mean_interaction = float(np.real(np.vdot(psi, interaction @ psi)))
-        assert abs(iel.consistency_audit("bare", config).defect + mean_interaction) < 1e-12
 
 
 def test_laws_are_gauge_invariant():

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from quniverse import core, dynamics, locality, verification
+from shared_checks import shared_check
+
+test_jacobian_of_norm_row_matches_gradient = shared_check("norm_gradient", seed=1, n=25)
+test_jacobian_exact_on_linear_maps = shared_check("linear_map", seed=3, n=6)
+test_raw_route_ties_to_extended_state = shared_check("reduced_states", seed=21, n=25)
+test_run_experiment_is_deterministic = shared_check("audit_and_chart", seed=77, n=5)
 
 
 def test_sampler_is_bitwise_deterministic():
@@ -23,17 +29,6 @@ def test_sampler_stays_interior():
         assert np.all((rep.h > -1.0) & (rep.h < 1.0))
 
 
-def test_jacobian_of_norm_row_matches_gradient():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        rep = locality.sample_interior_rep(rng)
-        # quadratic: central differences are truncation-free, so a larger
-        # step only lowers the rounding floor
-        jac = locality.numerical_jacobian(locality.rep_norm_sq, rep, h_step=1e-4)
-        expected = np.concatenate([2.0 * rep.r, np.zeros(15)])
-        assert np.max(np.abs(jac[0] - expected)) < 1e-10
-
-
 def test_jacobian_mean_energy_gap_column_uncoupled():
     # without coupling the mean energy is linear in the gaps with slopes
     # R2^2 + R3^2 and R1^2 + R3^2
@@ -47,15 +42,6 @@ def test_jacobian_mean_energy_gap_column_uncoupled():
         )
         assert abs(jac[0, 8] - (rep.r[2] ** 2 + rep.r[3] ** 2)) < 1e-9
         assert abs(jac[0, 9] - (rep.r[1] ** 2 + rep.r[3] ** 2)) < 1e-9
-
-
-def test_jacobian_exact_on_linear_maps():
-    # small integers and a power-of-two step: every intermediate is exact
-    rng = np.random.default_rng(3)
-    matrix = rng.integers(-9, 10, size=(6, 19)).astype(float)
-    point = rng.integers(-9, 10, size=19).astype(float)
-    jac = locality.numerical_jacobian(lambda x: matrix @ x, point, h_step=2.0**-10)
-    assert np.array_equal(jac, matrix)
 
 
 @pytest.mark.parametrize("seed", [5, 8, 884953773])
@@ -72,21 +58,6 @@ def test_jacobian_propagates_nonfinite_with_coordinate_name():
 
     with pytest.raises(locality.JacobianEvaluationError, match="R0"):
         locality.numerical_jacobian(bad, locality.sample_interior_rep(4), h_step=1e-6)
-
-
-def test_raw_route_ties_to_extended_state():
-    # the raw 19-vector route driving the Jacobians must agree with the
-    # typed dynamics route on valid representations
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        rep = locality.sample_interior_rep(rng)
-        config = core.rep_to_config(rep)
-        raw = locality.rep_observables(rep.to_array())
-        for offset, subsystem in zip((0, 6), dynamics.SUBSYSTEMS):
-            typed = dynamics.extended_state(config, subsystem).to_array()
-            assert np.max(np.abs(raw[offset:offset + 6] - typed)) < 1e-12
-        assert abs(raw[12] - 1.0) < 1e-12
-        assert abs(raw[13] - core.mean_energy(config)) < 1e-12
 
 
 def test_raw_route_derivative_rows_match_propagator_oracle():
@@ -296,12 +267,6 @@ def test_solutions_are_tangent_to_the_moduli_sphere():
 def test_run_experiment_rejects_empty_run():
     with pytest.raises(ValueError, match="at least 1"):
         locality.run_experiment(n=0, seed=0)
-
-
-def test_run_experiment_is_deterministic():
-    one = locality.run_experiment(n=5, seed=77, keep_samples=True)
-    two = locality.run_experiment(n=5, seed=77, keep_samples=True)
-    assert one.to_json_dict(per_sample=True) == two.to_json_dict(per_sample=True)
 
 
 def test_run_experiment_small_batch_all_solvable():

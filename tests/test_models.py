@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from quniverse import core, dynamics, iel, models
-from quniverse.verification import random_control_case
+from quniverse.verification import random_control_case, random_spec
+from shared_checks import shared_check
+
+test_family_commutes_with_number_operator = shared_check("number_conservation", seed=1, n=25)
+test_control_rho_dot_matches_general_machinery = shared_check("control_closed_forms", seed=3, n=50)
+test_mean_energy_matches_general_machinery = shared_check("control_closed_forms", seed=9, n=50)
+test_total_sits_delta_below_mean_energy = shared_check("control_closed_forms", seed=8, n=50)
+test_no_double_excitation_block_is_invariant = shared_check("excitation_block", seed=10, n=10)
+test_rc_energies_match_general_machinery = shared_check("control_closed_forms", seed=6, n=50)
 
 
 def _ladder_oracle(lam: complex, delta: float) -> np.ndarray:
@@ -14,13 +22,6 @@ def _ladder_oracle(lam: complex, delta: float) -> np.ndarray:
     matrix[1, 2] = np.conj(lam)
     matrix += delta * np.diag([1.0, -1.0, -1.0, 1.0])
     return matrix
-
-
-def _random_spec(rng):
-    return models.NumberConservingSpec(
-        lam=complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        delta=float(rng.uniform(-1, 1)),
-    )
 
 
 def test_h_num_pure_dephasing():
@@ -41,7 +42,7 @@ def test_h_num_real_exchange():
 def test_h_num_matches_ladder_oracle_exactly():
     rng = np.random.default_rng(0)
     for _ in range(25):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         assembled = core.hamiltonian_matrix(0.0, 0.0, models.h_num(spec))
         assert np.array_equal(assembled, _ladder_oracle(spec.lam, spec.delta))
 
@@ -64,16 +65,6 @@ def test_number_operator_counts_excitations():
     assert np.vdot(doubly, number_op @ doubly) == 2.0
 
 
-def test_family_commutes_with_number_operator():
-    rng = np.random.default_rng(1)
-    number_op = models.number_operator()
-    for _ in range(25):
-        spec = _random_spec(rng)
-        ham = models.number_conserving_hamiltonian(spec, 1.0, rng.uniform(0.2, 1.5))
-        commutator = ham.matrix @ number_op - number_op @ ham.matrix
-        assert np.max(np.abs(commutator)) == 0.0
-
-
 def test_pure_dephasing_moves_no_population():
     rng = np.random.default_rng(2)
     state = random_control_case(rng)
@@ -83,24 +74,11 @@ def test_pure_dephasing_moves_no_population():
         assert rho_dot[0, 0] == 0.0 and rho_dot[1, 1] == 0.0
 
 
-def test_control_rho_dot_matches_general_machinery():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        state = random_control_case(rng)
-        spec = _random_spec(rng)
-        omega_a, omega_b = rng.uniform(0.1, 1.0, 2)
-        config = models.control_configuration(state, spec, omega_a, omega_b)
-        for subsystem in dynamics.SUBSYSTEMS:
-            analytic = models.control_rho_dot_analytic(state, spec, omega_a, omega_b, subsystem)
-            general = dynamics.rho_dot_local(config, subsystem)
-            assert np.max(np.abs(analytic - general)) < 1e-12
-
-
 def test_control_rho_dot_swap_symmetry():
     # B follows from A by swapping the subsystem labels with lam -> conj(lam)
     rng = np.random.default_rng(4)
     state = random_control_case(rng)
-    spec = _random_spec(rng)
+    spec = random_spec(rng)
     swapped_state = models.ControlCaseState(
         psi0=state.psi0, psi_a=state.psi_b, psi_b=state.psi_a
     )
@@ -119,34 +97,10 @@ def test_rc_energies_bare_limit():
     assert abs(energies.u_b - abs(state.psi_b) ** 2 * 0.6) < 1e-15
 
 
-def test_rc_energies_match_general_machinery():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        state = random_control_case(rng)
-        spec = _random_spec(rng)
-        omega_a, omega_b = rng.uniform(0.1, 1.0, 2)
-        config = models.control_configuration(state, spec, omega_a, omega_b)
-        closed = models.rc_energies_analytic(state, spec, omega_a, omega_b)
-        pair = iel.evaluate_law("rc", config)
-        assert abs(closed.u_a - pair.u_a) < 1e-12
-        assert abs(closed.u_b - pair.u_b) < 1e-12
-        assert abs(closed.u_total - (closed.u_a + closed.u_b)) < 1e-14
-
-
 def test_rc_energies_undefined_at_vanishing_amplitude():
     state = models.ControlCaseState(psi0=1.0, psi_a=0.0, psi_b=0.0)
     with pytest.raises(iel.RCUndefinedError):
-        models.rc_energies_analytic(state, _random_spec(np.random.default_rng(7)), 1.0, 1.0)
-
-
-def test_total_sits_delta_below_mean_energy():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        state = random_control_case(rng)
-        spec = _random_spec(rng)
-        energies = models.rc_energies_analytic(state, spec, 0.9, 0.6)
-        mean = models.mean_energy_analytic(state, spec, 0.9, 0.6)
-        assert abs(energies.u_total - (mean - spec.delta)) < 1e-12
+        models.rc_energies_analytic(state, random_spec(np.random.default_rng(7)), 1.0, 1.0)
 
 
 def test_mean_energy_of_vacuum_is_delta():
@@ -155,34 +109,11 @@ def test_mean_energy_of_vacuum_is_delta():
     assert models.mean_energy_analytic(state, spec, 1.0, 0.85) == 0.64
 
 
-def test_mean_energy_matches_general_machinery():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        state = random_control_case(rng)
-        spec = _random_spec(rng)
-        omega_a, omega_b = rng.uniform(0.1, 1.0, 2)
-        config = models.control_configuration(state, spec, omega_a, omega_b)
-        analytic = models.mean_energy_analytic(state, spec, omega_a, omega_b)
-        assert abs(analytic - core.mean_energy(config)) < 1e-12
-
-
-def test_no_double_excitation_block_is_invariant():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        state = random_control_case(rng)
-        spec = _random_spec(rng)
-        ham = models.number_conserving_hamiltonian(spec, 1.0, 0.85)
-        states = dynamics.trajectory(
-            models.embed_control_state(state), ham, np.linspace(0.0, 30.0, 500)
-        )
-        assert np.max(np.abs(states[:, 3])) < 1e-12
-
-
 def test_offset_constant_along_trajectories():
     rng = np.random.default_rng(11)
     for _ in range(10):
         state = random_control_case(rng)
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         omega_a, omega_b = rng.uniform(0.1, 1.0, 2)
         ham = models.number_conserving_hamiltonian(spec, omega_a, omega_b)
         states = dynamics.trajectory(
