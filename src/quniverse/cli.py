@@ -44,6 +44,13 @@ class UsageError(Exception):
     """Bad parameters; reported on stderr with exit status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose own errors (a bad flag value, say) are usage errors."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 _NUMBER = (int, float)
 _KINDS = {int: "an integer", _NUMBER: "a number", bool: "true or false", str: "a string"}
 
@@ -250,7 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quniverse",
         description="Two-qubit universe energy laws: solvability runs, trajectories, self checks.",
     )
@@ -294,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ __all__ = [
     "HamiltonianSpec",
     "UniverseState",
     "assemble_hamiltonian",
+    "check_reps",
     "check_states",
     "config_equal",
     "config_to_rep",
@@ -112,19 +113,28 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return out
 
 
+def _hamiltonian_error(gaps, h):
+    """What is wrong with one pair of gaps and coupling table, or ``None``.
+
+    Gaps must be positive and finite, couplings finite.
+    """
+    for name, gap in zip(("omega_a", "omega_b"), gaps):
+        if not 0 < gap < np.inf:
+            return f"{name} must be a positive real, got {float(gap)!r}"
+    if not np.all(np.isfinite(h)):
+        return "coupling table must be finite"
+    return None
+
+
 def _validated_hamiltonian_params(omega_a, omega_b, h):
     """Gaps as positive finite floats and the coupling table as a frozen finite 3x3."""
-    gaps = []
-    for name, value in (("omega_a", omega_a), ("omega_b", omega_b)):
-        gap = float(value)
-        if not (np.isfinite(gap) and gap > 0):
-            raise ValueError(f"{name} must be a positive real, got {value!r}")
-        gaps.append(gap)
+    gaps = (float(omega_a), float(omega_b))
     h = np.asarray(h, dtype=float)
     if h.shape != (3, 3):
         raise ValueError(f"coupling table must be 3x3, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("coupling table must be finite")
+    error = _hamiltonian_error(gaps, h)
+    if error is not None:
+        raise ValueError(error)
     return gaps[0], gaps[1], _frozen_array(h, float)
 
 
@@ -133,6 +143,37 @@ def _first_row(mask: np.ndarray):
     if not np.count_nonzero(mask):
         return None
     return np.unravel_index(np.argmax(mask), mask.shape)
+
+
+def check_reps(x) -> np.ndarray:
+    """Require a ``(..., 19)`` stack of representations; return a copy with phases modulo 2*pi.
+
+    The checks :class:`ConfigRep` applies to one representation, applied
+    to every row of a stack: finite moduli and phases, non-negative moduli
+    with ``|sum R_k^2 - 1| <= NORM_TOL``, positive finite gaps and finite
+    couplings.  The first offending row raises the same ``ValueError``.
+    """
+    x = np.array(x, dtype=float)
+    r = x[..., 0:4]
+    norm_sq = np.sum(r**2, axis=-1)
+    valid = (
+        np.all(np.isfinite(x), axis=-1)
+        & np.all(r >= 0, axis=-1)
+        & (np.abs(norm_sq - 1.0) <= NORM_TOL)
+        & np.all(x[..., 8:10] > 0, axis=-1)
+    )
+    row = _first_row(~valid)
+    if row is not None:
+        bad = x[row]
+        if not np.all(np.isfinite(bad[0:8])):
+            raise ValueError("moduli and phases must be finite")
+        if np.any(bad[0:4] < 0):
+            raise ValueError("moduli must be non-negative")
+        if not abs(norm_sq[row] - 1.0) <= NORM_TOL:
+            raise ValueError(f"moduli not normalized: sum R_k^2 = {float(norm_sq[row])!r}")
+        raise ValueError(_hamiltonian_error(bad[8:10], bad[10:19]))
+    np.mod(x[..., 4:8], TWO_PI, out=x[..., 4:8])
+    return x
 
 
 def check_states(psi: np.ndarray) -> None:
@@ -217,19 +258,16 @@ class ConfigRep:
         theta = np.asarray(self.theta, dtype=float)
         if r.shape != (4,) or theta.shape != (4,):
             raise ValueError("moduli and phases must each hold 4 values")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(theta))):
-            raise ValueError("moduli and phases must be finite")
-        if np.any(r < 0):
-            raise ValueError("moduli must be non-negative")
-        norm_sq = float(np.sum(r**2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"moduli not normalized: sum R_k^2 = {norm_sq!r}")
-        omega_a, omega_b, h = _validated_hamiltonian_params(self.omega_a, self.omega_b, self.h)
-        object.__setattr__(self, "r", _frozen_array(r, float))
-        object.__setattr__(self, "theta", _frozen_array(np.mod(theta, TWO_PI), float))
-        object.__setattr__(self, "omega_a", omega_a)
-        object.__setattr__(self, "omega_b", omega_b)
-        object.__setattr__(self, "h", h)
+        h = np.asarray(self.h, dtype=float)
+        if h.shape != (3, 3):
+            raise ValueError(f"coupling table must be 3x3, got shape {h.shape}")
+        gaps = [float(self.omega_a), float(self.omega_b)]
+        x = check_reps(np.concatenate([r, theta, gaps, h.ravel()]))
+        object.__setattr__(self, "r", _frozen_array(x[0:4], float))
+        object.__setattr__(self, "theta", _frozen_array(x[4:8], float))
+        object.__setattr__(self, "omega_a", float(x[8]))
+        object.__setattr__(self, "omega_b", float(x[9]))
+        object.__setattr__(self, "h", _frozen_array(x[10:19].reshape(3, 3), float))
 
     def to_array(self) -> np.ndarray:
         """Flat 19-vector in the :data:`COORD_NAMES` order."""

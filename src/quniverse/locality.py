@@ -8,8 +8,8 @@ is a direction in coordinate space that changes the mean energy at first
 order while leaving both extended states (and the norm constraint)
 unchanged, which rules out reconstructing the energy from those records
 alone.  ``run_experiment`` repeats the audit over seeded samples, in
-chunks that share one stacked Jacobian evaluation, and aggregates the
-residual norms relative to the requested increment.
+chunks that share one kernel call for all their displaced points, and
+aggregates the residual norms relative to the requested increment.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -61,10 +61,11 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 TANGENCY_TOL = 1e-9
 
 #: samples per stacked Jacobian evaluation in :func:`run_experiment`.  The
-#: report does not depend on it; the per-call overhead of 38 kernel calls
-#: is shared by this many samples, and peak memory grows with it (about
-#: 0.7 MB at 64, 1.4 MB at 128).
-AUDIT_CHUNK = 64
+#: report does not depend on it.  The 38 displaced copies of a chunk go
+#: through one kernel call (608 points at 16), whose temporaries grow with
+#: it: a 5000-sample audit took 1 s calibrated at 8 and 0.74-0.78 s from 16
+#: to 64, while its peak RSS rose by 0.4 MB at 16 and 3.5 MB at 64.
+AUDIT_CHUNK = 16
 
 
 class JacobianEvaluationError(RuntimeError):
@@ -130,33 +131,38 @@ def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
 
     ``f`` maps a coordinate vector to ``k`` reals; entry ``(i, j)`` is
     ``(f_i(x0 + h e_j) - f_i(x0 - h e_j)) / (2 h)``.  The step 1e-6 is
-    near optimal for double precision and smooth integrands.
+    near optimal for double precision and smooth integrands.  For a 1-D
+    ``x0``, ``f`` is called once per displaced point, ``2 d`` times in all.
 
     ``x0`` may also be an ``(m, d)`` stack of points when ``f`` maps an
-    ``(m, d)`` stack to ``(m, k)`` (or ``(m,)``) values row by row.  Then
-    column ``j`` of every point is displaced at once, ``f`` is called
-    ``2 d`` times in all and the result is the ``(m, k, d)`` stack of
-    Jacobians.  A non-finite value at any point raises.
+    ``(n, d)`` stack to ``(n, k)`` (or ``(n,)``) values row by row.  Then
+    ``f`` is called once, on the ``(2 d m, d)`` stack of every displaced
+    copy of every point, and the result is the C-contiguous ``(m, k, d)``
+    stack of Jacobians.  A non-finite value at any point raises, naming
+    the first coordinate whose displacement produced one.
     """
     x0 = _as_coords(x0)
     if h_step <= 0:
         raise ValueError(f"h_step must be positive, got {h_step!r}")
     size = x0.shape[-1]
-    columns = []
-    for j in range(size):
-        plus = x0.copy()
-        plus[..., j] += h_step
-        minus = x0.copy()
-        minus[..., j] -= h_step
-        f_plus = np.asarray(f(plus), dtype=float).reshape(x0.shape[:-1] + (-1,))
-        f_minus = np.asarray(f(minus), dtype=float).reshape(x0.shape[:-1] + (-1,))
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
-            name = COORD_NAMES[j] if size == len(COORD_NAMES) else f"coordinate {j}"
-            raise JacobianEvaluationError(
-                f"non-finite value while displacing {name} by {h_step:g}"
-            )
-        columns.append((f_plus - f_minus) / (2.0 * h_step))
-    return np.stack(columns, axis=-1)
+    # points[0, j] is x0 with coordinate j raised by h_step, points[1, j] with it lowered
+    points = np.empty((2, size) + x0.shape)
+    points[...] = x0
+    j = np.arange(size)
+    points[0, j, ..., j] += h_step
+    points[1, j, ..., j] -= h_step
+    flat = points.reshape(-1, size)
+    if x0.ndim == 1:
+        values = np.stack([np.asarray(f(x), dtype=float).reshape(-1) for x in flat])
+    else:
+        values = np.asarray(f(flat), dtype=float)
+    values = values.reshape((2, size) + x0.shape[:-1] + (-1,))
+    finite = np.all(np.isfinite(values.reshape(2, size, -1)), axis=(0, 2))
+    if not np.all(finite):
+        bad = int(np.argmin(finite))
+        name = COORD_NAMES[bad] if size == len(COORD_NAMES) else f"coordinate {bad}"
+        raise JacobianEvaluationError(f"non-finite value while displacing {name} by {h_step:g}")
+    return np.ascontiguousarray(np.moveaxis((values[0] - values[1]) / (2.0 * h_step), 0, -1))
 
 
 def _energy_rhs(rows: int, delta_e: float) -> np.ndarray:
@@ -220,7 +226,9 @@ def sample_interior_rep(rng) -> ConfigRep:
     (0, 2pi); gaps from (0, 1); couplings from (-1, 1).  Only energy
     ratios matter, so bounded gap and coupling ranges lose no generality.
     ``rng`` is a seed or a ``numpy.random.Generator``; a given seed
-    reproduces the sample bitwise.
+    reproduces the sample bitwise.  :func:`run_experiment` draws its
+    samples in one call each and falls back on this sampler, which stays
+    the reference for those draws.
     """
     rng = np.random.default_rng(rng)
     while True:
@@ -235,6 +243,40 @@ def sample_interior_rep(rng) -> ConfigRep:
     return ConfigRep(
         r=moduli, theta=theta, omega_a=omega[0], omega_b=omega[1], h=couplings
     )
+
+
+# bounds of the 19 coordinates in the order sample_interior_rep draws them:
+# moduli (before normalization), phases, gaps, couplings
+_LOW = np.array([0.0] * 10 + [-1.0] * 9)
+_SPAN = np.array([1.0] * 4 + [2.0 * np.pi] * 4 + [1.0] * 2 + [2.0] * 9)
+
+
+def _substream(seed: int, index: int) -> np.random.Generator:
+    """Generator of sample ``index`` of a run with master ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _draw_chunk(seed: int, indices) -> np.ndarray:
+    """Checked ``(len(indices), 19)`` coordinates of the samples ``indices``.
+
+    The row of sample ``i`` is bitwise
+    ``sample_interior_rep(_substream(seed, i)).to_array()``:
+    the 19 doubles that sampler consumes are drawn in one call and mapped
+    as ``Generator.uniform`` maps them, ``low + span * u``.  A draw the
+    sampler would reject (a zero modulus, a norm at or below 1e-3, a value
+    on an interval's lower bound) is redone by the sampler itself.
+    """
+    x = np.empty((len(indices), 19))
+    for row, index in zip(x, indices):
+        _substream(seed, index).random(out=row)
+    x *= _SPAN
+    x += _LOW
+    norms = np.array([float(np.linalg.norm(row[:4])) for row in x])
+    accepted = np.all(x > _LOW, axis=1) & (norms > 1e-3)
+    np.divide(x[:, :4], norms[:, None], out=x[:, :4], where=accepted[:, None])
+    for row in np.flatnonzero(~accepted):
+        x[row] = sample_interior_rep(_substream(seed, indices[row])).to_array()
+    return core.check_reps(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,18 +333,17 @@ class SolvabilityReport:
         return out
 
 
-def _chunk_matrices(reps, h_step: float) -> list:
-    """Audit matrices of a chunk of samples; ``None`` where evaluation turned non-finite."""
+def _chunk_matrices(coords: np.ndarray, h_step: float) -> list:
+    """Audit matrices of an ``(m, 19)`` chunk; ``None`` where evaluation turned non-finite."""
     try:
-        matrices, _ = build_system(np.stack([rep.to_array() for rep in reps]), h_step)
-        return list(matrices)
+        return list(build_system(coords, h_step)[0])
     except JacobianEvaluationError:
         pass
     # one bad sample spoils the stacked call; redo the chunk point by point
     out = []
-    for rep in reps:
+    for x in coords:
         try:
-            out.append(build_system(rep, h_step)[0])
+            out.append(build_system(x, h_step)[0])
         except JacobianEvaluationError:
             out.append(None)
     return out
@@ -319,9 +360,11 @@ def run_experiment(
     """Audit ``n`` freshly sampled interior representations.
 
     Each sample draws from its own substream ``(seed, index)``, so the
-    report is identical however the loop is scheduled; samples are
-    audited in chunks of :data:`AUDIT_CHUNK` through one stacked Jacobian
-    evaluation each.  A residual is judged relative to the request,
+    report is identical however the loop is scheduled; samples are drawn
+    and checked as one ``(m, 19)`` array per chunk of :data:`AUDIT_CHUNK`
+    and audited through one stacked Jacobian evaluation each; a
+    :class:`ConfigRep` is built only for the samples ``keep_samples``
+    keeps.  A residual is judged relative to the request,
     ``||A dx - b|| / |delta_e|``, because it scales with ``delta_e``.
     Samples whose evaluation turns non-finite are recorded in
     ``failed_indices`` and excluded from ``n_solvable`` rather than
@@ -338,13 +381,8 @@ def run_experiment(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, AUDIT_CHUNK):
             indices = range(start, min(start + AUDIT_CHUNK, n))
-            reps = [
-                sample_interior_rep(
-                    np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-                )
-                for i in indices
-            ]
-            for index, rep, matrix in zip(indices, reps, _chunk_matrices(reps, h_step)):
+            coords = _draw_chunk(seed, indices)
+            for index, x, matrix in zip(indices, coords, _chunk_matrices(coords, h_step)):
                 if matrix is None:
                     failed.append(index)
                     continue
@@ -358,7 +396,12 @@ def run_experiment(
                 residuals.append(residual)
                 if keep_samples:
                     samples.append(
-                        SampleResult(index=index, rep=rep, residual_norm=residual, solvable=solvable)
+                        SampleResult(
+                            index=index,
+                            rep=ConfigRep.from_array(x),
+                            residual_norm=residual,
+                            solvable=solvable,
+                        )
                     )
     return SolvabilityReport(
         n_samples=n,

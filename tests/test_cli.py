@@ -328,6 +328,20 @@ def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "2.7"],
+    ["sample", "--n", "abc"],
+    ["simulate", "--omega-a", "x"],
+    ["verify", "--inject-fault", "nope"],
+], ids=["n-fraction", "n-word", "omega-word", "fault"])
+def test_flag_rejected_by_argparse_is_one_line_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_all_suites_pass(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--out", str(out)]) == 0

@@ -125,6 +125,31 @@ def test_stacked_state_check_raises_what_one_state_raises(fault):
     assert str(stacked.value) == str(one.value)
 
 
+@pytest.mark.parametrize("column, value", [
+    (5, np.nan), (0, -0.1), (1, 2.0), (8, 0.0), (9, np.inf), (14, np.nan),
+], ids=["phase-nan", "negative-modulus", "unnormalized", "zero-gap", "infinite-gap", "coupling-nan"])
+def test_stacked_rep_check_raises_what_one_rep_raises(column, value):
+    x = locality._draw_chunk(42, range(12))
+    assert np.array_equal(core.check_reps(x), x)
+    x[7, column] = value
+    x[9, 8] = -1.0  # a later bad row never wins
+    with pytest.raises(ValueError) as one:
+        core.ConfigRep.from_array(x[7])
+    with pytest.raises(ValueError) as stacked:
+        core.check_reps(x.reshape(3, 4, 19))
+    assert str(stacked.value) == str(one.value)
+
+
+def test_stacked_rep_check_wraps_phases():
+    x = locality._draw_chunk(43, range(3))
+    shifted = x.copy()
+    shifted[:, 4:8] += 2 * np.pi
+    wrapped = core.check_reps(shifted)
+    assert np.all((wrapped[:, 4:8] >= 0) & (wrapped[:, 4:8] < 2 * np.pi))
+    assert np.max(np.abs(wrapped - x)) < 1e-14
+    assert wrapped[1].tobytes() == core.ConfigRep.from_array(shifted[1]).to_array().tobytes()
+
+
 def test_mean_energies_of_a_stack_equal_each_row():
     configs = [core.rep_to_config(locality.sample_interior_rep(s)) for s in range(20)]
     psi = np.stack([c.state.psi for c in configs])

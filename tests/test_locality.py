@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quniverse import core, dynamics, locality, verification
 from shared_checks import shared_check
@@ -27,6 +29,95 @@ def test_sampler_stays_interior():
         assert np.all((rep.theta > 0.0) & (rep.theta < 2 * np.pi))
         assert 0.0 < rep.omega_a < 1.0 and 0.0 < rep.omega_b < 1.0
         assert np.all((rep.h > -1.0) & (rep.h < 1.0))
+
+
+def _reference_draw(seed, index):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return locality.sample_interior_rep(rng).to_array()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(seed=st.integers(0, 2**64), start=st.integers(0, 10**7), size=st.integers(1, 4))
+def test_chunk_draw_equals_the_sequential_sampler(seed, start, size):
+    indices = range(start, start + size)
+    chunk = locality._draw_chunk(seed, indices)
+    assert chunk.shape == (size, 19)
+    for row, index in zip(chunk, indices):
+        assert row.tobytes() == _reference_draw(seed, index).tobytes()
+
+
+class _ScriptedGenerator(np.random.Generator):
+    """Generator whose unit doubles come from a script, mapped as numpy maps them."""
+
+    def __init__(self, script):
+        super().__init__(np.random.PCG64(0))
+        self._script = list(script)
+
+    def _take(self, count):
+        taken, self._script = self._script[:count], self._script[count:]
+        return np.array(taken)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        out[...] = self._take(out.size)
+        return out
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low + (high - low) * self._take(int(np.prod(size))).reshape(size)
+
+
+def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
+    scripts = [list(np.random.default_rng(s).uniform(0.05, 0.95, 40)) for s in range(4)]
+    scripts[1][2] = 0.0  # a zero modulus
+    scripts[2][:4] = [1e-4] * 4  # a moduli norm below 1e-3
+    scripts[3][4] = 0.0  # a phase on the interval's lower bound
+    monkeypatch.setattr(locality, "_substream", lambda seed, index: _ScriptedGenerator(scripts[index]))
+    chunk = locality._draw_chunk(0, range(4))
+    for index, row in enumerate(chunk):
+        expected = locality.sample_interior_rep(_ScriptedGenerator(scripts[index])).to_array()
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_jacobian_calls_f_once_for_a_stack_and_per_point_for_a_point():
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return locality.rep_observables(x)
+
+    x = locality._draw_chunk(3, range(5))
+    stacked = locality.numerical_jacobian(counted, x)
+    assert calls == [(2 * 19 * 5, 19)]
+    assert stacked.shape == (5, 14, 19) and stacked.flags["C_CONTIGUOUS"]
+    calls.clear()
+    point = locality.numerical_jacobian(counted, x[2])
+    assert calls == [(19,)] * 38
+    assert point.tobytes() == stacked[2].tobytes()
+
+
+@pytest.mark.parametrize("poisoned, name", [((5, 15), "theta1"), ((15,), "h_yz")])
+def test_stacked_jacobian_names_the_first_nonfinite_coordinate(poisoned, name):
+    x = locality._draw_chunk(4, range(6))
+
+    def bad(y):
+        # non-finite only at point 3 displaced along the poisoned coordinates
+        out = locality.rep_observables(y)
+        near = np.max(np.abs(y - x[3]), axis=-1) < 1e-5
+        moved = np.any(y[:, list(poisoned)] != x[3, list(poisoned)], axis=-1)
+        out[near & moved] = np.inf
+        return out
+
+    with pytest.raises(locality.JacobianEvaluationError, match=name):
+        locality.numerical_jacobian(bad, x)
+
+
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    reports = []
+    for chunk in (1, 7, 16, 64):
+        monkeypatch.setattr(locality, "AUDIT_CHUNK", chunk)
+        report = locality.run_experiment(n=70, seed=31, keep_samples=True)
+        reps = [s.rep.to_array().tobytes() for s in report.samples]
+        reports.append((report.to_json_dict(per_sample=True), reps))
+    assert all(other == reports[0] for other in reports[1:])
 
 
 def test_jacobian_mean_energy_gap_column_uncoupled():
