@@ -4,8 +4,10 @@ The universe Hamiltonian is constant, so evolution is done by one 4x4
 Hermitian eigendecomposition rather than time stepping; no integrator
 tolerance enters anywhere.  Reduced states and their time derivatives are
 obtained algebraically from ``rho_dot = -i [H, rho]`` followed by a partial
-trace; a central-difference route through the propagator is kept as an
-independent oracle for tests.
+trace; for a pure state the commutator needs no 4x4 product, only
+``phi = H psi`` and the outer products ``phi psi^†`` and ``psi phi^†``.  A
+central-difference route through the propagator is kept as an independent
+oracle for tests.
 """
 
 from __future__ import annotations
@@ -123,15 +125,20 @@ def _reduced_column(m: np.ndarray, keep: str) -> np.ndarray:
 def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
     """Global ``rho = |psi><psi|`` and ``rho_dot = -i [H, rho]`` of raw arrays.
 
+    ``H`` must be Hermitian: the commutator is built from ``phi = H psi``
+    as ``rho_dot = a + a^†`` with ``a = -i phi psi^†``, which equals
+    ``-i (H rho - rho H)`` only then, and is Hermitian bitwise.
     No validation and no normalization, so it serves displaced
     finite-difference points as well as valid configurations.  Broadcasts
     over leading axes: ``(..., 4)`` amplitudes and ``(..., 4, 4)``
-    Hamiltonians give two ``(..., 4, 4)`` stacks.  This is the one place
-    where the fault-injection sign enters.
+    Hamiltonians give two ``(..., 4, 4)`` stacks, each entry bitwise the
+    one computed from its own point.  This is the one place where the
+    fault-injection sign enters.
     """
-    rho = _density(psi)
-    rho_dot = RHO_DOT_SIGN.get() * (-1j * (matrix @ rho - rho @ matrix))
-    return rho, rho_dot
+    # the product core.expectation uses, so a stacked row is bitwise its point
+    phi = (RHO_DOT_SIGN.get() * -1j) * (matrix @ psi[..., None])[..., 0]
+    a = phi[..., :, None] * psi[..., None, :].conj()
+    return _density(psi), a + a.conj().swapaxes(-1, -2)
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
@@ -160,7 +167,7 @@ def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     """Time derivative of one reduced state, ``Tr_other(-i [H, rho])``.
 
-    Traceless and Hermitian up to rounding.
+    Hermitian exactly, traceless up to rounding.
     """
     _, rho_dot = rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
     return partial_trace(rho_dot, keep=subsystem)

@@ -8,8 +8,9 @@ is a direction in coordinate space that changes the mean energy at first
 order while leaving both extended states (and the norm constraint)
 unchanged, which rules out reconstructing the energy from those records
 alone.  ``run_experiment`` repeats the audit over seeded samples, in
-chunks that share one kernel call for all their displaced points, and
-aggregates the residual norms relative to the requested increment.
+chunks that share one kernel call for all their displaced points and one
+SVD for all their systems, and aggregates the residual norms relative to
+the requested increment.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -45,14 +46,6 @@ __all__ = [
     "solve_least_squares",
     "transport_solution",
 ]
-
-#: singular-value cutoff passed to lstsq.  None means machine precision,
-#: which is required here: two exact identities among the reduced-state
-#: rows (a pure global state forces det rho_A = det rho_B, and likewise
-#: for the time derivative) leave the true matrix with rank 12, so a
-#: coarser cutoff truncates noise-scale directions that the right-hand
-#: side still overlaps and inflates residuals above 1e-13.
-LSTSQ_RCOND = None
 
 #: identifies the sampling law recorded in every report
 SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,1); h:u(-1,1)"
@@ -191,18 +184,41 @@ def build_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
     return numerical_jacobian(rep_observables, x0, h_step), rhs
 
 
+def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm least-squares solutions of a ``(m, k, d)`` stack and their residual norms.
+
+    One SVD of the whole stack; ``rhs`` is one ``(k,)`` vector shared by
+    every system.  Returns ``(m, d)`` solutions and ``(m,)`` residual norms,
+    each residual re-evaluated from its solution, not taken from the
+    factorization.  Every row is bitwise the one a 1-system stack gives.
+    """
+    matrices = np.ascontiguousarray(matrices, dtype=float)
+    u, s, vt = np.linalg.svd(matrices, full_matrices=False)
+    # lstsq's rcond=None cutoff, s > eps * max(k, d) * s_1.  Machine precision
+    # is required here: two exact identities among the reduced-state rows (a
+    # pure global state forces det rho_A = det rho_B, and likewise for the
+    # time derivative) leave the true matrix with rank 12, so a coarser
+    # cutoff truncates noise-scale directions that the right-hand side still
+    # overlaps and inflates residuals above 1e-13.
+    kept = s > np.finfo(float).eps * max(matrices.shape[-2:]) * s[..., :1]
+    coefficients = np.divide(rhs @ u, s, out=np.zeros_like(s), where=kept)
+    solutions = (coefficients[..., None, :] @ vt)[..., 0, :]
+    misfit = (matrices @ solutions[..., None])[..., 0] - rhs
+    return solutions, np.sqrt(np.vecdot(misfit, misfit))
+
+
 def solve_least_squares(system):
     """Minimum-norm least-squares solution and its achieved residual norm.
 
-    ``system`` is a ``(matrix, rhs)`` pair.  The residual is re-evaluated
-    from the returned solution, not taken from the factorization.  The
-    pair is made C-contiguous first: lstsq on a strided view of the same
-    numbers can differ in the last bits.
+    ``system`` is one ``(matrix, rhs)`` pair; returns ``(solution, float)``.
+    The residual is re-evaluated from the returned solution, not taken from
+    the factorization.  :func:`run_experiment` solves its samples a chunk
+    at a time through the same stacked solver, so this residual is bitwise
+    the one the audit reports for the same matrix.
     """
-    matrix, rhs = (np.ascontiguousarray(a, dtype=float) for a in system)
-    solution, _, _, _ = np.linalg.lstsq(matrix, rhs, rcond=LSTSQ_RCOND)
-    residual = float(np.linalg.norm(matrix @ solution - rhs))
-    return solution, residual
+    matrix, rhs = (np.asarray(a, dtype=float) for a in system)
+    solutions, residuals = _solve_stack(matrix[None], rhs)
+    return solutions[0], float(residuals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +287,9 @@ def _draw_chunk(seed: int, indices) -> np.ndarray:
         _substream(seed, index).random(out=row)
     x *= _SPAN
     x += _LOW
-    norms = np.array([float(np.linalg.norm(row[:4])) for row in x])
+    # a 1-D np.linalg.norm is sqrt(dot(v, v)); vecdot gives each row those
+    # bits, which norm(axis=1) does not
+    norms = np.sqrt(np.vecdot(x[:, :4], x[:, :4]))
     accepted = np.all(x > _LOW, axis=1) & (norms > 1e-3)
     np.divide(x[:, :4], norms[:, None], out=x[:, :4], where=accepted[:, None])
     for row in np.flatnonzero(~accepted):
@@ -333,20 +351,28 @@ class SolvabilityReport:
         return out
 
 
-def _chunk_matrices(coords: np.ndarray, h_step: float) -> list:
-    """Audit matrices of an ``(m, 19)`` chunk; ``None`` where evaluation turned non-finite."""
+def _chunk_matrices(coords: np.ndarray, h_step: float):
+    """Audit matrices of an ``(m, 19)`` chunk and the mask of samples evaluated.
+
+    Returns ``(matrices, evaluated)``: the ``(m, 14, 19)`` stack and a
+    boolean ``(m,)`` mask; a sample whose evaluation turned non-finite is
+    ``False`` and its matrix is meaningless.
+    """
     try:
-        return list(build_system(coords, h_step)[0])
+        matrices = build_system(coords, h_step)[0]
+        return matrices, np.ones(len(coords), dtype=bool)
     except JacobianEvaluationError:
         pass
     # one bad sample spoils the stacked call; redo the chunk point by point
-    out = []
-    for x in coords:
+    matrices = np.zeros((len(coords), 14, 19))
+    evaluated = np.zeros(len(coords), dtype=bool)
+    for row, x in enumerate(coords):
         try:
-            out.append(build_system(x, h_step)[0])
+            matrices[row] = build_system(x, h_step)[0]
+            evaluated[row] = True
         except JacobianEvaluationError:
-            out.append(None)
-    return out
+            pass
+    return matrices, evaluated
 
 
 def run_experiment(
@@ -362,7 +388,9 @@ def run_experiment(
     Each sample draws from its own substream ``(seed, index)``, so the
     report is identical however the loop is scheduled; samples are drawn
     and checked as one ``(m, 19)`` array per chunk of :data:`AUDIT_CHUNK`
-    and audited through one stacked Jacobian evaluation each; a
+    and audited through one stacked Jacobian evaluation and one stacked
+    least-squares solve each (bitwise what :func:`solve_least_squares`
+    gives one sample); a
     :class:`ConfigRep` is built only for the samples ``keep_samples``
     keeps.  A residual is judged relative to the request,
     ``||A dx - b|| / |delta_e|``, because it scales with ``delta_e``.
@@ -382,12 +410,10 @@ def run_experiment(
         for start in range(0, n, AUDIT_CHUNK):
             indices = range(start, min(start + AUDIT_CHUNK, n))
             coords = _draw_chunk(seed, indices)
-            for index, x, matrix in zip(indices, coords, _chunk_matrices(coords, h_step)):
-                if matrix is None:
-                    failed.append(index)
-                    continue
-                _, residual = solve_least_squares((matrix, rhs))
-                residual /= scale
+            matrices, evaluated = _chunk_matrices(coords, h_step)
+            chunk_residuals = np.full(len(coords), np.nan)
+            chunk_residuals[evaluated] = _solve_stack(matrices[evaluated], rhs)[1] / scale
+            for index, x, residual in zip(indices, coords, chunk_residuals.tolist()):
                 if not np.isfinite(residual):
                     failed.append(index)
                     continue

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quniverse import core, dynamics, locality
 from quniverse.verification import random_control_case
@@ -180,3 +183,30 @@ def test_extended_coordinates_of_real_matrices():
     rho[0, 2] = rho[2, 0] = 0.1
     coords = dynamics.extended_coordinates(rho, np.zeros((4, 4)), "A")
     assert np.array_equal(coords, [0.1, 0.0, 0.5, 0.0, 0.0, 0.0])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    parts=arrays(float, (5, 2, 4), elements=st.floats(-1.0, 1.0)),
+    entries=arrays(float, (5, 2, 4, 4), elements=st.floats(-10.0, 10.0)),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    size=st.integers(1, 5),
+)
+def test_rho_dot_is_the_hermitian_commutator(parts, entries, angle, size):
+    # a stack of random states and Hermitian H, and each point alone
+    psi = parts[:size, 0] + 1j * parts[:size, 1]
+    norms = np.linalg.norm(psi, axis=-1, keepdims=True)
+    assume(np.all(norms > 1e-3))
+    psi = psi / norms
+    m = entries[:size, 0] + 1j * entries[:size, 1]
+    matrix = m + m.conj().swapaxes(-1, -2)
+    scale = np.linalg.norm(matrix, ord=2, axis=(-2, -1))[:, None, None]
+    rho, rho_dot = dynamics.rho_and_derivative(psi, matrix)
+    _, turned = dynamics.rho_and_derivative(np.exp(1j * angle) * psi, matrix)
+    commutator = -1j * (matrix @ rho - rho @ matrix)
+    for result in [rho_dot] + [dynamics.rho_and_derivative(p, h)[1] for p, h in zip(psi, matrix)]:
+        assert np.array_equal(result, result.conj().swapaxes(-1, -2))
+    assert np.all(np.abs(rho_dot - commutator) <= 1e-14 * scale)
+    assert np.all(np.abs(turned - rho_dot) <= 1e-14 * scale)
+    for i in range(size):
+        assert dynamics.rho_and_derivative(psi[i], matrix[i])[1].tobytes() == rho_dot[i].tobytes()

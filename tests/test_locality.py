@@ -328,6 +328,52 @@ def test_least_squares_duplicated_row_is_inconsistent():
     assert abs(residual - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
+def _lstsq_reference(matrices, rhs):
+    """Per-system ``np.linalg.lstsq(rcond=None)``: solutions, residual norms and ranks."""
+    results = [np.linalg.lstsq(a, rhs, rcond=None) for a in matrices]
+    solutions = np.array([r[0] for r in results])
+    residuals = np.array([np.linalg.norm(a @ x - rhs) for a, x in zip(matrices, solutions)])
+    return solutions, residuals, [int(r[2]) for r in results]
+
+
+def test_stacked_solve_matches_lstsq_on_audit_matrices():
+    # finite-difference noise lifts the two vanishing singular values to
+    # about 1e-13 of the largest, above lstsq's cutoff: rank 14.  A coarser
+    # cutoff would drop them and move the residuals by more than 1e-14.
+    matrices, rhs = locality.build_system(locality._draw_chunk(12, range(64)))
+    solutions, residuals = locality._solve_stack(matrices, rhs)
+    _, expected, ranks = _lstsq_reference(matrices, rhs)
+    assert solutions.shape == (64, 19) and residuals.shape == (64,)
+    assert ranks == [14] * 64
+    assert np.max(np.abs(residuals - expected)) < 1e-14
+
+
+def test_stacked_solve_cuts_the_exact_jacobian_at_rank_12():
+    # the exact Jacobian has rank 12; its two vanishing singular values sit
+    # far below lstsq's cutoff, so both solvers must drop them, and then
+    # the solutions agree to rounding
+    x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
+    matrices, rhs = _exact_audit_jacobian(x), locality._energy_rhs(14, 1.0)
+    solutions, residuals = locality._solve_stack(matrices, rhs)
+    expected_solutions, expected, ranks = _lstsq_reference(matrices, rhs)
+    assert ranks == [12] * 200
+    assert np.max(np.abs(residuals - expected)) < 1e-14
+    scale = np.max(np.abs(expected_solutions), axis=1, keepdims=True)
+    assert np.max(np.abs(solutions - expected_solutions) / scale) < 1e-12
+
+
+def test_stacked_solve_rows_equal_one_system_stacks_bitwise():
+    matrices, rhs = locality.build_system(locality._draw_chunk(13, range(64)))
+    solutions, residuals = locality._solve_stack(matrices, rhs)
+    for i, matrix in enumerate(matrices):
+        one_solution, one_residual = locality._solve_stack(matrices[i:i + 1], rhs)
+        assert one_residual.tobytes() == residuals[i:i + 1].tobytes()
+        assert one_solution.tobytes() == solutions[i:i + 1].tobytes()
+        solution, residual = locality.solve_least_squares((matrix, rhs))
+        assert type(residual) is float and residual == residuals[i]
+        assert solution.tobytes() == solutions[i].tobytes()
+
+
 def test_sampled_systems_are_solvable():
     rng = np.random.default_rng(8)
     for _ in range(5):
