@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -158,19 +157,28 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
     return merged
 
 
+def _open_out(path: str):
+    """Open an output file for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from exc
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = _merge(args, _SAMPLE_KEYS)
-    report = locality.run_experiment(
-        n=params["n"],
-        seed=params["seed"],
-        h_step=params["h_step"],
-        threshold=params["threshold"],
-        delta_e=params["delta_e"],
-        keep_samples=params["per_sample"],
-    )
-    payload = report.to_json_dict(per_sample=params["per_sample"])
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    Path(params["out"]).write_text(text, encoding="utf-8")
+    # opened first, so that an unwritable path fails before the audit runs
+    with _open_out(params["out"]) as handle:
+        report = locality.run_experiment(
+            n=params["n"],
+            seed=params["seed"],
+            h_step=params["h_step"],
+            threshold=params["threshold"],
+            delta_e=params["delta_e"],
+            keep_samples=params["per_sample"],
+        )
+        payload = report.to_json_dict(per_sample=params["per_sample"])
+        handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(
         f"solvable {report.n_solvable}/{report.n_samples} "
         f"at threshold {report.threshold:g} -> {params['out']}"
@@ -183,15 +191,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = models.NumberConservingSpec(
         lam=complex(params["lambda_re"], params["lambda_im"]), delta=params["delta"]
     )
-    hamiltonian = models.number_conserving_hamiltonian(
-        spec, params["omega_a"], params["omega_b"]
-    )
-    amplitudes = np.array([1.0, 1.0, 1.0, params["alpha"]], dtype=complex)
-    initial = UniverseState(amplitudes / np.linalg.norm(amplitudes))
-
     times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
-    states = dynamics.trajectory(initial, hamiltonian, times)
-    table = _energy_table(iel.LAWS[params["law"]], times, states, hamiltonian)
+    # finite parameters can still overflow (a huge alpha, gap, coupling or
+    # time); the state and energy checks then name what broke
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            hamiltonian = models.number_conserving_hamiltonian(
+                spec, params["omega_a"], params["omega_b"]
+            )
+            amplitudes = np.array([1.0, 1.0, 1.0, params["alpha"]], dtype=complex)
+            initial = UniverseState(amplitudes / np.linalg.norm(amplitudes))
+            states = dynamics.trajectory(initial, hamiltonian, times)
+            table = _energy_table(iel.LAWS[params["law"]], times, states, hamiltonian)
+    except ValueError as exc:
+        raise UsageError(f"cannot simulate these parameters: {exc}") from exc
     undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
     n_undefined = int(undefined.sum())
     if n_undefined:
@@ -202,7 +215,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "emitting empty energy cells",
             file=sys.stderr,
         )
-    with open(params["out"], "w", encoding="utf-8", newline="\n") as handle:
+    with _open_out(params["out"]) as handle:
         handle.write(CSV_HEADER + "\n")
         for start in range(0, len(times), SIMULATE_CHUNK):
             rows = slice(start, start + SIMULATE_CHUNK)
@@ -250,7 +263,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = verification.summary_dict(results)
     text = json.dumps(summary, indent=2) + "\n"
     if params["out"]:
-        Path(params["out"]).write_text(text, encoding="utf-8")
+        with _open_out(params["out"]) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     return 0 if summary["all_passed"] else 1

@@ -331,14 +331,22 @@ def config_equal(a: Configuration, b: Configuration, tol: float = 1e-9) -> bool:
     return abs(overlap - 1.0) <= tol
 
 
+def _apply(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``M psi`` of a ``(..., 4)`` stack, each row bitwise the product of that row alone.
+
+    The one product behind every mean energy and every ``rho_dot``.
+    """
+    return (matrix @ psi[..., None])[..., 0]
+
+
 def expectation(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Raw ``<psi|M|psi>`` of a ``(..., 4)`` stack of amplitudes, as ``(...)`` complex.
 
-    The one mean-energy formula: no normalization and no checks, so it
-    serves displaced finite-difference points as well.  Each row is
-    bitwise the value computed from that row alone.
+    The one mean-energy formula, ``vecdot(psi, M psi)``: no normalization
+    and no checks, so it serves displaced finite-difference points as well.
+    Each row is bitwise the value computed from that row alone.
     """
-    return np.vecdot(psi, (matrix @ psi[..., None])[..., 0])
+    return np.vecdot(psi, _apply(matrix, psi))
 
 
 def mean_energies(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:

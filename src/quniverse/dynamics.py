@@ -5,9 +5,12 @@ Hermitian eigendecomposition rather than time stepping; no integrator
 tolerance enters anywhere.  Reduced states and their time derivatives are
 obtained algebraically from ``rho_dot = -i [H, rho]`` followed by a partial
 trace; for a pure state the commutator needs no 4x4 product, only
-``phi = H psi`` and the outer products ``phi psi^†`` and ``psi phi^†``.  A
-central-difference route through the propagator is kept as an independent
-oracle for tests.
+``phi = -i H psi`` and the outer products ``phi psi^†`` and ``psi phi^†``.
+The extended-state records read column 1 of each reduced matrix, which
+sums 8 entries of ``rho`` and of ``rho_dot``; :func:`pure_extended_coordinates`
+forms only those, and :func:`rho_and_derivative` all 16, through one entry
+formula.  A central-difference route through the propagator is kept as an
+independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, UniverseState, _first_row
+from .core import Configuration, HamiltonianSpec, UniverseState, _apply, _first_row
 
 __all__ = [
     "FAULTS",
@@ -30,6 +33,7 @@ __all__ = [
     "finite_difference_rho_dot",
     "partial_trace",
     "propagate",
+    "pure_extended_coordinates",
     "rho_and_derivative",
     "rho_dot_local",
     "trajectory",
@@ -122,23 +126,44 @@ def _reduced_column(m: np.ndarray, keep: str) -> np.ndarray:
     return m[..., :2, 1] + m[..., 2:, 3]
 
 
+def _rates(hpsi: np.ndarray) -> np.ndarray:
+    """``phi = -i H psi`` from ``H psi``; the one place where the fault-injection sign enters."""
+    return (RHO_DOT_SIGN.get() * -1j) * hpsi
+
+
+def _entries(rows: np.ndarray, psi_j: np.ndarray, phi_j: np.ndarray) -> np.ndarray:
+    """Entries ``(i, j)`` of ``rho`` and ``rho_dot``, stacked on axis 0 as ``rows`` is.
+
+    ``rows`` stacks the row operands ``psi_i`` and ``phi_i`` on axis 0, and
+    ``psi_j``, ``phi_j`` are the column operands, all broadcast against
+    each other, where ``phi = -i H psi``.  ``rho_ij = psi_i conj(psi_j)``
+    and ``rho_dot_ij = a_ij + conj(a_ji)`` with ``a_ij = phi_i conj(psi_j)``:
+    each entry is the same products whichever entries are asked for.
+    """
+    out = rows * psi_j.conj()
+    out[1] += (phi_j * rows[0].conj()).conj()
+    return out
+
+
 def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
     """Global ``rho = |psi><psi|`` and ``rho_dot = -i [H, rho]`` of raw arrays.
 
-    ``H`` must be Hermitian: the commutator is built from ``phi = H psi``
-    as ``rho_dot = a + a^†`` with ``a = -i phi psi^†``, which equals
+    ``H`` must be Hermitian: the commutator is built from ``phi = -i H psi``
+    as ``rho_dot = a + a^†`` with ``a = phi psi^†``, which equals
     ``-i (H rho - rho H)`` only then, and is Hermitian bitwise.
     No validation and no normalization, so it serves displaced
     finite-difference points as well as valid configurations.  Broadcasts
     over leading axes: ``(..., 4)`` amplitudes and ``(..., 4, 4)``
     Hamiltonians give two ``(..., 4, 4)`` stacks, each entry bitwise the
-    one computed from its own point.  This is the one place where the
-    fault-injection sign enters.
+    one computed from its own point and the one
+    :func:`pure_extended_coordinates` reads.
     """
-    # the product core.expectation uses, so a stacked row is bitwise its point
-    phi = (RHO_DOT_SIGN.get() * -1j) * (matrix @ psi[..., None])[..., 0]
-    a = phi[..., :, None] * psi[..., None, :].conj()
-    return _density(psi), a + a.conj().swapaxes(-1, -2)
+    phi = _rates(_apply(matrix, psi))
+    rows = np.empty((2,) + phi.shape, dtype=complex)
+    rows[0] = psi
+    rows[1] = phi
+    rho, rho_dot = _entries(rows[..., :, None], psi[..., None, :], phi[..., None, :])
+    return rho, rho_dot
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
@@ -162,6 +187,40 @@ def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -
     )
     # (re c, im c, re p1, im p1) of the state, then of its derivative
     return columns.view(float)[..., [0, 1, 2, 4, 5, 6]]
+
+
+#: amplitude rows read by :func:`pure_extended_coordinates`, of ``psi`` then of
+#: ``phi``: each subsystem's 2x2 ``[kept, traced]`` view, ``psi[2a + b]`` at
+#: ``[a, b]`` for A and at ``[b, a]`` for B
+_VIEWS = np.array([0, 1, 2, 3, 0, 2, 1, 3, 4, 5, 6, 7, 4, 6, 5, 7])
+
+
+def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
+    """Extended coordinates of both subsystems of pure states, from ``psi`` and ``H psi``.
+
+    Returns ``(..., 2, 6)``: row 0 is A's and row 1 B's
+    ``(re_c, im_c, p1, re_cdot, im_cdot, p1dot)``, each bitwise
+    ``extended_coordinates(*rho_and_derivative(psi, H), subsystem)``.  Only
+    the 8 entries of ``rho`` and of ``rho_dot`` that column 1 of a reduced
+    matrix sums are formed, through the same products and pair sums.
+    ``hpsi`` is ``(H @ psi[..., None])[..., 0]`` with ``H`` Hermitian, of
+    the shape ``(..., 4)`` of ``psi``; no validation, and any leading axes.
+    """
+    lead = psi.shape[:-1]
+    # transposed, so the points are the last axes and every product loops over them
+    amps = np.concatenate([psi, _rates(hpsi)], axis=-1).T
+    # [psi or phi, subsystem, kept, traced, points]
+    rows = amps[_VIEWS].reshape((2, 2, 2, 2) + amps.shape[1:])
+    # entries (k t, 1 t) of each view, then their sum over t: rows (c, p1) of
+    # column 1 of each reduced matrix, [rho or rho_dot, subsystem, k, points]
+    entries = _entries(rows, rows[0, :, 1:], rows[1, :, 1:])
+    columns = entries[:, :, :, 0] + entries[:, :, :, 1]
+    out = np.empty(lead + (2, 2, 3))
+    # (re c, im c, re p1) of the state, then of its derivative
+    out.T[0] = columns[:, :, 0].real
+    out.T[1] = columns[:, :, 0].imag
+    out.T[2] = columns[:, :, 1].real
+    return out.reshape(lead + (2, 6))
 
 
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
@@ -238,5 +297,6 @@ class ExtendedStateRep:
 
 def extended_state(config: Configuration, subsystem: str) -> ExtendedStateRep:
     """Pack the reduced state and its derivative into the six coordinates."""
-    rho, rho_dot = rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
-    return ExtendedStateRep(*extended_coordinates(rho, rho_dot, subsystem).tolist())
+    psi = config.state.psi
+    coords = pure_extended_coordinates(psi, _apply(config.hamiltonian.matrix, psi))
+    return ExtendedStateRep(*coords[_subsystem_index(subsystem)].tolist())

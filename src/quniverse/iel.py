@@ -27,17 +27,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, mean_energy
+from .core import Configuration, HamiltonianSpec, _apply, mean_energy
 from .dynamics import (
     SUBSYSTEMS,
     ExtendedStateRep,
     _density,
     _reduced_column,
     check_extended_coordinates,
-    extended_coordinates,
     extended_state,  # noqa: F401  (perfbench traces iel.extended_state by name)
     partial_trace,
-    rho_and_derivative,
+    pure_extended_coordinates,
 )
 
 __all__ = [
@@ -132,11 +131,11 @@ def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
 
 
 def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
-    # one (rho, rho_dot) serves both subsystems
-    rho, rho_dot = rho_and_derivative(psi, hamiltonian.matrix)
+    # one H psi serves both subsystems
+    coords = pure_extended_coordinates(psi, _apply(hamiltonian.matrix, psi))
     values = []
-    for subsystem in SUBSYSTEMS:
-        ext = extended_coordinates(rho, rho_dot, subsystem)
+    for row in range(len(SUBSYSTEMS)):
+        ext = coords[..., row, :]
         check_extended_coordinates(ext)
         values.append(ext[..., 2] * _rotation_frequency(ext))
     return tuple(values)

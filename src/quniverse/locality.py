@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core
 from .core import COORD_NAMES, ConfigRep
-from .dynamics import extended_coordinates, rho_and_derivative
+from .dynamics import pure_extended_coordinates
 
 __all__ = [
     "JacobianEvaluationError",
@@ -91,21 +91,21 @@ def rep_observables(x) -> np.ndarray:
     """All 14 audited quantities in system row order.
 
     Rows 0-5 are the extended state of A, 6-11 that of B, row 12 the
-    moduli norm and row 13 the mean energy ``<psi|H|psi>`` through
-    :func:`quniverse.core.expectation`; one shared evaluation of
-    ``(rho, rho_dot)`` serves both extended states, through the same
-    formula as :func:`quniverse.dynamics.extended_state`.
+    moduli norm and row 13 the mean energy ``<psi|H|psi>``.  One product
+    ``H psi`` serves all three: both extended states are read through
+    :func:`quniverse.dynamics.pure_extended_coordinates`, the formula of
+    :func:`quniverse.dynamics.extended_state`, and the energy is
+    :func:`quniverse.core.expectation`'s ``vecdot(psi, H psi)``.
     Broadcasts over leading axes: a ``(..., 19)`` stack gives ``(..., 14)``,
     and each row of a stack is bitwise the row of its own 19-vector.
     """
     x = np.asarray(x, dtype=float)
     psi, matrix = _psi_and_matrix(x)
-    rho, rho_dot = rho_and_derivative(psi, matrix)
+    hpsi = core._apply(matrix, psi)
     out = np.empty(x.shape[:-1] + (14,))
-    out[..., 0:6] = extended_coordinates(rho, rho_dot, "A")
-    out[..., 6:12] = extended_coordinates(rho, rho_dot, "B")
+    out[..., 0:12] = pure_extended_coordinates(psi, hpsi).reshape(x.shape[:-1] + (12,))
     out[..., 12] = rep_norm_sq(x)
-    out[..., 13] = core.expectation(psi, matrix).real
+    out[..., 13] = np.vecdot(psi, hpsi).real
     return out
 
 
@@ -390,9 +390,9 @@ def run_experiment(
     and checked as one ``(m, 19)`` array per chunk of :data:`AUDIT_CHUNK`
     and audited through one stacked Jacobian evaluation and one stacked
     least-squares solve each (bitwise what :func:`solve_least_squares`
-    gives one sample); a
-    :class:`ConfigRep` is built only for the samples ``keep_samples``
-    keeps.  A residual is judged relative to the request,
+    gives one sample).  Failures, verdicts and kept residuals are read off
+    each chunk's residual vector; a :class:`ConfigRep` is built, one sample
+    at a time, only for the samples ``keep_samples`` keeps.  A residual is judged relative to the request,
     ``||A dx - b|| / |delta_e|``, because it scales with ``delta_e``.
     Samples whose evaluation turns non-finite are recorded in
     ``failed_indices`` and excluded from ``n_solvable`` rather than
@@ -402,7 +402,7 @@ def run_experiment(
         raise ValueError(f"n must be at least 1, got {n!r}")
     rhs = _energy_rhs(14, delta_e)
     scale = abs(float(delta_e))
-    residuals = []
+    residual_chunks = []
     failed = []
     samples = []
     n_solvable = 0
@@ -413,30 +413,31 @@ def run_experiment(
             matrices, evaluated = _chunk_matrices(coords, h_step)
             chunk_residuals = np.full(len(coords), np.nan)
             chunk_residuals[evaluated] = _solve_stack(matrices[evaluated], rhs)[1] / scale
-            for index, x, residual in zip(indices, coords, chunk_residuals.tolist()):
-                if not np.isfinite(residual):
-                    failed.append(index)
-                    continue
-                solvable = bool(residual < threshold)
-                n_solvable += int(solvable)
-                residuals.append(residual)
-                if keep_samples:
+            finite = np.isfinite(chunk_residuals)
+            failed.extend(indices[row] for row in np.flatnonzero(~finite).tolist())
+            kept = chunk_residuals[finite]
+            n_solvable += int(np.count_nonzero(kept < threshold))
+            residual_chunks.append(kept)
+            if keep_samples:
+                for row in np.flatnonzero(finite).tolist():
+                    residual = float(chunk_residuals[row])
                     samples.append(
                         SampleResult(
-                            index=index,
-                            rep=ConfigRep.from_array(x),
+                            index=indices[row],
+                            rep=ConfigRep.from_array(coords[row]),
                             residual_norm=residual,
-                            solvable=solvable,
+                            solvable=bool(residual < threshold),
                         )
                     )
+    residuals = np.concatenate(residual_chunks)
     return SolvabilityReport(
         n_samples=n,
         h_step=float(h_step),
         threshold=float(threshold),
         seed=int(seed),
         n_solvable=n_solvable,
-        max_residual=float(np.max(residuals)) if residuals else None,
-        median_residual=float(np.median(residuals)) if residuals else None,
+        max_residual=float(np.max(residuals)) if residuals.size else None,
+        median_residual=float(np.median(residuals)) if residuals.size else None,
         failed_indices=tuple(failed),
         samples=tuple(samples) if keep_samples else None,
     )

@@ -404,3 +404,39 @@ def test_verify_empty_suite_selection_is_usage_error(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "--suite", "core,quantum"]) == 2
     assert "unknown suites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3"],
+    ["simulate"],
+    ["verify", "--suite", "core"],
+], ids=["sample", "simulate", "verify"])
+def test_unwritable_out_is_one_line_usage_error(argv, tmp_path, capsys, monkeypatch):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("the audit ran before the output path was checked")
+
+    monkeypatch.setattr(locality, "run_experiment", no_audit)
+    out = tmp_path / "missing" / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output file: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "1e308"],
+    ["--omega-a", "1e308", "--omega-b", "1e308"],
+    ["--t-max", "1e308"],
+    ["--lambda-re", "1e300"],
+], ids=["alpha", "gaps", "t-max", "lambda-re"])
+def test_simulate_overflowing_parameters_are_one_line_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot simulate these parameters: ")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -210,3 +210,40 @@ def test_rho_dot_is_the_hermitian_commutator(parts, entries, angle, size):
     assert np.all(np.abs(turned - rho_dot) <= 1e-14 * scale)
     for i in range(size):
         assert dynamics.rho_and_derivative(psi[i], matrix[i])[1].tobytes() == rho_dot[i].tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "rho-dot-sign"])
+def test_pure_extended_coordinates_equal_the_matrix_route_bitwise(sign):
+    # half the points displaced off the sphere, as finite-difference points are
+    rng = np.random.default_rng(31)
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(60)])
+    x[::2] += rng.normal(0.0, 1e-2, x[::2].shape)
+    psi = x[:, :4] * np.exp(1j * x[:, 4:8])
+    matrix = core.hamiltonian_matrix(x[:, 8], x[:, 9], x[:, 10:].reshape(-1, 3, 3))
+    hpsi = (matrix @ psi[..., None])[..., 0]
+    token = dynamics.RHO_DOT_SIGN.set(sign)
+    try:
+        rho, rho_dot = dynamics.rho_and_derivative(psi, matrix)
+        lean = dynamics.pure_extended_coordinates(psi, hpsi)
+        observables = locality.rep_observables(x)
+        points = [dynamics.pure_extended_coordinates(p, h) for p, h in zip(psi, hpsi)]
+        nested = dynamics.pure_extended_coordinates(psi.reshape(3, 20, 4), hpsi.reshape(3, 20, 4))
+    finally:
+        dynamics.RHO_DOT_SIGN.reset(token)
+    # the full 4x4 matrices, written out as outer products
+    a = (sign * -1j) * hpsi[:, :, None] * psi[:, None, :].conj()
+    assert rho.tobytes() == (psi[:, :, None] * psi[:, None, :].conj()).tobytes()
+    assert rho_dot.tobytes() == (a + a.conj().swapaxes(-1, -2)).tobytes()
+    expected = np.stack(
+        [dynamics.extended_coordinates(rho, rho_dot, s) for s in dynamics.SUBSYSTEMS], axis=-2
+    )
+    assert lean.shape == (60, 2, 6)
+    assert lean.tobytes() == expected.tobytes()
+    assert np.stack(points).tobytes() == lean.tobytes()
+    assert nested.tobytes() == lean.tobytes()
+    assert observables[:, :12].tobytes() == expected.reshape(60, 12).tobytes()
+    assert observables[:, 13].tobytes() == core.expectation(psi, matrix).real.tobytes()
+    # the fault enters once: it flips the derivative rows and nothing else
+    plain = dynamics.pure_extended_coordinates(psi, hpsi)
+    assert np.array_equal(lean[..., :3], plain[..., :3])
+    assert np.array_equal(lean[..., 3:], sign * plain[..., 3:])

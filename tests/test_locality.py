@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quniverse import core, dynamics, locality, verification
 from shared_checks import shared_check
@@ -503,3 +504,42 @@ def test_transported_solutions_satisfy_tangent_system():
         transported = locality.transport_solution(solution, rep)
         matrix, rhs = locality.build_tangent_system(rep)
         assert np.linalg.norm(matrix @ transported - rhs) < 1e-8
+
+
+# moduli, phases, then gaps and couplings, off the sphere and out of range too
+_RAW_COORDS = st.tuples(
+    arrays(float, 4, elements=st.floats(-2.0, 2.0)),
+    arrays(float, 4, elements=st.floats(0.0, 2.0 * np.pi)),
+    arrays(float, 11, elements=st.floats(-2.0, 2.0)),
+).map(np.concatenate)
+
+
+def _audit_scale(x):
+    # every row is at most quadratic in the amplitudes and linear in H
+    matrix = core.hamiltonian_matrix(x[8], x[9], x[10:].reshape(3, 3))
+    return locality.rep_norm_sq(x) * max(1.0, np.linalg.norm(matrix, ord=2))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(x=_RAW_COORDS)
+def test_relabeling_swaps_the_two_extended_states(x):
+    # psi[2a + b] -> psi[2b + a], omega_a <-> omega_b, h -> h^T is the A <-> B swap
+    swapped = x.copy()
+    swapped[0:4] = x[[0, 2, 1, 3]]
+    swapped[4:8] = x[[4, 6, 5, 7]]
+    swapped[8:10] = x[[9, 8]]
+    swapped[10:] = x[10:].reshape(3, 3).T.ravel()
+    before = locality.rep_observables(x)
+    after = locality.rep_observables(swapped)
+    expected = np.concatenate([before[6:12], before[0:6], before[12:]])
+    assert np.all(np.abs(after - expected) <= 1e-14 * _audit_scale(x))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(x=_RAW_COORDS, angle=st.floats(0.0, 2.0 * np.pi))
+def test_global_phase_leaves_every_audited_row_unchanged(x, angle):
+    turned = x.copy()
+    turned[4:8] += angle
+    before = locality.rep_observables(x)
+    after = locality.rep_observables(turned)
+    assert np.all(np.abs(after - before) <= 1e-14 * _audit_scale(x))
