@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 import numpy as np
@@ -44,7 +46,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose own errors (a bad flag value, say) are usage errors."""
+    """Argument parser whose own errors (a bad flag value, say) are usage errors,
+    and which reads ``-1e-3`` as a negative number, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows only -digits and -digits.digits
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise UsageError(message)
@@ -167,16 +175,25 @@ def _open_out(path: str):
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = _merge(args, _SAMPLE_KEYS)
+    created = not os.path.exists(params["out"])
     # opened first, so that an unwritable path fails before the audit runs
     with _open_out(params["out"]) as handle:
-        report = locality.run_experiment(
-            n=params["n"],
-            seed=params["seed"],
-            h_step=params["h_step"],
-            threshold=params["threshold"],
-            delta_e=params["delta_e"],
-            keep_samples=params["per_sample"],
-        )
+        try:
+            report = locality.run_experiment(
+                n=params["n"],
+                seed=params["seed"],
+                h_step=params["h_step"],
+                threshold=params["threshold"],
+                delta_e=params["delta_e"],
+                keep_samples=params["per_sample"],
+            )
+        except ValueError as exc:
+            # an --h-step that fails the central-difference oracle; the empty
+            # report goes if this run created it
+            handle.close()
+            if created:
+                os.remove(params["out"])
+            raise UsageError(str(exc)) from exc
         payload = report.to_json_dict(per_sample=params["per_sample"])
         handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(

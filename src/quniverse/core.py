@@ -353,13 +353,22 @@ def mean_energies(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Real :func:`expectation` values of a ``(..., 4)`` stack, as ``(...)`` floats.
 
     Raises ``ValueError`` on the first row whose value has an imaginary
-    part above 1e-12.
+    part above ``1e-12 ||M||_F |psi|^2``.  That product bounds the value, so
+    the test is relative: rounding alone stays near ``eps`` of it for a
+    Hermitian ``M``, at any scale of the parameters.  A row whose product
+    cannot be formed, because the squared entries of ``M`` overflow (entries
+    above about 1e154), cannot be judged and raises too.
     """
     values = expectation(psi, matrix)
-    row = _first_row(np.abs(values.imag) > 1e-12)
-    if row is not None:
-        raise ValueError(f"mean energy came out non-real: {complex(values[row])!r}")
-    return values.real
+    entries = matrix.reshape(matrix.shape[:-2] + (16,))
+    with np.errstate(over="ignore"):  # an overflowing scale is reported below
+        scale = np.sqrt(np.vecdot(entries, entries).real) * np.vecdot(psi, psi).real
+    row = _first_row(np.isinf(scale) | (np.abs(values.imag) > 1e-12 * scale))
+    if row is None:
+        return values.real
+    if np.isinf(np.broadcast_to(scale, values.shape)[row]):
+        raise ValueError(f"mean energy out of range: ||H||_F |psi|^2 overflows at {complex(values[row])!r}")
+    raise ValueError(f"mean energy came out non-real: {complex(values[row])!r}")
 
 
 def mean_energy(config: Configuration) -> float:

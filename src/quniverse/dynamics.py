@@ -9,7 +9,8 @@ trace; for a pure state the commutator needs no 4x4 product, only
 The extended-state records read column 1 of each reduced matrix, which
 sums 8 entries of ``rho`` and of ``rho_dot``; :func:`pure_extended_coordinates`
 forms only those, and :func:`rho_and_derivative` all 16, through one entry
-formula.  A central-difference route through the propagator is kept as an
+formula, which :func:`pure_extended_tangent` also differentiates exactly.
+A central-difference route through the propagator is kept as an
 independent oracle for tests.
 """
 
@@ -34,6 +35,7 @@ __all__ = [
     "partial_trace",
     "propagate",
     "pure_extended_coordinates",
+    "pure_extended_tangent",
     "rho_and_derivative",
     "rho_dot_local",
     "trajectory",
@@ -195,6 +197,31 @@ def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -
 _VIEWS = np.array([0, 1, 2, 3, 0, 2, 1, 3, 4, 5, 6, 7, 4, 6, 5, 7])
 
 
+def _views(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
+    """``[psi or phi, subsystem, kept, traced, points]`` views of ``(..., 4)`` amplitudes.
+
+    Transposed, so the points are the last axes and every product loops
+    over them.
+    """
+    amps = np.concatenate([psi, _rates(hpsi)], axis=-1).T
+    return amps[_VIEWS].reshape((2, 2, 2, 2) + amps.shape[1:])
+
+
+def _pack(entries: np.ndarray, lead: tuple) -> np.ndarray:
+    """``(lead, 2, 6)`` records from the entries ``(k t, 1 t)`` of each view.
+
+    Their sum over ``t`` gives rows ``(c, p1)`` of column 1 of each reduced
+    matrix, ``[rho or rho_dot, subsystem, k, points]``.
+    """
+    columns = entries[:, :, :, 0] + entries[:, :, :, 1]
+    out = np.empty(lead + (2, 2, 3))
+    # (re c, im c, re p1) of the state, then of its derivative
+    out.T[0] = columns[:, :, 0].real
+    out.T[1] = columns[:, :, 0].imag
+    out.T[2] = columns[:, :, 1].real
+    return out.reshape(lead + (2, 6))
+
+
 def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     """Extended coordinates of both subsystems of pure states, from ``psi`` and ``H psi``.
 
@@ -206,21 +233,28 @@ def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     ``hpsi`` is ``(H @ psi[..., None])[..., 0]`` with ``H`` Hermitian, of
     the shape ``(..., 4)`` of ``psi``; no validation, and any leading axes.
     """
-    lead = psi.shape[:-1]
-    # transposed, so the points are the last axes and every product loops over them
-    amps = np.concatenate([psi, _rates(hpsi)], axis=-1).T
-    # [psi or phi, subsystem, kept, traced, points]
-    rows = amps[_VIEWS].reshape((2, 2, 2, 2) + amps.shape[1:])
-    # entries (k t, 1 t) of each view, then their sum over t: rows (c, p1) of
-    # column 1 of each reduced matrix, [rho or rho_dot, subsystem, k, points]
-    entries = _entries(rows, rows[0, :, 1:], rows[1, :, 1:])
-    columns = entries[:, :, :, 0] + entries[:, :, :, 1]
-    out = np.empty(lead + (2, 2, 3))
-    # (re c, im c, re p1) of the state, then of its derivative
-    out.T[0] = columns[:, :, 0].real
-    out.T[1] = columns[:, :, 0].imag
-    out.T[2] = columns[:, :, 1].real
-    return out.reshape(lead + (2, 6))
+    rows = _views(psi, hpsi)
+    return _pack(_entries(rows, rows[0, :, 1:], rows[1, :, 1:]), psi.shape[:-1])
+
+
+def pure_extended_tangent(psi, hpsi, dpsi, dhpsi) -> np.ndarray:
+    """Derivative of :func:`pure_extended_coordinates` along ``(dpsi, d(H psi))``.
+
+    ``dpsi`` and ``dhpsi`` are ``(..., 4)`` tangents of ``psi`` and of
+    ``H psi`` (for ``H`` Hermitian along the path, ``d(H psi) = H dpsi +
+    dH psi``); ``psi`` and ``hpsi`` have as many axes and broadcast against
+    them through axes of size 1.  Returns the
+    ``(..., 2, 6)`` derivatives of both records, exact up to rounding.  Each
+    entry is bilinear in its row and column operands, so its derivative is
+    the same entry formula applied twice, once to the differentiated rows
+    and once to the differentiated columns; the fault sign enters through
+    ``phi`` and ``dphi`` alike.
+    """
+    lead = np.broadcast_shapes(np.shape(psi), np.shape(dpsi))[:-1]
+    rows, drows = _views(psi, hpsi), _views(dpsi, dhpsi)
+    entries = _entries(drows, rows[0, :, 1:], rows[1, :, 1:])
+    entries += _entries(rows, drows[0, :, 1:], drows[1, :, 1:])
+    return _pack(entries, lead)
 
 
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Solvability audit: can the mean energy move while both reduced records stay put?
 
 For a sampled interior representation ``X0`` the audit stacks the
-central-difference Jacobians of the two six-coordinate extended states, of
-the moduli norm ``sum R_k^2`` and of the mean energy into a 14x19 linear
-system whose right-hand side asks for a pure energy increment.  A solution
-is a direction in coordinate space that changes the mean energy at first
-order while leaving both extended states (and the norm constraint)
-unchanged, which rules out reconstructing the energy from those records
-alone.  ``run_experiment`` repeats the audit over seeded samples, in
-chunks that share one kernel call for all their displaced points and one
-SVD for all their systems, and aggregates the residual norms relative to
-the requested increment.
+Jacobians of the two six-coordinate extended states, of the moduli norm
+``sum R_k^2`` and of the mean energy into a 14x19 linear system whose
+right-hand side asks for a pure energy increment.  A solution is a
+direction in coordinate space that changes the mean energy at first order
+while leaving both extended states (and the norm constraint) unchanged,
+which rules out reconstructing the energy from those records alone.
+``run_experiment`` repeats the audit over seeded samples, in chunks that
+share one exact forward-mode Jacobian evaluation (``audit_jacobian``) and
+one SVD, and aggregates the residual norms relative to the requested
+increment.  The central-difference route (``numerical_jacobian``,
+``build_system``) stays as the oracle it is checked against.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -27,13 +28,15 @@ import numpy as np
 
 from . import core
 from .core import COORD_NAMES, ConfigRep
-from .dynamics import pure_extended_coordinates
+from .dynamics import pure_extended_coordinates, pure_extended_tangent
 
 __all__ = [
+    "FD_ORACLE_TOL",
     "JacobianEvaluationError",
     "SAMPLER_ID",
     "SampleResult",
     "SolvabilityReport",
+    "audit_jacobian",
     "build_system",
     "build_tangent_system",
     "hyperspherical_backward",
@@ -53,12 +56,17 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 #: solutions must be tangent to the moduli sphere to transport
 TANGENCY_TOL = 1e-9
 
-#: samples per stacked Jacobian evaluation in :func:`run_experiment`.  The
-#: report does not depend on it.  The 38 displaced copies of a chunk go
-#: through one kernel call (608 points at 16), whose temporaries grow with
-#: it: a 5000-sample audit took 1 s calibrated at 8 and 0.74-0.78 s from 16
-#: to 64, while its peak RSS rose by 0.4 MB at 16 and 3.5 MB at 64.
+#: samples per exact Jacobian evaluation and per stacked SVD in
+#: :func:`run_experiment`.  The report does not depend on it.  A 5000-sample
+#: audit took 0.54 s of CPU at 8, 0.41 s at 16, 0.39 s at 32 and 0.45 s at
+#: 64 (one BLAS thread, 2-vCPU Xeon VM).
 AUDIT_CHUNK = 16
+
+
+#: largest entrywise difference :func:`run_experiment` allows between the
+#: exact audit matrix and its central-difference oracle at ``h_step``; the
+#: two agree to 5.8e-10 at the default step 1e-6
+FD_ORACLE_TOL = 1e-8
 
 
 class JacobianEvaluationError(RuntimeError):
@@ -107,6 +115,52 @@ def rep_observables(x) -> np.ndarray:
     out[..., 12] = rep_norm_sq(x)
     out[..., 13] = np.vecdot(psi, hpsi).real
     return out
+
+
+# H is linear in (omega_a, omega_b, h): its derivative along each of those 11
+# coordinates is the Hamiltonian of one unit vector, [coordinate - 8, row, column]
+_UNIT_HAMILTONIANS = core.hamiltonian_matrix(*np.eye(11)[:, :2].T, np.eye(11)[:, 2:].reshape(11, 3, 3))
+_UNIT_HAMILTONIANS.setflags(write=False)
+
+
+def audit_jacobian(x) -> np.ndarray:
+    """Exact Jacobian of :func:`rep_observables`: ``(..., 19)`` coordinates give ``(..., 14, 19)``.
+
+    Forward mode, with no step: one ``H psi`` per point, and the tangents of
+    ``psi`` and ``H psi`` along the 19 coordinates.  Along ``R_k`` and
+    ``theta_k`` only ``psi_k`` moves, by ``e^{i theta_k}`` and by
+    ``i psi_k``, so ``d(H psi)`` is column ``k`` of ``H`` times that; along
+    a gap or a coupling only ``H`` moves, by a constant unit Hamiltonian.
+    Rows 0-11 read the tangents through
+    :func:`quniverse.dynamics.pure_extended_tangent`, the derivative of the
+    records' own formula; row 12 is ``2 R`` and row 13 the derivative of
+    ``Re vecdot(psi, H psi)``.  No validation; each point's matrix is
+    computed from its own coordinates alone, and a non-finite coordinate
+    gives a non-finite matrix.
+    """
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    x = x.reshape(-1, 19)
+    psi, matrix = _psi_and_matrix(x)
+    hpsi = core._apply(matrix, psi)
+    # tangents along the 19 coordinates, [point, coordinate, amplitude]
+    k = np.arange(4)
+    phase = np.exp(1j * x[:, 4:8])
+    turned = 1j * psi
+    dpsi = np.zeros((len(x), 19, 4), dtype=complex)
+    dpsi[:, k, k] = phase
+    dpsi[:, 4 + k, k] = turned
+    dhpsi = np.empty_like(dpsi)
+    columns = matrix.swapaxes(-1, -2)
+    dhpsi[:, 0:4] = columns * phase[:, :, None]
+    dhpsi[:, 4:8] = columns * turned[:, :, None]
+    dhpsi[:, 8:] = core._apply(_UNIT_HAMILTONIANS, psi[:, None])
+    jac = np.zeros((len(x), 14, 19))
+    records = pure_extended_tangent(psi[:, None], hpsi[:, None], dpsi, dhpsi)
+    jac[:, :12] = records.reshape(-1, 19, 12).swapaxes(-1, -2)
+    jac[:, 12, k] = 2.0 * x[:, :4]
+    jac[:, 13] = (np.vecdot(dpsi, hpsi[:, None]) + np.vecdot(psi[:, None], dhpsi)).real
+    return jac.reshape(lead + (14, 19))
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +405,18 @@ class SolvabilityReport:
         return out
 
 
-def _chunk_matrices(coords: np.ndarray, h_step: float):
-    """Audit matrices of an ``(m, 19)`` chunk and the mask of samples evaluated.
-
-    Returns ``(matrices, evaluated)``: the ``(m, 14, 19)`` stack and a
-    boolean ``(m,)`` mask; a sample whose evaluation turned non-finite is
-    ``False`` and its matrix is meaningless.
-    """
+def _check_oracle(x0: np.ndarray, exact: np.ndarray, h_step: float) -> None:
+    """Raise ``ValueError`` unless ``build_system(x0, h_step)`` is within
+    :data:`FD_ORACLE_TOL` of the exact audit matrix ``exact`` at ``x0``."""
+    failed = f"h_step {h_step:g} fails the central-difference oracle"
     try:
-        matrices = build_system(coords, h_step)[0]
-        return matrices, np.ones(len(coords), dtype=bool)
-    except JacobianEvaluationError:
-        pass
-    # one bad sample spoils the stacked call; redo the chunk point by point
-    matrices = np.zeros((len(coords), 14, 19))
-    evaluated = np.zeros(len(coords), dtype=bool)
-    for row, x in enumerate(coords):
-        try:
-            matrices[row] = build_system(x, h_step)[0]
-            evaluated[row] = True
-        except JacobianEvaluationError:
-            pass
-    return matrices, evaluated
+        oracle = build_system(x0[None], h_step)[0][0]
+    except JacobianEvaluationError as exc:
+        raise ValueError(f"{failed}: {exc}") from None
+    difference = float(np.max(np.abs(oracle - exact)))
+    if not difference <= FD_ORACLE_TOL:
+        raise ValueError(f"{failed}: it misses the exact Jacobian by {difference:.3g}, "
+                         f"above {FD_ORACLE_TOL:g}")
 
 
 def run_experiment(
@@ -388,15 +432,22 @@ def run_experiment(
     Each sample draws from its own substream ``(seed, index)``, so the
     report is identical however the loop is scheduled; samples are drawn
     and checked as one ``(m, 19)`` array per chunk of :data:`AUDIT_CHUNK`
-    and audited through one stacked Jacobian evaluation and one stacked
-    least-squares solve each (bitwise what :func:`solve_least_squares`
-    gives one sample).  Failures, verdicts and kept residuals are read off
-    each chunk's residual vector; a :class:`ConfigRep` is built, one sample
-    at a time, only for the samples ``keep_samples`` keeps.  A residual is judged relative to the request,
-    ``||A dx - b|| / |delta_e|``, because it scales with ``delta_e``.
-    Samples whose evaluation turns non-finite are recorded in
+    and audited through one exact Jacobian evaluation
+    (:func:`audit_jacobian`) and one stacked least-squares solve each
+    (bitwise what :func:`solve_least_squares` gives one sample).  Failures,
+    verdicts and kept residuals are read off each chunk's residual vector;
+    a :class:`ConfigRep` is built, one sample at a time, only for the
+    samples ``keep_samples`` keeps.  A residual is judged relative to the
+    request, ``||A dx - b|| / |delta_e|``, because it scales with
+    ``delta_e``.  Samples whose matrix turns non-finite are recorded in
     ``failed_indices`` and excluded from ``n_solvable`` rather than
-    aborting the run; numpy's overflow warnings for them are silenced.
+    aborting the run; numpy's overflow and invalid-value warnings are
+    silenced.
+
+    ``h_step`` is the step of a central-difference oracle run once, on the
+    first sample (skipped if that sample failed): if :func:`build_system`
+    at that step misses the exact matrix by more than
+    :data:`FD_ORACLE_TOL`, or turns non-finite, ``ValueError`` is raised.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
@@ -410,7 +461,10 @@ def run_experiment(
         for start in range(0, n, AUDIT_CHUNK):
             indices = range(start, min(start + AUDIT_CHUNK, n))
             coords = _draw_chunk(seed, indices)
-            matrices, evaluated = _chunk_matrices(coords, h_step)
+            matrices = audit_jacobian(coords)
+            evaluated = np.all(np.isfinite(matrices), axis=(1, 2))
+            if start == 0 and evaluated[0]:
+                _check_oracle(coords[0], matrices[0], h_step)
             chunk_residuals = np.full(len(coords), np.nan)
             chunk_residuals[evaluated] = _solve_stack(matrices[evaluated], rhs)[1] / scale
             finite = np.isfinite(chunk_residuals)

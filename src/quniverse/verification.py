@@ -300,6 +300,12 @@ def _audit_and_chart(rng, n):
     return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
 
+@_check("locality", 10, ("exact audit Jacobian matches central differences", locality.FD_ORACLE_TOL))
+def _exact_jacobian(rng, n):
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    return _dist(locality.audit_jacobian(x), locality.build_system(x)[0])
+
+
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:
     """``(label, error, tolerance)`` of each case of one check, which passes
     when ``error < tolerance``; ``n`` defaults to the count in ``verify``."""

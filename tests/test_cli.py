@@ -76,18 +76,33 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_sample_all_failed_report_is_strict_json(tmp_path, capsys):
-    # a step of 1e300 overflows every displaced evaluation
+def test_sample_all_failed_report_is_strict_json(tmp_path, capsys, monkeypatch):
+    # an engine whose every matrix is non-finite fails every sample
+    monkeypatch.setattr(locality, "audit_jacobian", lambda x: np.full((len(x), 14, 19), np.nan))
     out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["sample", "--n", "20", "--seed", "0", "--h-step", "1e300", "--out", str(out)])
+        code = main(["sample", "--n", "20", "--seed", "0", "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert report["failed_indices"] == list(range(20))
     assert report["n_solvable"] == 0
     assert report["max_residual"] is None and report["median_residual"] is None
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("h_step", ["1e100", "1e300"])
+def test_sample_step_that_fails_the_oracle_is_one_line_usage_error(h_step, tmp_path, capsys):
+    # 1e100 used to report 40/40 solvable from matrices that were not the Jacobian
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sample", "--n", "40", "--seed", "2", "--h-step", h_step, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: h_step ") and "central-difference oracle" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sample_output_is_byte_identical(tmp_path):
@@ -440,3 +455,35 @@ def test_simulate_overflowing_parameters_are_one_line_usage_errors(argv, tmp_pat
     assert err.startswith("error: cannot simulate these parameters: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lambda-re"],
+    ["simulate", "--lambda-im"],
+    ["simulate", "--delta"],
+    ["simulate", "--alpha"],
+    ["sample", "--n", "3", "--delta-e"],
+], ids=["lambda-re", "lambda-im", "delta", "alpha", "delta-e"])
+def test_negative_value_in_exponent_notation_is_a_number(argv, tmp_path):
+    # argparse alone reads -1e-3 as an option and the flag as missing its value
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(argv + ["-1e-3", "--out", str(spaced)]) == 0
+    assert main(argv[:-1] + [argv[-1] + "=-1e-3", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega-a", "1e5"],
+    ["--omega-a", "1e6"],
+    ["--lambda-re", "1e5"],
+], ids=["omega-a-1e5", "omega-a-1e6", "lambda-re-1e5"])
+def test_simulate_large_parameters_give_real_mean_energies(argv, tmp_path):
+    # rounding alone left an imaginary part above an absolute 1e-12 here
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--n-steps", "50"] + argv + ["--out", str(out)]) == 0
+    rows = _read_csv(out)
+    means = _column(rows, "mean_h")
+    assert len(means) == 51
+    assert np.max(np.abs(means - means[0])) <= 1e-12 * abs(means[0])

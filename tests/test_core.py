@@ -168,6 +168,26 @@ def test_mean_energies_reject_a_non_real_row():
         core.mean_energies(psi, skew)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+def test_mean_energies_judge_the_imaginary_part_relative_to_the_scale(scale):
+    # rounding grows with the energy; a skew part of 1e-9 of ||H|| is no rounding
+    configs = [core.rep_to_config(locality.sample_interior_rep(s)) for s in range(20)]
+    psi = np.stack([c.state.psi for c in configs])
+    matrix = scale * np.stack([c.hamiltonian.matrix for c in configs])
+    values = core.mean_energies(psi, matrix)
+    assert np.allclose(values, scale * core.mean_energies(psi, matrix / scale), rtol=1e-14, atol=0)
+    skewed = matrix.copy()
+    skewed[7, 0, 0] += 1e-9j * np.linalg.norm(skewed[7])
+    with pytest.raises(ValueError, match="mean energy came out non-real"):
+        core.mean_energies(psi, skewed)
+
+
+def test_mean_energies_reject_an_overflowing_scale():
+    matrix = np.diag([1e300, 0.0, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="mean energy out of range"):
+        core.mean_energies(_valid_states(3, seed=42), matrix)
+
+
 def test_config_equal_rejects_gap_change():
     rep = locality.sample_interior_rep(3)
     a = core.rep_to_config(rep)

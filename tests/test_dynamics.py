@@ -247,3 +247,29 @@ def test_pure_extended_coordinates_equal_the_matrix_route_bitwise(sign):
     plain = dynamics.pure_extended_coordinates(psi, hpsi)
     assert np.array_equal(lean[..., :3], plain[..., :3])
     assert np.array_equal(lean[..., 3:], sign * plain[..., 3:])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "rho-dot-sign"])
+def test_pure_extended_tangent_is_the_derivative_of_the_reader(sign):
+    # the records are quadratic along psi + t dpsi, H psi + t d(H psi), so
+    # central differences there carry rounding alone, whatever the step
+    rng = np.random.default_rng(33)
+    psi, hpsi, dpsi, dhpsi = rng.normal(size=(4, 50, 4)) + 1j * rng.normal(size=(4, 50, 4))
+    step = 0.25
+    token = dynamics.RHO_DOT_SIGN.set(sign)
+    try:
+        tangent = dynamics.pure_extended_tangent(psi, hpsi, dpsi, dhpsi)
+        shared = dynamics.pure_extended_tangent(psi[:1], hpsi[:1], dpsi, dhpsi)
+        singles = [dynamics.pure_extended_tangent(psi[0], hpsi[0], dpsi[i], dhpsi[i]) for i in (0, 17)]
+        plus = dynamics.pure_extended_coordinates(psi + step * dpsi, hpsi + step * dhpsi)
+        minus = dynamics.pure_extended_coordinates(psi - step * dpsi, hpsi - step * dhpsi)
+    finally:
+        dynamics.RHO_DOT_SIGN.reset(token)
+    assert tangent.shape == shared.shape == (50, 2, 6)
+    assert np.max(np.abs(tangent - (plus - minus) / (2.0 * step))) < 1e-12
+    # a base point broadcast against many tangents gives each tangent's own bits
+    assert [single.tobytes() for single in singles] == [shared[0].tobytes(), shared[17].tobytes()]
+    # the fault enters through phi and dphi alike: it flips the derivative rows only
+    plain = dynamics.pure_extended_tangent(psi, hpsi, dpsi, dhpsi)
+    assert np.array_equal(tangent[..., :3], plain[..., :3])
+    assert np.array_equal(tangent[..., 3:], sign * plain[..., 3:])

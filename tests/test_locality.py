@@ -13,6 +13,7 @@ test_jacobian_of_norm_row_matches_gradient = shared_check("norm_gradient", seed=
 test_jacobian_exact_on_linear_maps = shared_check("linear_map", seed=3, n=6)
 test_raw_route_ties_to_extended_state = shared_check("reduced_states", seed=21, n=25)
 test_run_experiment_is_deterministic = shared_check("audit_and_chart", seed=77, n=5)
+test_exact_jacobian_matches_central_differences = shared_check("exact_jacobian", seed=24, n=10)
 
 
 def test_sampler_is_bitwise_deterministic():
@@ -185,63 +186,65 @@ def test_stacked_evaluation_matches_points_bitwise():
         assert np.array_equal(rhs, point_rhs)
 
 
-def _exact_audit_jacobian(x):
-    """Forward-mode ``(m, 14, 19)`` Jacobian of ``rep_observables`` at an ``(m, 19)`` stack.
-
-    Tangents along the 19 coordinate directions: ``drho = dpsi psi^+ +
-    psi dpsi^+`` and ``drho_dot = -i([dH, rho] + [H, drho])``, read through
-    the linear ``extended_coordinates``; the norm row is ``2 R.dR`` and the
-    energy row ``2 Re(psi^+ H dpsi) + psi^+ dH psi``.
-    """
-    m = x.shape[0]
-    k = np.arange(4)
-    phase = np.exp(1j * x[:, 4:8])
-    psi = x[:, :4] * phase
-    matrix = core.hamiltonian_matrix(x[:, 8], x[:, 9], x[:, 10:].reshape(m, 3, 3))
-    dpsi = np.zeros((m, 19, 4), dtype=complex)
-    dpsi[:, k, k] = phase
-    dpsi[:, 4 + k, k] = 1j * psi
-    # H is linear in (omega_a, omega_b, h): its derivatives are H of unit vectors
-    unit = np.eye(11)
-    dmatrix = np.zeros((m, 19, 4, 4), dtype=complex)
-    dmatrix[:, 8:] = core.hamiltonian_matrix(unit[:, 0], unit[:, 1], unit[:, 2:].reshape(11, 3, 3))
-    psi, matrix = psi[:, None], matrix[:, None]
-    rho = psi[..., :, None] * psi[..., None, :].conj()
-    drho = dpsi[..., :, None] * psi[..., None, :].conj()
-    drho = drho + psi[..., :, None] * dpsi[..., None, :].conj()
-    drho_dot = -1j * (dmatrix @ rho - rho @ dmatrix + matrix @ drho - drho @ matrix)
-    jac = np.zeros((m, 19, 14))
-    jac[..., 0:6] = dynamics.extended_coordinates(drho, drho_dot, "A")
-    jac[..., 6:12] = dynamics.extended_coordinates(drho, drho_dot, "B")
-    jac[:, k, 12] = 2.0 * x[:, :4]
-    h_dpsi = (matrix @ dpsi[..., None])[..., 0]
-    dh_psi = (dmatrix @ psi[..., None])[..., 0]
-    jac[..., 13] = 2.0 * np.vecdot(psi, h_dpsi).real + np.vecdot(psi, dh_psi).real
-    return jac.transpose(0, 2, 1)
-
-
 def test_stacked_jacobian_matches_exact_oracle():
     x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
     matrices, _ = locality.build_system(x)
-    assert np.max(np.abs(matrices - _exact_audit_jacobian(x))) < 1e-8
+    assert np.max(np.abs(matrices - locality.audit_jacobian(x))) < 1e-8
 
 
-def test_failure_stays_with_its_sample_inside_a_chunk(monkeypatch):
-    # two poisoned samples, in the first and the second chunk: each chunk's
-    # stacked call fails, yet only those samples may be lost
-    n, bad = locality.AUDIT_CHUNK + 6, (5, locality.AUDIT_CHUNK + 2)
-    clean = locality.run_experiment(n=n, seed=31, keep_samples=True)
-    assert clean.failed_indices == ()
-    targets = [clean.samples[i].rep.to_array() for i in bad]
-    original = locality.rep_observables
+def _poison_engine(monkeypatch, targets):
+    """Make the exact engine return a NaN matrix at each of the coordinate vectors ``targets``."""
+    original = locality.audit_jacobian
 
     def poisoned(x):
         out = original(x)
         for target in targets:
-            out[np.max(np.abs(np.asarray(x) - target), axis=-1) < 1e-5] = np.nan
+            out[np.all(x == target, axis=-1)] = np.nan
         return out
 
-    monkeypatch.setattr(locality, "rep_observables", poisoned)
+    monkeypatch.setattr(locality, "audit_jacobian", poisoned)
+
+
+def test_exact_jacobian_rows_equal_their_own_points_bitwise():
+    x = locality._draw_chunk(14, range(40))
+    stacked = locality.audit_jacobian(x)
+    assert stacked.shape == (40, 14, 19)
+    assert locality.audit_jacobian(x.reshape(4, 10, 19)).tobytes() == stacked.tobytes()
+    for i in range(40):
+        assert locality.audit_jacobian(x[i]).tobytes() == stacked[i].tobytes()
+
+
+def test_run_experiment_audits_through_the_engine_with_one_oracle_call(monkeypatch):
+    calls = {"engine": 0, "oracle": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(locality, "audit_jacobian", counted("engine", locality.audit_jacobian))
+    monkeypatch.setattr(locality, "build_system", counted("oracle", locality.build_system))
+    report = locality.run_experiment(n=2 * locality.AUDIT_CHUNK + 1, seed=5)
+    assert report.n_solvable == report.n_samples
+    assert calls == {"engine": 3, "oracle": 1}
+
+
+@pytest.mark.parametrize("h_step", [1e100, 1e300, 1e-3, 1e-9])
+def test_run_experiment_rejects_a_step_that_fails_the_oracle(h_step):
+    # 1e100 differences sines of points far apart, 1e300 overflows, and 1e-3
+    # and 1e-9 carry truncation and rounding errors above the bound
+    with pytest.raises(ValueError, match="central-difference oracle"):
+        locality.run_experiment(n=3, seed=2, h_step=h_step)
+
+
+def test_failure_stays_with_its_sample_inside_a_chunk(monkeypatch):
+    # two poisoned samples, in the first and the second chunk: each chunk's
+    # stacked evaluation holds a NaN matrix, yet only those samples may be lost
+    n, bad = locality.AUDIT_CHUNK + 6, (5, locality.AUDIT_CHUNK + 2)
+    clean = locality.run_experiment(n=n, seed=31, keep_samples=True)
+    assert clean.failed_indices == ()
+    _poison_engine(monkeypatch, [clean.samples[i].rep.to_array() for i in bad])
     report = locality.run_experiment(n=n, seed=31, keep_samples=True)
     assert report.failed_indices == bad
     assert report.n_solvable == n - len(bad)
@@ -253,15 +256,7 @@ def test_per_sample_pairs_name_their_own_sample(monkeypatch):
     # after a failed sample, each later [index, residual] pair must still
     # carry that sample's index, not its position among the kept samples
     clean = locality.run_experiment(n=4, seed=31, keep_samples=True)
-    target = clean.samples[1].rep.to_array()
-    original = locality.rep_observables
-
-    def poisoned(x):
-        out = original(x)
-        out[np.max(np.abs(np.asarray(x) - target), axis=-1) < 1e-5] = np.nan
-        return out
-
-    monkeypatch.setattr(locality, "rep_observables", poisoned)
+    _poison_engine(monkeypatch, [clean.samples[1].rep.to_array()])
     report = locality.run_experiment(n=4, seed=31, keep_samples=True)
     assert report.failed_indices == (1,)
     residuals = [s.residual_norm for s in clean.samples]
@@ -354,7 +349,7 @@ def test_stacked_solve_cuts_the_exact_jacobian_at_rank_12():
     # far below lstsq's cutoff, so both solvers must drop them, and then
     # the solutions agree to rounding
     x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
-    matrices, rhs = _exact_audit_jacobian(x), locality._energy_rhs(14, 1.0)
+    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14, 1.0)
     solutions, residuals = locality._solve_stack(matrices, rhs)
     expected_solutions, expected, ranks = _lstsq_reference(matrices, rhs)
     assert ranks == [12] * 200
@@ -504,6 +499,32 @@ def test_transported_solutions_satisfy_tangent_system():
         transported = locality.transport_solution(solution, rep)
         matrix, rhs = locality.build_tangent_system(rep)
         assert np.linalg.norm(matrix @ transported - rhs) < 1e-8
+
+
+# inside the sampler's box, moduli normalized as it normalizes them
+_BOX_COORDS = st.tuples(
+    arrays(float, 4, elements=st.floats(0.05, 1.0)),
+    arrays(float, 4, elements=st.floats(0.0, 2.0 * np.pi)),
+    arrays(float, 2, elements=st.floats(0.05, 1.0)),
+    arrays(float, 9, elements=st.floats(-1.0, 1.0)),
+).map(lambda parts: np.concatenate([parts[0] / np.linalg.norm(parts[0]), *parts[1:]]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(x=_BOX_COORDS)
+def test_exact_jacobian_matches_central_differences_in_the_sampler_box(x):
+    exact = locality.audit_jacobian(x)
+    assert np.max(np.abs(exact - locality.build_system(x)[0])) < locality.FD_ORACLE_TOL
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(seed=st.integers(0, 2**64))
+def test_exact_jacobian_has_rank_12_on_sampled_points(seed):
+    # matrix_rank's default cutoff is _solve_stack's, eps * max(k, d) * s_1.
+    # Rank 12 holds almost surely, not everywhere in the box: at a product
+    # state with h = 0, (1, 1, 1, 1) / 2 with equal phases, it is 10.
+    exact = locality.audit_jacobian(locality.sample_interior_rep(seed).to_array())
+    assert np.linalg.matrix_rank(exact) == 12
 
 
 # moduli, phases, then gaps and couplings, off the sphere and out of range too
