@@ -136,6 +136,12 @@ CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
 #: ``(chunk, 4, 4)`` temporaries of the extended-state kernel
 SIMULATE_CHUNK = 512
 
+#: largest ``||H||_F t_max eps`` that ``simulate`` accepts.  It bounds the
+#: rounding, in radians, of the propagation phases ``E t``; far above it the
+#: phases, and so the trajectory, are noise.  The defaults give 1e-14, and
+#: ``--omega-a 1e6`` gives 6e-9.
+PHASE_ROUNDING_LIMIT = 1e-6
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -220,6 +226,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             initial = UniverseState(amplitudes / np.linalg.norm(amplitudes))
             states = dynamics.trajectory(initial, hamiltonian, times)
             table = _energy_table(iel.LAWS[params["law"]], times, states, hamiltonian)
+        phase_rounding = hamiltonian.frobenius_norm * params["t_max"] * np.finfo(float).eps
+        if not phase_rounding <= PHASE_ROUNDING_LIMIT:
+            raise ValueError(f"propagation phases rounded by up to ||H||_F t_max eps = "
+                             f"{phase_rounding:.3g} rad, above {PHASE_ROUNDING_LIMIT:g}")
     except ValueError as exc:
         raise UsageError(f"cannot simulate these parameters: {exc}") from exc
     undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
@@ -255,7 +265,7 @@ def _energy_table(law, times: np.ndarray, states: np.ndarray, hamiltonian) -> np
         rows = slice(start, start + SIMULATE_CHUNK)
         psi = states[rows]
         check_states(psi)
-        table[rows, 4] = mean_energies(psi, hamiltonian.matrix)
+        table[rows, 4] = mean_energies(psi, hamiltonian.matrix, hamiltonian.frobenius_norm)
         table[rows, 1], table[rows, 2] = law(psi, hamiltonian)
     table[:, 3] = table[:, 1] + table[:, 2]
     table[:, 5] = table[:, 3] - table[:, 4]

@@ -13,6 +13,7 @@ couplings) is the working currency of the solvability experiment; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,13 +214,19 @@ class HamiltonianSpec:
     """Total Hamiltonian: two positive gaps plus the 3x3 coupling table.
 
     The assembled 4x4 matrix is cached at construction and is Hermitian
-    exactly (entrywise equal to its conjugate transpose).
+    exactly (entrywise equal to its conjugate transpose), and so is its
+    Frobenius norm ``frobenius_norm``, the scale :func:`mean_energies`
+    judges against.  The bare part and the nine Pauli products are
+    orthogonal under the trace inner product, so ``||H||_F^2 = omega_a^2 +
+    omega_b^2 + (omega_a + omega_b)^2 + 4 sum h_jk^2``; in Python floats it
+    is ``inf``, without a warning, where that square overflows.
     """
 
     omega_a: float
     omega_b: float
     h: np.ndarray
     matrix: np.ndarray = field(init=False, repr=False)
+    frobenius_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         omega_a, omega_b, h = _validated_hamiltonian_params(self.omega_a, self.omega_b, self.h)
@@ -229,6 +236,9 @@ class HamiltonianSpec:
         object.__setattr__(
             self, "matrix", _frozen_array(hamiltonian_matrix(omega_a, omega_b, h), complex)
         )
+        bare = omega_a * omega_a + omega_b * omega_b + (omega_a + omega_b) * (omega_a + omega_b)
+        coupling = sum(v * v for v in h.ravel().tolist())
+        object.__setattr__(self, "frobenius_norm", math.sqrt(bare + 4.0 * coupling))
 
 
 def assemble_hamiltonian(omega_a: float, omega_b: float, h) -> HamiltonianSpec:
@@ -349,7 +359,7 @@ def expectation(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.vecdot(psi, _apply(matrix, psi))
 
 
-def mean_energies(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def mean_energies(psi: np.ndarray, matrix: np.ndarray, frobenius_norm=None) -> np.ndarray:
     """Real :func:`expectation` values of a ``(..., 4)`` stack, as ``(...)`` floats.
 
     Raises ``ValueError`` on the first row whose value has an imaginary
@@ -357,12 +367,16 @@ def mean_energies(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     the test is relative: rounding alone stays near ``eps`` of it for a
     Hermitian ``M``, at any scale of the parameters.  A row whose product
     cannot be formed, because the squared entries of ``M`` overflow (entries
-    above about 1e154), cannot be judged and raises too.
+    above about 1e154), cannot be judged and raises too.  ``frobenius_norm``
+    is ``||M||_F`` where the caller has it (a :class:`HamiltonianSpec`
+    caches it); otherwise it is formed here.
     """
     values = expectation(psi, matrix)
-    entries = matrix.reshape(matrix.shape[:-2] + (16,))
-    with np.errstate(over="ignore"):  # an overflowing scale is reported below
-        scale = np.sqrt(np.vecdot(entries, entries).real) * np.vecdot(psi, psi).real
+    if frobenius_norm is None:
+        entries = matrix.reshape(matrix.shape[:-2] + (16,))
+        with np.errstate(over="ignore"):  # an overflowing scale is reported below
+            frobenius_norm = np.sqrt(np.vecdot(entries, entries).real)
+    scale = frobenius_norm * np.vecdot(psi, psi).real
     row = _first_row(np.isinf(scale) | (np.abs(values.imag) > 1e-12 * scale))
     if row is None:
         return values.real
@@ -373,4 +387,5 @@ def mean_energies(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def mean_energy(config: Configuration) -> float:
     """Expectation value of the total Hamiltonian in the global state."""
-    return float(mean_energies(config.state.psi, config.hamiltonian.matrix))
+    hamiltonian = config.hamiltonian
+    return float(mean_energies(config.state.psi, hamiltonian.matrix, hamiltonian.frobenius_norm))

@@ -10,8 +10,13 @@ which rules out reconstructing the energy from those records alone.
 ``run_experiment`` repeats the audit over seeded samples, in chunks that
 share one exact forward-mode Jacobian evaluation (``audit_jacobian``) and
 one SVD, and aggregates the residual norms relative to the requested
-increment.  The central-difference route (``numerical_jacobian``,
-``build_system``) stays as the oracle it is checked against.
+increment.  Each sample has its own ``SeedSequence(entropy=seed,
+spawn_key=(index,))`` substream (``_substream``, the bitwise reference);
+a block of samples is drawn at once by ``_uniforms``, a vectorized
+re-derivation of numpy's SeedSequence -> PCG64 chain, so reports are
+byte-identical to drawing each sample from its own ``Generator``.  The
+central-difference route (``numerical_jacobian``, ``build_system``) stays
+as the oracle it is checked against.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -21,6 +26,7 @@ can be checked.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +68,10 @@ TANGENCY_TOL = 1e-9
 #: 64 (one BLAS thread, 2-vCPU Xeon VM).
 AUDIT_CHUNK = 16
 
+#: samples drawn, mapped and checked at a time in :func:`run_experiment`
+#: (one :func:`_uniforms` pass), then sliced into :data:`AUDIT_CHUNK`-sample
+#: chunks, so memory does not grow with ``n``.  The report does not depend on it.
+AUDIT_BLOCK = 1024
 
 #: largest entrywise difference :func:`run_experiment` allows between the
 #: exact audit matrix and its central-difference oracle at ``h_step``; the
@@ -297,7 +307,7 @@ def sample_interior_rep(rng) -> ConfigRep:
     ratios matter, so bounded gap and coupling ranges lose no generality.
     ``rng`` is a seed or a ``numpy.random.Generator``; a given seed
     reproduces the sample bitwise.  :func:`run_experiment` draws its
-    samples in one call each and falls back on this sampler, which stays
+    samples a block at a time and falls back on this sampler, which stays
     the reference for those draws.
     """
     rng = np.random.default_rng(rng)
@@ -322,23 +332,151 @@ _SPAN = np.array([1.0] * 4 + [2.0 * np.pi] * 4 + [1.0] * 2 + [2.0] * 9)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
-    """Generator of sample ``index`` of a run with master ``seed``."""
+    """Generator of sample ``index`` of a run with master ``seed``.
+
+    The reference for :func:`_uniforms`, and the source of every draw it
+    does not make: rejected samples and spawn keys of ``2**32`` or more.
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _draw_chunk(seed: int, indices) -> np.ndarray:
-    """Checked ``(len(indices), 19)`` coordinates of the samples ``indices``.
+# numpy's SeedSequence -> PCG64 -> Generator.random chain, re-derived from its
+# documented, stream-stable algorithms (numpy/random/bit_generator.pyx and
+# numpy/random/src/pcg64) so that many substreams run as one uint32/uint64
+# array pass.  SeedSequence hash and mix constants:
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier as (high, low) words, and the low word's 32-bit limbs
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_PCG_MULT_LIMB0, _PCG_MULT_LIMB1 = _PCG_MULT & _MASK32, _PCG_MULT >> 32 & _MASK32
+
+
+def _hash_constants(const: int, mult: int, count: int):
+    """``(xor, multiplier)`` uint32 arrays of ``count`` successive SeedSequence
+    hashes whose running constant starts at ``const``."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], np.uint32), np.array(consts[1:], np.uint32)
+
+
+# generate_state's hashes of the 8 output words; the same for every seed
+_STATE_XOR, _STATE_MUL = _hash_constants(_INIT_B, _MULT_B, 8)
+
+# SeedSequence's two uint32 primitives, on Python ints and on uint32 arrays alike
+
+
+def _hash(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_pool(seed: int):
+    """SeedSequence's pool once the words of ``seed`` are mixed in, and the
+    running hash constant the spawn-key word starts from.
+
+    With a spawn key the run entropy is padded with zero words to the pool
+    size, 4, so the pool at this point depends on the seed alone.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        xor, const = const, const * _MULT_A & _MASK32
+        return _hash(value, xor, const)
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, const
+
+
+def _mulhi(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of uint64 ``a`` times the multiplier's low word, in 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    low, cross, other = a0 * _PCG_MULT_LIMB0, a0 * _PCG_MULT_LIMB1, a1 * _PCG_MULT_LIMB0
+    mid = (low >> 32) + (cross & _MASK32) + (other & _MASK32)
+    return a1 * _PCG_MULT_LIMB1 + (cross >> 32) + (other >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step ``state * M + inc`` on (high, low) uint64 lanes."""
+    product = lo * _PCG_MULT_LO
+    new_lo = product + inc_lo
+    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo) + inc_hi + (new_lo < product)
+    return new_hi, new_lo
+
+
+def _uniforms(seed: int, keys) -> np.ndarray:
+    """``(len(keys), 19)`` unit doubles; row ``j`` is bitwise
+    ``_substream(seed, keys[j]).random(19)`` for every key below ``2**32``.
+
+    One vectorized pass over all keys: the seed's words are mixed into the
+    SeedSequence pool once, in Python ints; each key, one uint32 spawn-key
+    word, is mixed into its own copy of the pool; ``generate_state(4,
+    uint64)`` seeds PCG64 as ``pcg_setseq_128_srandom_r`` does; and each of
+    19 steps yields the XSL-RR output ``out``, mapped as ``(out >> 11) *
+    2**-53``.
+    """
+    keys = np.asarray(keys, dtype=np.uint32)
+    pool, const = _seed_pool(seed)
+    mixed = _mix(np.array(pool, np.uint32), _hash(keys[:, None], *_hash_constants(const, _MULT_A, 4)))
+    words = _hash(mixed[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    # little-endian pairs: initstate (high, low), then initseq (high, low)
+    init_hi, init_lo, seq_hi, seq_lo = (words[:, 0::2] | words[:, 1::2] << 32).T
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    # srandom: one step from 0 (giving inc), add initstate, one more step
+    lo = inc_lo + init_lo
+    hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    his = np.empty((19, len(keys)), np.uint64)
+    los = np.empty_like(his)
+    for j in range(19):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        his[j], los[j] = hi, lo
+    folded = his ^ los
+    rotation = his >> 58
+    out = folded >> rotation | folded << ((64 - rotation) & 63)
+    return (out >> 11).T * 2.0**-53
+
+
+def _draw_chunk(seed: int, indices: range) -> np.ndarray:
+    """Checked ``(len(indices), 19)`` coordinates of the samples in a range of indices.
 
     The row of sample ``i`` is bitwise
     ``sample_interior_rep(_substream(seed, i)).to_array()``:
-    the 19 doubles that sampler consumes are drawn in one call and mapped
-    as ``Generator.uniform`` maps them, ``low + span * u``.  A draw the
+    the 19 doubles that sampler consumes come from :func:`_uniforms`, one
+    pass for the whole range, and are mapped as ``Generator.uniform`` maps
+    them, ``low + span * u``.  A spawn key of ``2**32`` or more takes two
+    SeedSequence words, which the kernel does not mix, so such samples draw
+    from :func:`_substream` itself; no feasible run reaches one.  A draw the
     sampler would reject (a zero modulus, a norm at or below 1e-3, a value
     on an interval's lower bound) is redone by the sampler itself.
     """
     x = np.empty((len(indices), 19))
-    for row, index in zip(x, indices):
-        _substream(seed, index).random(out=row)
+    narrow = range(indices.start, min(indices.stop, 2**32), indices.step)
+    if narrow:
+        x[:len(narrow)] = _uniforms(seed, np.arange(narrow.start, narrow.stop, narrow.step))
+    for row in range(len(narrow), len(indices)):
+        _substream(seed, indices[row]).random(out=x[row])
     x *= _SPAN
     x += _LOW
     # a 1-D np.linalg.norm is sqrt(dot(v, v)); vecdot gives each row those
@@ -419,6 +557,16 @@ def _check_oracle(x0: np.ndarray, exact: np.ndarray, h_step: float) -> None:
                          f"above {FD_ORACLE_TOL:g}")
 
 
+def _drawn_chunks(seed: int, n: int):
+    """``(indices, coords)`` of each :data:`AUDIT_CHUNK`-sample chunk of a run,
+    drawn :data:`AUDIT_BLOCK` samples at a time by :func:`_draw_chunk`."""
+    for block_start in range(0, n, AUDIT_BLOCK):
+        block = range(block_start, min(block_start + AUDIT_BLOCK, n))
+        coords = _draw_chunk(seed, block)
+        for start in range(0, len(block), AUDIT_CHUNK):
+            yield block[start:start + AUDIT_CHUNK], coords[start:start + AUDIT_CHUNK]
+
+
 def run_experiment(
     n: int,
     seed: int,
@@ -430,9 +578,11 @@ def run_experiment(
     """Audit ``n`` freshly sampled interior representations.
 
     Each sample draws from its own substream ``(seed, index)``, so the
-    report is identical however the loop is scheduled; samples are drawn
-    and checked as one ``(m, 19)`` array per chunk of :data:`AUDIT_CHUNK`
-    and audited through one exact Jacobian evaluation
+    report is identical however the loop is scheduled.  Samples are drawn
+    by the vectorized substream kernel (:func:`_uniforms`, bitwise what
+    :func:`_substream` gives each sample) and checked as one ``(m, 19)``
+    array per block of :data:`AUDIT_BLOCK`; each block is sliced into
+    chunks of :data:`AUDIT_CHUNK`, each audited through one exact Jacobian evaluation
     (:func:`audit_jacobian`) and one stacked least-squares solve each
     (bitwise what :func:`solve_least_squares` gives one sample).  Failures,
     verdicts and kept residuals are read off each chunk's residual vector;
@@ -458,12 +608,10 @@ def run_experiment(
     samples = []
     n_solvable = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, AUDIT_CHUNK):
-            indices = range(start, min(start + AUDIT_CHUNK, n))
-            coords = _draw_chunk(seed, indices)
+        for indices, coords in _drawn_chunks(seed, n):
             matrices = audit_jacobian(coords)
             evaluated = np.all(np.isfinite(matrices), axis=(1, 2))
-            if start == 0 and evaluated[0]:
+            if indices[0] == 0 and evaluated[0]:
                 _check_oracle(coords[0], matrices[0], h_step)
             chunk_residuals = np.full(len(coords), np.nan)
             chunk_residuals[evaluated] = _solve_stack(matrices[evaluated], rhs)[1] / scale

@@ -457,6 +457,22 @@ def test_simulate_overflowing_parameters_are_one_line_usage_errors(argv, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--lambda-re", "1e150"], "propagation phases rounded by up to ||H||_F t_max eps = 6.28e+135 rad"),
+    (["--omega-a", "1e9"], "propagation phases rounded by up to ||H||_F t_max eps = 6.28e-06 rad"),
+    (["--lambda-re", "1e300"], "mean energy out of range: ||H||_F |psi|^2 overflows"),
+], ids=["noise-phases", "imprecise-phases", "overflow"])
+def test_simulate_names_why_large_parameters_are_refused(argv, reason, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot simulate these parameters: " + reason)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--lambda-re"],
     ["simulate", "--lambda-im"],

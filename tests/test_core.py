@@ -1,5 +1,6 @@
 """Basis conventions, Hamiltonian assembly and configuration round trips."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,25 @@ def test_mean_energies_judge_the_imaginary_part_relative_to_the_scale(scale):
     skewed[7, 0, 0] += 1e-9j * np.linalg.norm(skewed[7])
     with pytest.raises(ValueError, match="mean energy came out non-real"):
         core.mean_energies(psi, skewed)
+
+
+def test_cached_frobenius_norm_is_the_norm_of_the_matrix():
+    for seed in range(200):
+        ham = core.rep_to_config(locality.sample_interior_rep(seed)).hamiltonian
+        assert abs(ham.frobenius_norm - np.linalg.norm(ham.matrix)) <= 4e-16 * ham.frobenius_norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert core.assemble_hamiltonian(1e300, 1.0, np.zeros((3, 3))).frobenius_norm == np.inf
+
+
+def test_mean_energy_judges_with_the_cached_norm_as_without_it():
+    configs = [core.rep_to_config(locality.sample_interior_rep(s)) for s in range(20)]
+    for config in configs:
+        psi, matrix = config.state.psi, config.hamiltonian.matrix
+        assert core.mean_energy(config) == float(core.mean_energies(psi, matrix))
+    huge = core.Configuration(configs[0].state, core.assemble_hamiltonian(1e300, 1.0, np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="mean energy out of range"):
+        core.mean_energy(huge)
 
 
 def test_mean_energies_reject_an_overflowing_scale():

@@ -48,6 +48,40 @@ def test_chunk_draw_equals_the_sequential_sampler(seed, start, size):
         assert row.tobytes() == _reference_draw(seed, index).tobytes()
 
 
+_WORDS = st.integers(1, 5).flatmap(lambda n: st.integers(0, 2 ** (32 * n) - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=_WORDS, keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+def test_kernel_rows_equal_their_substreams(seed, keys):
+    # seeds of one to five uint32 words, keys at both ends of one word
+    keys = [0, 2**32 - 1] + keys
+    rows = locality._uniforms(seed, keys)
+    assert rows.shape == (len(keys), 19)
+    for row, key in zip(rows, keys):
+        assert row.tobytes() == locality._substream(seed, key).random(19).tobytes()
+
+
+def test_keys_of_two_words_draw_from_their_substreams(monkeypatch):
+    kernel_keys = []
+    original = locality._uniforms
+
+    def recorded(seed, keys):
+        kernel_keys.extend(int(key) for key in keys)
+        return original(seed, keys)
+
+    monkeypatch.setattr(locality, "_uniforms", recorded)
+    indices = range(2**32 - 2, 2**32 + 2)
+    chunk = locality._draw_chunk(9, indices)
+    assert kernel_keys == [2**32 - 2, 2**32 - 1]
+    for row, index in zip(chunk, indices):
+        assert row.tobytes() == _reference_draw(9, index).tobytes()
+    kernel_keys.clear()
+    assert locality._draw_chunk(9, range(2**64, 2**64 + 2)).tobytes() == np.stack(
+        [_reference_draw(9, 2**64), _reference_draw(9, 2**64 + 1)]).tobytes()
+    assert kernel_keys == []
+
+
 class _ScriptedGenerator(np.random.Generator):
     """Generator whose unit doubles come from a script, mapped as numpy maps them."""
 
@@ -55,16 +89,10 @@ class _ScriptedGenerator(np.random.Generator):
         super().__init__(np.random.PCG64(0))
         self._script = list(script)
 
-    def _take(self, count):
-        taken, self._script = self._script[:count], self._script[count:]
-        return np.array(taken)
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        out[...] = self._take(out.size)
-        return out
-
     def uniform(self, low=0.0, high=1.0, size=None):
-        return low + (high - low) * self._take(int(np.prod(size))).reshape(size)
+        count = int(np.prod(size))
+        taken, self._script = self._script[:count], self._script[count:]
+        return low + (high - low) * np.array(taken).reshape(size)
 
 
 def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
@@ -72,6 +100,8 @@ def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
     scripts[1][2] = 0.0  # a zero modulus
     scripts[2][:4] = [1e-4] * 4  # a moduli norm below 1e-3
     scripts[3][4] = 0.0  # a phase on the interval's lower bound
+    # the kernel gives each sample's first 19 doubles, the substream the redraw
+    monkeypatch.setattr(locality, "_uniforms", lambda seed, keys: np.array([scripts[k][:19] for k in keys]))
     monkeypatch.setattr(locality, "_substream", lambda seed, index: _ScriptedGenerator(scripts[index]))
     chunk = locality._draw_chunk(0, range(4))
     for index, row in enumerate(chunk):
@@ -114,8 +144,9 @@ def test_stacked_jacobian_names_the_first_nonfinite_coordinate(poisoned, name):
 
 def test_report_does_not_depend_on_the_chunk_size(monkeypatch):
     reports = []
-    for chunk in (1, 7, 16, 64):
+    for chunk, block in ((1, 1024), (7, 1024), (16, 1024), (64, 1024), (16, 5), (7, 33)):
         monkeypatch.setattr(locality, "AUDIT_CHUNK", chunk)
+        monkeypatch.setattr(locality, "AUDIT_BLOCK", block)
         report = locality.run_experiment(n=70, seed=31, keep_samples=True)
         reps = [s.rep.to_array().tobytes() for s in report.samples]
         reports.append((report.to_json_dict(per_sample=True), reps))
