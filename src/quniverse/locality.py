@@ -9,14 +9,20 @@ while leaving both extended states (and the norm constraint) unchanged,
 which rules out reconstructing the energy from those records alone.
 ``run_experiment`` repeats the audit over seeded samples, in chunks that
 share one exact forward-mode Jacobian evaluation (``audit_jacobian``) and
-one SVD, and aggregates the residual norms relative to the requested
-increment.  Each sample has its own ``SeedSequence(entropy=seed,
-spawn_key=(index,))`` substream (``_substream``, the bitwise reference);
-a block of samples is drawn at once by ``_uniforms``, a vectorized
-re-derivation of numpy's SeedSequence -> PCG64 chain, so reports are
-byte-identical to drawing each sample from its own ``Generator``.  The
-central-difference route (``numerical_jacobian``, ``build_system``) stays
-as the oracle it is checked against.
+one deflated solve, and aggregates the residual norms relative to the
+requested increment.  Two Schmidt identities (``det rho_A = det rho_B``
+and its time derivative) give every exact audit matrix two known left
+null vectors (``_schmidt_normals``); the deflated solve
+(``_solve_deflated``) projects them out, solves the remaining 12-row
+systems by one batched QR, and hands any sample it cannot certify to the
+SVD (``_solve_stack``, the reference, also behind ``solve_least_squares``).
+Each sample has its own ``SeedSequence(entropy=seed, spawn_key=(index,))``
+substream (``_substream``, the bitwise reference); a block of samples is
+drawn at once by ``_uniforms``, a vectorized re-derivation of numpy's
+SeedSequence -> PCG64 chain, so reports are byte-identical to drawing
+each sample from its own ``Generator``.  The central-difference route
+(``numerical_jacobian``, ``build_system``) stays as the oracle it is
+checked against.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -62,11 +68,11 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 #: solutions must be tangent to the moduli sphere to transport
 TANGENCY_TOL = 1e-9
 
-#: samples per exact Jacobian evaluation and per stacked SVD in
+#: samples per exact Jacobian evaluation and per deflated solve in
 #: :func:`run_experiment`.  The report does not depend on it.  A 5000-sample
-#: audit took 0.54 s of CPU at 8, 0.41 s at 16, 0.39 s at 32 and 0.45 s at
-#: 64 (one BLAS thread, 2-vCPU Xeon VM).
-AUDIT_CHUNK = 16
+#: audit took a median 0.41 s of CPU at 8, 0.27 s at 16, 0.21 s at 32, 0.20 s
+#: at 64 and 0.26 s at 128 (7 runs each, one BLAS thread, 2-vCPU Xeon VM).
+AUDIT_CHUNK = 32
 
 #: samples drawn, mapped and checked at a time in :func:`run_experiment`
 #: (one :func:`_uniforms` pass), then sliced into :data:`AUDIT_CHUNK`-sample
@@ -255,6 +261,8 @@ def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
     every system.  Returns ``(m, d)`` solutions and ``(m,)`` residual norms,
     each residual re-evaluated from its solution, not taken from the
     factorization.  Every row is bitwise the one a 1-system stack gives.
+    The reference for :func:`_solve_deflated`, which hands it the samples
+    it does not certify.
     """
     matrices = np.ascontiguousarray(matrices, dtype=float)
     u, s, vt = np.linalg.svd(matrices, full_matrices=False)
@@ -271,14 +279,90 @@ def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
     return solutions, np.sqrt(np.vecdot(misfit, misfit))
 
 
+def _schmidt_normals(values: np.ndarray) -> np.ndarray:
+    """Left null vectors of the audit matrix, ``(..., 14, 2)``, from the values of rows 0-12.
+
+    A pure global state gives both reduced states the same spectrum
+    (Schmidt decomposition), so ``det rho_A = det rho_B`` at every point
+    and time, with ``det = (N - p1) p1 - |c|^2`` in record coordinates and
+    ``N`` the norm row; the time derivative is ``(N - 2 p1) p1dot - 2
+    Re(conj(c) cdot)``, ``N`` being conserved.  Column 0 is the gradient
+    of ``det_A - det_B`` over the 14 rows, column 1 that of its time
+    derivative; both are zero in the energy slot, so ``n^T A = 0`` for
+    every audit matrix ``A`` while ``n^T e_13 = 0``.  ``values`` is
+    ``(..., 13)`` or wider: A's record, B's record, the norm.
+    """
+    lead = values.shape[:-1]
+    records = values[..., :12].reshape(lead + (2, 6))
+    # the gradient of det is (-2 re_c, -2 im_c, N - 2 p1) in the state's slots;
+    # that of its derivative is (-2 re_cdot, -2 im_cdot, -2 p1dot) there and
+    # det's gradient again in the derivative's slots; B's enter negated
+    grad = -2.0 * records
+    grad[..., 2] += values[..., 12, None]
+    grad[..., 1, :] *= -1.0
+    normals = np.zeros(lead + (2, 14))
+    slots = normals[..., :12].reshape(lead + (2, 2, 6))
+    slots[..., 0, :, :3] = grad[..., :3]
+    slots[..., 1, :, :3] = grad[..., 3:]
+    slots[..., 1, :, 3:] = grad[..., :3]
+    # d det / dN is p1, and d/dN of its derivative p1dot
+    normals[..., 12] = records[..., 0, 2::3] - records[..., 1, 2::3]
+    return normals.swapaxes(-1, -2)
+
+
+def _certified(r: np.ndarray, rcond: float) -> np.ndarray:
+    """Whether each triangular factor of a ``(m, k, d)`` stack has every
+    ``|R_ii|`` above ``rcond`` times the largest."""
+    diagonal = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return np.all(diagonal > rcond * np.max(diagonal, axis=-1, keepdims=True), axis=-1)
+
+
+def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
+    """:func:`_solve_stack` for a ``(m, 14, 19)`` stack of exact audit matrices at ``coords``.
+
+    Every exact audit matrix has rank 12 or less, its left null space
+    holding the two :func:`_schmidt_normals`, which are read off the matrix
+    itself: rows 0-12 are quadratic forms in the moduli, so each row's value
+    is half its moduli gradient dotted with the moduli (Euler's theorem).
+    One complete QR of the normals gives an orthonormal basis ``W`` of their
+    complement; ``B = W^T A`` is ``(m, 12, 19)``, and with ``B^T = Q R`` the
+    minimum-norm solution is ``Q R^{-T} W^T b``.  When ``A`` has rank 12 it
+    equals ``W W^T A``, so this is the SVD's solution, up to rounding.  Each
+    residual is re-evaluated from its solution against the full ``A``.
+
+    A sample is solved by :func:`_solve_stack` instead unless both
+    triangular factors pass :func:`_certified` at lstsq's cutoff,
+    ``eps * 19``, and the solution is finite.
+    Degenerate points, such as a product state without coupling (rank 10)
+    or a Bell state (rank 9), fail that test.  Every row is bitwise the one
+    a 1-system stack gives.
+    """
+    values = 0.5 * (matrices[:, :13, :4] @ coords[:, :4, None])[..., 0]
+    q, r = np.linalg.qr(_schmidt_normals(values), mode="complete")
+    complement = q[..., 2:].swapaxes(-1, -2)
+    factor, triangle = np.linalg.qr((complement @ matrices).swapaxes(-1, -2))
+    rcond = np.finfo(float).eps * max(matrices.shape[-2:])
+    certified = _certified(r, rcond) & _certified(triangle, rcond)
+    if not np.all(certified):
+        triangle[~certified] = np.eye(triangle.shape[-1])
+    solutions = (factor @ np.linalg.solve(triangle.swapaxes(-1, -2), complement @ rhs[:, None]))[..., 0]
+    misfit = (matrices @ solutions[..., None])[..., 0] - rhs
+    residuals = np.sqrt(np.vecdot(misfit, misfit))
+    certified &= np.all(np.isfinite(solutions), axis=-1)
+    if not np.all(certified):
+        solutions[~certified], residuals[~certified] = _solve_stack(matrices[~certified], rhs)
+    return solutions, residuals
+
+
 def solve_least_squares(system):
     """Minimum-norm least-squares solution and its achieved residual norm.
 
     ``system`` is one ``(matrix, rhs)`` pair; returns ``(solution, float)``.
     The residual is re-evaluated from the returned solution, not taken from
-    the factorization.  :func:`run_experiment` solves its samples a chunk
-    at a time through the same stacked solver, so this residual is bitwise
-    the one the audit reports for the same matrix.
+    the factorization.  This is the SVD that :func:`run_experiment` falls
+    back on, bitwise its residual for a sample the deflated solve does not
+    certify; a certified sample's residual comes from the deflated solve
+    and agrees with this one to rounding, not bitwise.
     """
     matrix, rhs = (np.asarray(a, dtype=float) for a in system)
     solutions, residuals = _solve_stack(matrix[None], rhs)
@@ -583,8 +667,10 @@ def run_experiment(
     :func:`_substream` gives each sample) and checked as one ``(m, 19)``
     array per block of :data:`AUDIT_BLOCK`; each block is sliced into
     chunks of :data:`AUDIT_CHUNK`, each audited through one exact Jacobian evaluation
-    (:func:`audit_jacobian`) and one stacked least-squares solve each
-    (bitwise what :func:`solve_least_squares` gives one sample).  Failures,
+    (:func:`audit_jacobian`) and one deflated least-squares solve
+    (:func:`_solve_deflated`: the minimum-norm solution of
+    :func:`solve_least_squares` up to rounding, and bitwise its residual
+    for a sample handed to the SVD).  Failures,
     verdicts and kept residuals are read off each chunk's residual vector;
     a :class:`ConfigRep` is built, one sample at a time, only for the
     samples ``keep_samples`` keeps.  A residual is judged relative to the
@@ -614,7 +700,8 @@ def run_experiment(
             if indices[0] == 0 and evaluated[0]:
                 _check_oracle(coords[0], matrices[0], h_step)
             chunk_residuals = np.full(len(coords), np.nan)
-            chunk_residuals[evaluated] = _solve_stack(matrices[evaluated], rhs)[1] / scale
+            _, solved = _solve_deflated(matrices[evaluated], coords[evaluated], rhs)
+            chunk_residuals[evaluated] = solved / scale
             finite = np.isfinite(chunk_residuals)
             failed.extend(indices[row] for row in np.flatnonzero(~finite).tolist())
             kept = chunk_residuals[finite]
@@ -728,6 +815,20 @@ def _tangent_observables(y: np.ndarray) -> np.ndarray:
     observables = rep_observables(x)
     # the norm row is identically 1 on the sphere chart
     return np.concatenate([observables[:12], observables[13:]])
+
+
+def _exact_tangent_system(x0):
+    """Exact counterpart of :func:`build_tangent_system`, with no step.
+
+    The moduli columns of :func:`audit_jacobian` times the unit-radius
+    chart's derivatives along ``(alpha, beta, gamma)``, then its other 15
+    columns, all without the norm row.
+    """
+    x0 = _as_coords(x0)
+    _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
+    rows = np.delete(audit_jacobian(x0), 12, axis=0)
+    chart = _forward_jacobian(1.0, alpha, beta, gamma)[:, 1:]
+    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), _energy_rhs(13, 1.0)
 
 
 def build_tangent_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):

@@ -281,10 +281,11 @@ def _linear_map(rng, n):
 
 @_check("locality", 25, ("small experiment: every sample solvable", EXACT),
         ("experiment is reproducible", EXACT), ("hyperspherical round trips", 1e-12),
-        ("transported solutions satisfy the intrinsic system", 1e-8))
+        ("transported solutions satisfy the intrinsic system", 1e-12))
 def _audit_and_chart(rng, n):
     # an n-sample audit (sample i drawn from (seed, i), as ``sample --seed`` does),
-    # 8n round trips through the chart, and three audited solutions transported
+    # 8n round trips through the chart, and three exact audit solutions transported
+    # into the exact intrinsic system
     seed = rng.bit_generator.seed_seq.entropy
     report, repeat = [locality.run_experiment(n=n, seed=seed, keep_samples=True) for _ in range(2)]
     same = report.to_json_dict(per_sample=True) == repeat.to_json_dict(per_sample=True)
@@ -292,10 +293,12 @@ def _audit_and_chart(rng, n):
     moduli /= np.linalg.norm(moduli, axis=1, keepdims=True)
     trips = [locality.hyperspherical_backward(*locality.hyperspherical_forward(m)) for m in moduli]
     transport = []
+    rhs = locality._energy_rhs(14, 1.0)
     for sample in report.samples[:3]:
-        solution, _ = locality.solve_least_squares(locality.build_system(sample.rep))
-        tangent_matrix, tangent_rhs = locality.build_tangent_system(sample.rep)
-        dy = locality.transport_solution(solution, sample.rep)
+        x = sample.rep.to_array()
+        solution, _ = locality.solve_least_squares((locality.audit_jacobian(x), rhs))
+        tangent_matrix, tangent_rhs = locality._exact_tangent_system(x)
+        dy = locality.transport_solution(solution, x)
         transport.append(float(np.linalg.norm(tangent_matrix @ dy - tangent_rhs)))
     return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
@@ -304,6 +307,18 @@ def _audit_and_chart(rng, n):
 def _exact_jacobian(rng, n):
     x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
     return _dist(locality.audit_jacobian(x), locality.build_system(x)[0])
+
+
+@_check("locality", 10, ("Schmidt identities annihilate the audit matrix", 1e-13))
+def _schmidt_identities(rng, n):
+    # |n^T A| / (|n| |A|) for the gradients of det_A - det_B and of its time
+    # derivative, built from the observables, not from the Jacobian
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    matrices = locality.audit_jacobian(x)
+    normals = locality._schmidt_normals(locality.rep_observables(x))
+    products = np.linalg.norm(normals.swapaxes(-1, -2) @ matrices, axis=-1)
+    scales = np.linalg.norm(normals, axis=-2) * np.linalg.norm(matrices, axis=(-2, -1))[:, None]
+    return _dist(products / scales)
 
 
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:

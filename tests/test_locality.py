@@ -14,6 +14,7 @@ test_jacobian_exact_on_linear_maps = shared_check("linear_map", seed=3, n=6)
 test_raw_route_ties_to_extended_state = shared_check("reduced_states", seed=21, n=25)
 test_run_experiment_is_deterministic = shared_check("audit_and_chart", seed=77, n=5)
 test_exact_jacobian_matches_central_differences = shared_check("exact_jacobian", seed=24, n=10)
+test_schmidt_identities_annihilate_the_audit_matrix = shared_check("schmidt_identities", seed=25, n=25)
 
 
 def test_sampler_is_bitwise_deterministic():
@@ -389,6 +390,53 @@ def test_stacked_solve_cuts_the_exact_jacobian_at_rank_12():
     assert np.max(np.abs(solutions - expected_solutions) / scale) < 1e-12
 
 
+def test_deflated_solve_matches_lstsq_on_exact_matrices():
+    x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
+    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14, 1.0)
+    solutions, residuals = locality._solve_deflated(matrices, x, rhs)
+    expected_solutions, expected, _ = _lstsq_reference(matrices, rhs)
+    assert np.max(np.abs(residuals - expected)) < 1e-14
+    scale = np.max(np.abs(expected_solutions), axis=1, keepdims=True)
+    assert np.max(np.abs(solutions - expected_solutions) / scale) < 1e-11
+
+
+# degenerate points of the box's closure: a product state without coupling
+# (rank 10) and a Bell state (rank 9)
+_PRODUCT_STATE = np.concatenate([[0.5] * 4, [0.3] * 4, [0.4, 0.7], [0.0] * 9])
+_BELL_STATE = np.concatenate([[2**-0.5, 0.0, 0.0, 2**-0.5], [0.1, 0.2, 0.3, 0.4], [0.4, 0.7],
+                              np.linspace(-0.8, 0.8, 9)])
+
+
+def test_deflated_solve_hands_degenerate_points_to_the_svd(monkeypatch):
+    degenerate = np.stack([_PRODUCT_STATE, _BELL_STATE])
+    assert [np.linalg.matrix_rank(a) for a in locality.audit_jacobian(degenerate)] == [10, 9]
+    x = np.concatenate([locality._draw_chunk(3, range(5)), degenerate, locality._draw_chunk(4, range(3))])
+    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14, 1.0)
+    handed = []
+    original = locality._solve_stack
+
+    def spy(stack, vector):
+        handed.append(stack.copy())
+        return original(stack, vector)
+
+    monkeypatch.setattr(locality, "_solve_stack", spy)
+    solutions, residuals = locality._solve_deflated(matrices, x, rhs)
+    assert len(handed) == 1 and handed[0].tobytes() == matrices[5:7].tobytes()
+    expected_solutions, expected = original(matrices[5:7], rhs)
+    assert residuals[5:7].tobytes() == expected.tobytes()
+    assert solutions[5:7].tobytes() == expected_solutions.tobytes()
+
+
+def test_deflated_solve_rows_equal_one_system_stacks_bitwise():
+    x = np.concatenate([locality._draw_chunk(13, range(40)), [_PRODUCT_STATE]])
+    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14, 1.0)
+    solutions, residuals = locality._solve_deflated(matrices, x, rhs)
+    for i in range(len(x)):
+        one_solution, one_residual = locality._solve_deflated(matrices[i:i + 1], x[i:i + 1], rhs)
+        assert one_residual.tobytes() == residuals[i:i + 1].tobytes()
+        assert one_solution.tobytes() == solutions[i:i + 1].tobytes()
+
+
 def test_stacked_solve_rows_equal_one_system_stacks_bitwise():
     matrices, rhs = locality.build_system(locality._draw_chunk(13, range(64)))
     solutions, residuals = locality._solve_stack(matrices, rhs)
@@ -556,6 +604,24 @@ def test_exact_jacobian_has_rank_12_on_sampled_points(seed):
     # state with h = 0, (1, 1, 1, 1) / 2 with equal phases, it is 10.
     exact = locality.audit_jacobian(locality.sample_interior_rep(seed).to_array())
     assert np.linalg.matrix_rank(exact) == 12
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(x=_BOX_COORDS, sign=st.sampled_from([1.0, -1.0]))
+def test_schmidt_normals_annihilate_the_exact_jacobian(x, sign):
+    # det rho_A = det rho_B, and its time derivative, hold under either sign of rho_dot
+    token = dynamics.RHO_DOT_SIGN.set(sign)
+    try:
+        matrix, values = locality.audit_jacobian(x), locality.rep_observables(x)
+    finally:
+        dynamics.RHO_DOT_SIGN.reset(token)
+    normals = locality._schmidt_normals(values)
+    assert np.all(normals[13] == 0.0)
+    products = np.linalg.norm(normals.T @ matrix, axis=-1)
+    assert np.all(products <= 1e-13 * np.linalg.norm(normals, axis=0) * np.linalg.norm(matrix))
+    # the deflated solve reads rows 0-12 off the moduli columns (Euler's theorem)
+    euler = 0.5 * matrix[:13, :4] @ x[:4]
+    assert np.max(np.abs(euler - values[:13])) < 1e-14 * _audit_scale(x)
 
 
 # moduli, phases, then gaps and couplings, off the sphere and out of range too
