@@ -7,15 +7,32 @@ right-hand side asks for a pure energy increment.  A solution is a
 direction in coordinate space that changes the mean energy at first order
 while leaving both extended states (and the norm constraint) unchanged,
 which rules out reconstructing the energy from those records alone.
-``run_experiment`` repeats the audit over seeded samples, in chunks that
-share one exact forward-mode Jacobian evaluation (``audit_jacobian``) and
-one deflated solve, and aggregates the residual norms relative to the
-requested increment.  Two Schmidt identities (``det rho_A = det rho_B``
-and its time derivative) give every exact audit matrix two known left
-null vectors (``_schmidt_normals``); the deflated solve
-(``_solve_deflated``) projects them out, solves the remaining 12-row
-systems by one batched QR, and hands any sample it cannot certify to the
-SVD (``_solve_stack``, the reference, also behind ``solve_least_squares``).
+``run_experiment`` repeats the audit over seeded samples and aggregates
+the residual norms relative to the requested increment.  It takes
+``AUDIT_BLOCK`` samples at a time: their coordinates come from one
+``_uniforms`` pass, their exact forward-mode Jacobians (``audit_jacobian``)
+from one call per ``AUDIT_CHUNK`` samples, and their least-squares
+solutions from one ``_solve_deflated`` call.  Once per run, on the first
+sample, the exact matrix is checked against the central-difference one
+(``build_system``) at the run's ``h_step``.
+
+The solve needs no SVD.  A pure global state gives both reduced states the
+same spectrum, so ``det rho_A = det rho_B`` and its time derivative hold
+identically; their gradients ``n1`` and ``n2`` (``_schmidt_normals``) are
+left null vectors of every exact audit matrix, which has rank 12, and both
+are zero in the energy row.  ``n1`` vanishes on the derivative rows and
+``n2`` there repeats ``n1`` on the state rows, so the state row ``p`` of
+largest ``|n1|`` and the derivative row ``p + 3`` are combinations of the
+other 12 rows, with zero right-hand side.  Dropping them leaves a 12x19
+system of full row rank, whose minimum-norm solution is one scaled column
+of the ``Q`` of a single Householder QR, applied from the stored
+reflectors.  A sample this cannot certify (a vanishing pivot, a small
+diagonal of ``R``, a non-finite solution), such as a Bell state or a
+product state without coupling, goes to the SVD (``_solve_stack``, the
+reference, also behind ``solve_least_squares``).  Every residual is
+re-evaluated against the full 14-row matrix, so a wrong deflation would
+show as a large residual, never as a false "solvable".
+
 Each sample has its own ``SeedSequence(entropy=seed, spawn_key=(index,))``
 substream (``_substream``, the bitwise reference); a block of samples is
 drawn at once by ``_uniforms``, a vectorized re-derivation of numpy's
@@ -68,16 +85,21 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 #: solutions must be tangent to the moduli sphere to transport
 TANGENCY_TOL = 1e-9
 
-#: samples per exact Jacobian evaluation and per deflated solve in
-#: :func:`run_experiment`.  The report does not depend on it.  A 5000-sample
-#: audit took a median 0.41 s of CPU at 8, 0.27 s at 16, 0.21 s at 32, 0.20 s
-#: at 64 and 0.26 s at 128 (7 runs each, one BLAS thread, 2-vCPU Xeon VM).
+#: samples per exact Jacobian evaluation in :func:`run_experiment`.  The
+#: report does not depend on it.  ``sample --n 5000``, run in process at
+#: AUDIT_BLOCK = 256, took a median 0.22 s of CPU at 16, 0.19 s at 32,
+#: 0.23 s at 64 and 0.25 s at 128, with peak RSS 34.7, 34.5, 35.0 and
+#: 36.6 MB (3 x 7 runs each, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4).
 AUDIT_CHUNK = 32
 
-#: samples drawn, mapped and checked at a time in :func:`run_experiment`
-#: (one :func:`_uniforms` pass), then sliced into :data:`AUDIT_CHUNK`-sample
-#: chunks, so memory does not grow with ``n``.  The report does not depend on it.
-AUDIT_BLOCK = 1024
+#: samples drawn, mapped, checked and solved at a time in
+#: :func:`run_experiment`: one :func:`_uniforms` pass, one
+#: :func:`_solve_deflated` call, and :data:`AUDIT_CHUNK`-sample Jacobian
+#: calls in between, so memory does not grow with ``n``.  The report does
+#: not depend on it.  Measured as for AUDIT_CHUNK, at 32: 0.28 s at 128,
+#: 0.19 s at 256, 0.18 s at 512 and 0.17 s at 1024, with peak RSS 33.9,
+#: 34.5, 36.0 and 39.2 MB.
+AUDIT_BLOCK = 256
 
 #: largest entrywise difference :func:`run_experiment` allows between the
 #: exact audit matrix and its central-difference oracle at ``h_step``; the
@@ -262,7 +284,7 @@ def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
     each residual re-evaluated from its solution, not taken from the
     factorization.  Every row is bitwise the one a 1-system stack gives.
     The reference for :func:`_solve_deflated`, which hands it the samples
-    it does not certify.
+    its 12-row solve does not certify.
     """
     matrices = np.ascontiguousarray(matrices, dtype=float)
     u, s, vt = np.linalg.svd(matrices, full_matrices=False)
@@ -317,35 +339,60 @@ def _certified(r: np.ndarray, rcond: float) -> np.ndarray:
     return np.all(diagonal > rcond * np.max(diagonal, axis=-1, keepdims=True), axis=-1)
 
 
+# the state rows of both records, where the first Schmidt normal may pivot, and
+# for each pivot p the 12 rows left once p and its derivative row p + 3 are
+# dropped; the energy row stays last
+_STATE_ROWS = np.array([0, 1, 2, 6, 7, 8])
+_KEPT_ROWS = np.array([np.delete(np.arange(14), [p, p + 3]) for p in _STATE_ROWS])
+
+
 def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
     """:func:`_solve_stack` for a ``(m, 14, 19)`` stack of exact audit matrices at ``coords``.
 
-    Every exact audit matrix has rank 12 or less, its left null space
-    holding the two :func:`_schmidt_normals`, which are read off the matrix
-    itself: rows 0-12 are quadratic forms in the moduli, so each row's value
-    is half its moduli gradient dotted with the moduli (Euler's theorem).
-    One complete QR of the normals gives an orthonormal basis ``W`` of their
-    complement; ``B = W^T A`` is ``(m, 12, 19)``, and with ``B^T = Q R`` the
-    minimum-norm solution is ``Q R^{-T} W^T b``.  When ``A`` has rank 12 it
-    equals ``W W^T A``, so this is the SVD's solution, up to rounding.  Each
-    residual is re-evaluated from its solution against the full ``A``.
+    ``rhs`` must ask for energy alone, as :func:`_energy_rhs` does.  The
+    two :func:`_schmidt_normals` ``n1``, ``n2`` annihilate every exact audit
+    matrix; the row values they are built from are read off the matrix
+    itself (rows 0-12 are quadratic in the moduli, so each row's value is
+    half its moduli gradient dotted with the moduli, by Euler's theorem).  ``n1`` is zero on
+    the derivative rows, and ``n2`` on derivative row ``p + 3`` is ``n1`` on
+    state row ``p``, so with ``p`` the state row of largest ``|n1|`` the 2x2
+    minor of ``[n1 n2]`` on rows ``(p, p + 3)`` is ``n1[p]^2``: those two
+    rows are combinations of the other 12, with zero right-hand side, and
+    dropping them leaves the solution set as it was.  The kept rows form
+    ``B``, energy last, so its right-hand side is ``delta e_11``; with one
+    Householder QR ``B^T = Q R``, stored as reflectors, the minimum-norm
+    solution ``Q R^{-T} delta e_11`` is ``delta / R[11, 11]`` times ``Q``'s
+    last column, which the 12 reflectors give from ``e_11`` without forming
+    ``Q`` (Golub & Van Loan, *Matrix Computations*, §5.2).  When ``A`` has
+    rank 12 this is the SVD's solution up to rounding.  Each residual is
+    re-evaluated from its solution against the full ``A``.
 
-    A sample is solved by :func:`_solve_stack` instead unless both
-    triangular factors pass :func:`_certified` at lstsq's cutoff,
-    ``eps * 19``, and the solution is finite.
-    Degenerate points, such as a product state without coupling (rank 10)
-    or a Bell state (rank 9), fail that test.  Every row is bitwise the one
-    a 1-system stack gives.
+    A sample is solved by :func:`_solve_stack` instead when ``|n1[p]|`` is
+    at most lstsq's cutoff ``eps * 19`` times the norm row ``N``, when ``R``
+    fails :func:`_certified` at that cutoff, or when the solution is not
+    finite.  A Bell state (rank 9), whose ``n1`` vanishes, fails the first
+    test; a product state without coupling (rank 10) fails the second.
+    Every row is bitwise the one a 1-system stack gives.
     """
     values = 0.5 * (matrices[:, :13, :4] @ coords[:, :4, None])[..., 0]
-    q, r = np.linalg.qr(_schmidt_normals(values), mode="complete")
-    complement = q[..., 2:].swapaxes(-1, -2)
-    factor, triangle = np.linalg.qr((complement @ matrices).swapaxes(-1, -2))
+    first = _schmidt_normals(values)[:, _STATE_ROWS, 0]
+    pivots = np.argmax(np.abs(first), axis=-1)
+    samples = np.arange(len(matrices))
     rcond = np.finfo(float).eps * max(matrices.shape[-2:])
-    certified = _certified(r, rcond) & _certified(triangle, rcond)
-    if not np.all(certified):
-        triangle[~certified] = np.eye(triangle.shape[-1])
-    solutions = (factor @ np.linalg.solve(triangle.swapaxes(-1, -2), complement @ rhs[:, None]))[..., 0]
+    certified = np.abs(first[samples, pivots]) > rcond * values[:, 12]
+    # the kept rows are gathered into a temporary that qr copies and then frees
+    h, tau = np.linalg.qr(matrices[samples[:, None], _KEPT_ROWS[pivots]].swapaxes(-1, -2), mode="raw")
+    certified &= _certified(h, rcond)
+    # h[:, j] holds R's column j up to the diagonal and, past it, the stored
+    # part of reflector j's vector v_j, whose entry j is 1 and whose earlier
+    # entries are 0; Q = H_0 ... H_11 with H_j = I - tau_j v_j v_j^T
+    solutions = np.zeros((len(h), 19))
+    solutions[:, 11] = np.divide(rhs[-1], h[:, 11, 11], out=np.zeros(len(h)), where=certified)
+    for j in range(11, -1, -1):
+        v = h[:, j, j + 1:]
+        step = tau[:, j] * (solutions[:, j] + np.vecdot(v, solutions[:, j + 1:]))
+        solutions[:, j] -= step
+        solutions[:, j + 1:] -= step[:, None] * v
     misfit = (matrices @ solutions[..., None])[..., 0] - rhs
     residuals = np.sqrt(np.vecdot(misfit, misfit))
     certified &= np.all(np.isfinite(solutions), axis=-1)
@@ -360,9 +407,10 @@ def solve_least_squares(system):
     ``system`` is one ``(matrix, rhs)`` pair; returns ``(solution, float)``.
     The residual is re-evaluated from the returned solution, not taken from
     the factorization.  This is the SVD that :func:`run_experiment` falls
-    back on, bitwise its residual for a sample the deflated solve does not
-    certify; a certified sample's residual comes from the deflated solve
-    and agrees with this one to rounding, not bitwise.
+    back on, bitwise its residual for a sample that :func:`_solve_deflated`
+    does not certify; a certified sample's residual comes from the 12 rows
+    that solve keeps, re-evaluated against all 14, and agrees with this one
+    to rounding, not bitwise.
     """
     matrix, rhs = (np.asarray(a, dtype=float) for a in system)
     solutions, residuals = _solve_stack(matrix[None], rhs)
@@ -641,16 +689,6 @@ def _check_oracle(x0: np.ndarray, exact: np.ndarray, h_step: float) -> None:
                          f"above {FD_ORACLE_TOL:g}")
 
 
-def _drawn_chunks(seed: int, n: int):
-    """``(indices, coords)`` of each :data:`AUDIT_CHUNK`-sample chunk of a run,
-    drawn :data:`AUDIT_BLOCK` samples at a time by :func:`_draw_chunk`."""
-    for block_start in range(0, n, AUDIT_BLOCK):
-        block = range(block_start, min(block_start + AUDIT_BLOCK, n))
-        coords = _draw_chunk(seed, block)
-        for start in range(0, len(block), AUDIT_CHUNK):
-            yield block[start:start + AUDIT_CHUNK], coords[start:start + AUDIT_CHUNK]
-
-
 def run_experiment(
     n: int,
     seed: int,
@@ -662,17 +700,18 @@ def run_experiment(
     """Audit ``n`` freshly sampled interior representations.
 
     Each sample draws from its own substream ``(seed, index)``, so the
-    report is identical however the loop is scheduled.  Samples are drawn
-    by the vectorized substream kernel (:func:`_uniforms`, bitwise what
+    report is identical however the loop is scheduled.  The run goes a
+    block of :data:`AUDIT_BLOCK` samples at a time: the block is drawn by
+    the vectorized substream kernel (:func:`_uniforms`, bitwise what
     :func:`_substream` gives each sample) and checked as one ``(m, 19)``
-    array per block of :data:`AUDIT_BLOCK`; each block is sliced into
-    chunks of :data:`AUDIT_CHUNK`, each audited through one exact Jacobian evaluation
-    (:func:`audit_jacobian`) and one deflated least-squares solve
-    (:func:`_solve_deflated`: the minimum-norm solution of
+    array, its ``(m, 14, 19)`` exact matrices are filled by one
+    :func:`audit_jacobian` call per :data:`AUDIT_CHUNK` samples, and the
+    samples whose matrix is finite are solved by one
+    :func:`_solve_deflated` call (the minimum-norm solution of
     :func:`solve_least_squares` up to rounding, and bitwise its residual
-    for a sample handed to the SVD).  Failures,
-    verdicts and kept residuals are read off each chunk's residual vector;
-    a :class:`ConfigRep` is built, one sample at a time, only for the
+    for a sample handed to the SVD).  Failures, verdicts and kept
+    residuals are read off each block's residual vector; a
+    :class:`ConfigRep` is built, one sample at a time, only for the
     samples ``keep_samples`` keeps.  A residual is judged relative to the
     request, ``||A dx - b|| / |delta_e|``, because it scales with
     ``delta_e``.  Samples whose matrix turns non-finite are recorded in
@@ -689,27 +728,36 @@ def run_experiment(
         raise ValueError(f"n must be at least 1, got {n!r}")
     rhs = _energy_rhs(14, delta_e)
     scale = abs(float(delta_e))
-    residual_chunks = []
+    residual_blocks = []
     failed = []
     samples = []
     n_solvable = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for indices, coords in _drawn_chunks(seed, n):
-            matrices = audit_jacobian(coords)
+        # one buffer holds each block's matrices in turn, so the heap does not
+        # cycle a block-sized array per block (0.45 MB of the audit's peak RSS)
+        buffer = np.empty((min(n, AUDIT_BLOCK), 14, 19))
+        for block_start in range(0, n, AUDIT_BLOCK):
+            indices = range(block_start, min(block_start + AUDIT_BLOCK, n))
+            coords = _draw_chunk(seed, indices)
+            matrices = buffer[:len(indices)]
+            for start in range(0, len(indices), AUDIT_CHUNK):
+                matrices[start:start + AUDIT_CHUNK] = audit_jacobian(coords[start:start + AUDIT_CHUNK])
             evaluated = np.all(np.isfinite(matrices), axis=(1, 2))
             if indices[0] == 0 and evaluated[0]:
                 _check_oracle(coords[0], matrices[0], h_step)
-            chunk_residuals = np.full(len(coords), np.nan)
-            _, solved = _solve_deflated(matrices[evaluated], coords[evaluated], rhs)
-            chunk_residuals[evaluated] = solved / scale
-            finite = np.isfinite(chunk_residuals)
+            # a boolean index copies the stack, so it is taken only when a sample failed
+            solvable = slice(None) if np.all(evaluated) else evaluated
+            _, solved = _solve_deflated(matrices[solvable], coords[solvable], rhs)
+            block_residuals = np.full(len(coords), np.nan)
+            block_residuals[evaluated] = solved / scale
+            finite = np.isfinite(block_residuals)
             failed.extend(indices[row] for row in np.flatnonzero(~finite).tolist())
-            kept = chunk_residuals[finite]
+            kept = block_residuals[finite]
             n_solvable += int(np.count_nonzero(kept < threshold))
-            residual_chunks.append(kept)
+            residual_blocks.append(kept)
             if keep_samples:
                 for row in np.flatnonzero(finite).tolist():
-                    residual = float(chunk_residuals[row])
+                    residual = float(block_residuals[row])
                     samples.append(
                         SampleResult(
                             index=indices[row],
@@ -718,7 +766,7 @@ def run_experiment(
                             solvable=bool(residual < threshold),
                         )
                     )
-    residuals = np.concatenate(residual_chunks)
+    residuals = np.concatenate(residual_blocks)
     return SolvabilityReport(
         n_samples=n,
         h_step=float(h_step),

@@ -35,9 +35,13 @@ EXACT = math.ulp(0.0)
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's outcome: its case count, the labels that failed, and
+    ``(label, worst, tolerance)`` of every case in run order."""
+
     name: str
     cases: int
     failures: tuple
+    checks: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -333,7 +337,7 @@ def _run_suite(suite: str, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     cases = [case for name, row in CHECKS.items() if row[0] == suite for case in run_check(name, rng)]
     failures = tuple(label for label, error, tol in cases if not error < tol)
-    return SuiteResult(suite, len(cases), failures)
+    return SuiteResult(suite, len(cases), failures, tuple(cases))
 
 
 #: suite name -> ``(seed) -> SuiteResult``, in the order of :data:`CHECKS`
@@ -360,6 +364,17 @@ def run_suites(names=None, seed: int = 2024, fault: str | None = None) -> list:
 
 
 def summary_dict(results) -> dict:
-    """Machine-readable summary of a batch of suite results."""
-    suites = [{"name": r.name, "cases": r.cases, "failures": list(r.failures)} for r in results]
+    """Machine-readable summary of a batch of suite results.
+
+    Each suite lists its checks' worst measured errors beside their
+    tolerances, so the summary shows how close each case came to failing;
+    a worst error that is not finite (a failed exact assertion, or a NaN)
+    is written as ``null``, which keeps the summary strict JSON.
+    """
+    suites = [
+        {"name": r.name, "cases": r.cases, "failures": list(r.failures),
+         "checks": [{"label": label, "worst": error if math.isfinite(error) else None,
+                     "tolerance": tol} for label, error, tol in r.checks]}
+        for r in results
+    ]
     return {"suites": suites, "all_passed": all(r.passed for r in results)}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import threading
 import warnings
 
@@ -387,6 +388,32 @@ def test_verify_injected_fault_fails_oracle_suites(tmp_path):
         assert suite["failures"], f"suite {suite['name']} should have caught the fault"
     # the fault ends with the run
     assert _rho_dot_error() < 1e-8
+
+
+@pytest.mark.parametrize("fault", [None, "rho-dot-sign"])
+def test_verify_summary_carries_each_worst_error_and_tolerance(tmp_path, fault):
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--suite", "dynamics,locality", "--out", str(out)]
+    code = main(argv + (["--inject-fault", fault] if fault else []))
+    assert code == (1 if fault else 0)
+    for suite in json.loads(out.read_text())["suites"]:
+        registered = [case for suite_name, _, _, cases in verification.CHECKS.values()
+                      if suite_name == suite["name"] for case in cases]
+        checks = suite["checks"]
+        assert [(c["label"], c["tolerance"]) for c in checks] == registered
+        assert suite["cases"] == len(checks)
+        assert suite["failures"] == [c["label"] for c in checks
+                                     if c["worst"] is None or not c["worst"] < c["tolerance"]]
+
+
+def test_verify_summary_writes_a_nonfinite_worst_as_null():
+    result = verification.SuiteResult("core", 2, ("b",), (("a", 0.0, 1e-12), ("b", math.inf, 1e-12)))
+    summary = verification.summary_dict([result])
+    json.dumps(summary, allow_nan=False)
+    assert summary["suites"][0]["checks"] == [
+        {"label": "a", "worst": 0.0, "tolerance": 1e-12},
+        {"label": "b", "worst": None, "tolerance": 1e-12},
+    ]
 
 
 def _rho_dot_error():

@@ -246,20 +246,35 @@ def test_exact_jacobian_rows_equal_their_own_points_bitwise():
         assert locality.audit_jacobian(x[i]).tobytes() == stacked[i].tobytes()
 
 
-def test_run_experiment_audits_through_the_engine_with_one_oracle_call(monkeypatch):
-    calls = {"engine": 0, "oracle": 0}
+def _count_calls(monkeypatch, **names):
+    """Replace each ``locality`` function named by a value with a counting
+    wrapper; returns the counts, keyed as the keywords are."""
+    calls = dict.fromkeys(names, 0)
 
-    def counted(name, original):
+    def counted(key, original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(locality, "audit_jacobian", counted("engine", locality.audit_jacobian))
-    monkeypatch.setattr(locality, "build_system", counted("oracle", locality.build_system))
+    for key, name in names.items():
+        monkeypatch.setattr(locality, name, counted(key, getattr(locality, name)))
+    return calls
+
+
+def test_run_experiment_audits_through_the_engine_with_one_oracle_call(monkeypatch):
+    calls = _count_calls(monkeypatch, engine="audit_jacobian", oracle="build_system")
     report = locality.run_experiment(n=2 * locality.AUDIT_CHUNK + 1, seed=5)
     assert report.n_solvable == report.n_samples
     assert calls == {"engine": 3, "oracle": 1}
+
+
+def test_run_experiment_solves_once_per_block(monkeypatch):
+    calls = _count_calls(monkeypatch, engine="audit_jacobian", solve="_solve_deflated")
+    n = 2 * locality.AUDIT_BLOCK + 1
+    report = locality.run_experiment(n=n, seed=5)
+    assert report.n_solvable == n
+    assert calls == {"engine": -(-n // locality.AUDIT_CHUNK), "solve": 3}
 
 
 @pytest.mark.parametrize("h_step", [1e100, 1e300, 1e-3, 1e-9])
@@ -412,19 +427,33 @@ def test_deflated_solve_hands_degenerate_points_to_the_svd(monkeypatch):
     assert [np.linalg.matrix_rank(a) for a in locality.audit_jacobian(degenerate)] == [10, 9]
     x = np.concatenate([locality._draw_chunk(3, range(5)), degenerate, locality._draw_chunk(4, range(3))])
     matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14, 1.0)
-    handed = []
-    original = locality._solve_stack
+    handed, verdicts = [], []
+    original, original_certified = locality._solve_stack, locality._certified
 
     def spy(stack, vector):
         handed.append(stack.copy())
         return original(stack, vector)
 
+    def certified_spy(r, rcond):
+        verdicts.append(original_certified(r, rcond))
+        return verdicts[-1]
+
     monkeypatch.setattr(locality, "_solve_stack", spy)
+    monkeypatch.setattr(locality, "_certified", certified_spy)
     solutions, residuals = locality._solve_deflated(matrices, x, rhs)
     assert len(handed) == 1 and handed[0].tobytes() == matrices[5:7].tobytes()
     expected_solutions, expected = original(matrices[5:7], rhs)
     assert residuals[5:7].tobytes() == expected.tobytes()
     assert solutions[5:7].tobytes() == expected_solutions.tobytes()
+    # R's diagonal sends the product state; the Bell state fails it too, but
+    # with that certificate switched off the pivot test alone still sends it,
+    # its first normal vanishing on every state row
+    (diagonal,) = verdicts
+    assert diagonal.tolist()[:6] == [True] * 5 + [False] and diagonal.tolist()[7:] == [True] * 3
+    handed.clear()
+    monkeypatch.setattr(locality, "_certified", lambda r, rcond: np.ones(len(r), dtype=bool))
+    locality._solve_deflated(matrices, x, rhs)
+    assert len(handed) == 1 and handed[0].tobytes() == matrices[6:7].tobytes()
 
 
 def test_deflated_solve_rows_equal_one_system_stacks_bitwise():
@@ -617,6 +646,12 @@ def test_schmidt_normals_annihilate_the_exact_jacobian(x, sign):
         dynamics.RHO_DOT_SIGN.reset(token)
     normals = locality._schmidt_normals(values)
     assert np.all(normals[13] == 0.0)
+    # the deflated solve drops state row p and derivative row p + 3, whose 2x2
+    # minor of [n1 n2] is n1[p]^2 because n1 vanishes on the derivative rows
+    # and n2 there repeats n1 on the state rows, bit for bit
+    derivative_rows = locality._STATE_ROWS + 3
+    assert np.all(normals[derivative_rows, 0] == 0.0)
+    assert normals[derivative_rows, 1].tobytes() == normals[locality._STATE_ROWS, 0].tobytes()
     products = np.linalg.norm(normals.T @ matrix, axis=-1)
     assert np.all(products <= 1e-13 * np.linalg.norm(normals, axis=0) * np.linalg.norm(matrix))
     # the deflated solve reads rows 0-12 off the moduli columns (Euler's theorem)
