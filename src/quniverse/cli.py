@@ -214,10 +214,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = models.NumberConservingSpec(
         lam=complex(params["lambda_re"], params["lambda_im"]), delta=params["delta"]
     )
-    times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
     # finite parameters can still overflow (a huge alpha, gap, coupling or
-    # time); the state and energy checks then name what broke
+    # time); the state and energy checks then name what broke, and numpy's
+    # MemoryError names a time grid too large to allocate
     try:
+        times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             hamiltonian = models.number_conserving_hamiltonian(
                 spec, params["omega_a"], params["omega_b"]
@@ -230,7 +231,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if not phase_rounding <= PHASE_ROUNDING_LIMIT:
             raise ValueError(f"propagation phases rounded by up to ||H||_F t_max eps = "
                              f"{phase_rounding:.3g} rad, above {PHASE_ROUNDING_LIMIT:g}")
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise UsageError(f"cannot simulate these parameters: {exc}") from exc
     undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
     n_undefined = int(undefined.sum())
@@ -308,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--config", help="flat JSON config file; flags win")
     sample.add_argument("--n", type=int, help="number of sampled representations (default 5000)")
     sample.add_argument("--seed", type=int, help="master seed (default 0)")
-    sample.add_argument("--h-step", dest="h_step", type=float, help="finite-difference step (default 1e-6)")
+    sample.add_argument("--h-step", dest="h_step", type=float, help="step of the central-difference oracle (default 1e-6)")
     sample.add_argument("--threshold", type=float, help="residual threshold (default 1e-12)")
     sample.add_argument("--delta-e", dest="delta_e", type=float, help="requested energy increment (default 1)")
     sample.add_argument("--per-sample", dest="per_sample", action="store_true", default=None,

@@ -3,15 +3,16 @@
 The universe Hamiltonian is constant, so evolution is done by one 4x4
 Hermitian eigendecomposition rather than time stepping; no integrator
 tolerance enters anywhere.  Reduced states and their time derivatives are
-obtained algebraically from ``rho_dot = -i [H, rho]`` followed by a partial
-trace; for a pure state the commutator needs no 4x4 product, only
-``phi = -i H psi`` and the outer products ``phi psi^†`` and ``psi phi^†``.
-The extended-state records read column 1 of each reduced matrix, which
-sums 8 entries of ``rho`` and of ``rho_dot``; :func:`pure_extended_coordinates`
-forms only those, and :func:`rho_and_derivative` all 16, through one entry
-formula, which :func:`pure_extended_tangent` also differentiates exactly.
-A central-difference route through the propagator is kept as an
-independent oracle for tests.
+read by one entry formula from ``rho_dot = -i [H, rho]``; for a pure
+state the commutator needs no 4x4 product, only ``phi = -i H psi`` and
+the outer products ``phi psi^†`` and ``psi phi^†``.  The extended-state
+records read column 1 of each reduced matrix, which sums 8 entries of
+``rho`` and of ``rho_dot``; :func:`pure_extended_coordinates` forms only
+those, :func:`pure_extended_tangent` differentiates them exactly, and
+:func:`rho_dot_local` assembles a reduced derivative from them.  The
+textbook route, :func:`partial_trace` of ``|psi><psi|`` and central
+differences through the propagator (:func:`finite_difference_rho_dot`),
+shares none of that algebra and is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ __all__ = [
     "SUBSYSTEMS",
     "ExtendedStateRep",
     "check_extended_coordinates",
-    "extended_coordinates",
     "extended_state",
     "finite_difference_rho_dot",
     "partial_trace",
     "propagate",
     "pure_extended_coordinates",
     "pure_extended_tangent",
-    "rho_and_derivative",
     "rho_dot_local",
     "trajectory",
 ]
@@ -121,11 +120,9 @@ def _reduced(m: np.ndarray, keep: str) -> np.ndarray:
     return m[..., :2, :2] + m[..., 2:, 2:]
 
 
-def _reduced_column(m: np.ndarray, keep: str) -> np.ndarray:
-    """Column 1 of :func:`_reduced`, summing only the two sub-block columns it needs."""
-    if keep == "A":
-        return m[..., ::2, 2] + m[..., 1::2, 3]
-    return m[..., :2, 1] + m[..., 2:, 3]
+def _density(psi: np.ndarray) -> np.ndarray:
+    """``|psi><psi|`` of a ``(..., 4)`` stack of raw amplitudes."""
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def _rates(hpsi: np.ndarray) -> np.ndarray:
@@ -145,50 +142,6 @@ def _entries(rows: np.ndarray, psi_j: np.ndarray, phi_j: np.ndarray) -> np.ndarr
     out = rows * psi_j.conj()
     out[1] += (phi_j * rows[0].conj()).conj()
     return out
-
-
-def rho_and_derivative(psi: np.ndarray, matrix: np.ndarray):
-    """Global ``rho = |psi><psi|`` and ``rho_dot = -i [H, rho]`` of raw arrays.
-
-    ``H`` must be Hermitian: the commutator is built from ``phi = -i H psi``
-    as ``rho_dot = a + a^†`` with ``a = phi psi^†``, which equals
-    ``-i (H rho - rho H)`` only then, and is Hermitian bitwise.
-    No validation and no normalization, so it serves displaced
-    finite-difference points as well as valid configurations.  Broadcasts
-    over leading axes: ``(..., 4)`` amplitudes and ``(..., 4, 4)``
-    Hamiltonians give two ``(..., 4, 4)`` stacks, each entry bitwise the
-    one computed from its own point and the one
-    :func:`pure_extended_coordinates` reads.
-    """
-    phi = _rates(_apply(matrix, psi))
-    rows = np.empty((2,) + phi.shape, dtype=complex)
-    rows[0] = psi
-    rows[1] = phi
-    rho, rho_dot = _entries(rows[..., :, None], psi[..., None, :], phi[..., None, :])
-    return rho, rho_dot
-
-
-def _density(psi: np.ndarray) -> np.ndarray:
-    """``|psi><psi|`` of a ``(..., 4)`` stack of raw amplitudes."""
-    return psi[..., :, None] * psi[..., None, :].conj()
-
-
-def extended_coordinates(rho: np.ndarray, rho_dot: np.ndarray, subsystem: str) -> np.ndarray:
-    """``(re_c, im_c, p1, re_cdot, im_cdot, p1dot)`` of one subsystem.
-
-    Reads the coherence and excited population (column 1 of the reduced
-    matrix) of the reduced state and of its derivative from the global
-    ``(rho, rho_dot)`` pair.  Broadcasts over leading axes: ``(..., 4, 4)``
-    stacks give ``(..., 6)``.
-    """
-    _subsystem_index(subsystem)
-    columns = np.concatenate(
-        [_reduced_column(rho, subsystem), _reduced_column(rho_dot, subsystem)],
-        axis=-1,
-        dtype=complex,
-    )
-    # (re c, im c, re p1, im p1) of the state, then of its derivative
-    return columns.view(float)[..., [0, 1, 2, 4, 5, 6]]
 
 
 #: amplitude rows read by :func:`pure_extended_coordinates`, of ``psi`` then of
@@ -226,10 +179,10 @@ def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     """Extended coordinates of both subsystems of pure states, from ``psi`` and ``H psi``.
 
     Returns ``(..., 2, 6)``: row 0 is A's and row 1 B's
-    ``(re_c, im_c, p1, re_cdot, im_cdot, p1dot)``, each bitwise
-    ``extended_coordinates(*rho_and_derivative(psi, H), subsystem)``.  Only
-    the 8 entries of ``rho`` and of ``rho_dot`` that column 1 of a reduced
-    matrix sums are formed, through the same products and pair sums.
+    ``(re_c, im_c, p1, re_cdot, im_cdot, p1dot)``, read off column 1 of
+    the reduced ``rho`` and ``rho_dot``.  Only the 8 entries of the global
+    ``rho`` and ``rho_dot`` that those columns sum are formed, through
+    :func:`_entries`, and each pair is summed once.
     ``hpsi`` is ``(H @ psi[..., None])[..., 0]`` with ``H`` Hermitian, of
     the shape ``(..., 4)`` of ``psi``; no validation, and any leading axes.
     """
@@ -260,10 +213,15 @@ def pure_extended_tangent(psi, hpsi, dpsi, dhpsi) -> np.ndarray:
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     """Time derivative of one reduced state, ``Tr_other(-i [H, rho])``.
 
-    Hermitian exactly, traceless up to rounding.
+    Assembled from the subsystem's record in
+    :func:`pure_extended_coordinates`: ``[[-p1dot, cdot], [conj(cdot),
+    p1dot]]``, Hermitian and traceless exactly.
     """
-    _, rho_dot = rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
-    return partial_trace(rho_dot, keep=subsystem)
+    psi = config.state.psi
+    coords = pure_extended_coordinates(psi, _apply(config.hamiltonian.matrix, psi))
+    *_, re_cdot, im_cdot, p1dot = coords[_subsystem_index(subsystem)].tolist()
+    cdot = complex(re_cdot, im_cdot)
+    return np.array([[-p1dot, cdot], [cdot.conjugate(), p1dot]])
 
 
 def finite_difference_rho_dot(

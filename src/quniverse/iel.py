@@ -32,7 +32,7 @@ from .dynamics import (
     SUBSYSTEMS,
     ExtendedStateRep,
     _density,
-    _reduced_column,
+    _reduced,
     check_extended_coordinates,
     extended_state,  # noqa: F401  (perfbench traces iel.extended_state by name)
     partial_trace,
@@ -127,7 +127,7 @@ def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
     # only the excited populations enter, so rho alone suffices
     rho = _density(psi)
     gaps = (hamiltonian.omega_a, hamiltonian.omega_b)
-    return tuple(omega * _reduced_column(rho, s)[..., 1].real for omega, s in zip(gaps, SUBSYSTEMS))
+    return tuple(omega * _reduced(rho, s)[..., 1, 1].real for omega, s in zip(gaps, SUBSYSTEMS))
 
 
 def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):

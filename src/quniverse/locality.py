@@ -49,6 +49,7 @@ can be checked.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -714,9 +715,12 @@ def run_experiment(
     :class:`ConfigRep` is built, one sample at a time, only for the
     samples ``keep_samples`` keeps.  A residual is judged relative to the
     request, ``||A dx - b|| / |delta_e|``, because it scales with
-    ``delta_e``.  Samples whose matrix turns non-finite are recorded in
-    ``failed_indices`` and excluded from ``n_solvable`` rather than
-    aborting the run; numpy's overflow and invalid-value warnings are
+    ``delta_e``; by linearity that is the residual of the unit request
+    ``e_13``, which is what is solved, so ``delta_e`` (nonzero and finite,
+    else ``ValueError``) changes no bit of the report and no request
+    overflows the solve.  Samples whose matrix turns non-finite are
+    recorded in ``failed_indices`` and excluded from ``n_solvable`` rather
+    than aborting the run; numpy's overflow and invalid-value warnings are
     silenced.
 
     ``h_step`` is the step of a central-difference oracle run once, on the
@@ -726,8 +730,9 @@ def run_experiment(
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
-    rhs = _energy_rhs(14, delta_e)
-    scale = abs(float(delta_e))
+    if not (delta_e != 0.0 and math.isfinite(delta_e)):
+        raise ValueError(f"delta_e must be nonzero and finite, got {delta_e!r}")
+    rhs = _energy_rhs(14, 1.0)
     residual_blocks = []
     failed = []
     samples = []
@@ -749,7 +754,7 @@ def run_experiment(
             solvable = slice(None) if np.all(evaluated) else evaluated
             _, solved = _solve_deflated(matrices[solvable], coords[solvable], rhs)
             block_residuals = np.full(len(coords), np.nan)
-            block_residuals[evaluated] = solved / scale
+            block_residuals[evaluated] = solved
             finite = np.isfinite(block_residuals)
             failed.extend(indices[row] for row in np.flatnonzero(~finite).tolist())
             kept = block_residuals[finite]

@@ -64,13 +64,18 @@ def test_sample_unsolvable_threshold_exits_one(tmp_path):
 
 def test_sample_verdict_does_not_depend_on_delta_e(tmp_path):
     # absolute residuals scale with the request: at delta_e 1000 about half
-    # of these samples used to exceed 1e-12
-    out = tmp_path / "report.json"
-    code = main(["sample", "--n", "200", "--seed", "3", "--delta-e", "1000", "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["n_solvable"] == 200
-    assert report["max_residual"] < 1e-13
+    # of these samples used to exceed 1e-12, and at 1e200 every squared
+    # misfit overflowed
+    plain = tmp_path / "plain.json"
+    assert main(["sample", "--n", "200", "--seed", "3", "--out", str(plain)]) == 0
+    for delta_e in ["1000", "1e200", "-1e300"]:
+        out = tmp_path / f"report{delta_e}.json"
+        code = main(["sample", "--n", "200", "--seed", "3", "--delta-e", delta_e, "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["n_solvable"] == 200
+        assert report["max_residual"] < 1e-13
+        assert out.read_bytes() == plain.read_bytes()
 
 
 def _reject_constant(name):
@@ -488,7 +493,9 @@ def test_simulate_overflowing_parameters_are_one_line_usage_errors(argv, tmp_pat
     (["--lambda-re", "1e150"], "propagation phases rounded by up to ||H||_F t_max eps = 6.28e+135 rad"),
     (["--omega-a", "1e9"], "propagation phases rounded by up to ||H||_F t_max eps = 6.28e-06 rad"),
     (["--lambda-re", "1e300"], "mean energy out of range: ||H||_F |psi|^2 overflows"),
-], ids=["noise-phases", "imprecise-phases", "overflow"])
+    # numpy refuses the 7 PiB grid before taking any memory
+    (["--n-steps", "1000000000000000"], "Unable to allocate"),
+], ids=["noise-phases", "imprecise-phases", "overflow", "n-steps"])
 def test_simulate_names_why_large_parameters_are_refused(argv, reason, tmp_path, capsys):
     out = tmp_path / "t.csv"
     with warnings.catch_warnings():

@@ -23,6 +23,20 @@ def _random_config(seed):
     return core.rep_to_config(locality.sample_interior_rep(seed))
 
 
+def _hpsi(psi, matrix):
+    return (matrix @ psi[..., None])[..., 0]
+
+
+def _records(rho, rho_dot):
+    """``(2, 6)`` records of both subsystems, read off column 1 of the
+    textbook partial traces of a 4x4 ``rho`` and ``rho_dot``."""
+    rows = []
+    for subsystem in dynamics.SUBSYSTEMS:
+        (c, p1), (cdot, p1dot) = (dynamics.partial_trace(m, subsystem)[:, 1] for m in (rho, rho_dot))
+        rows.append([c.real, c.imag, p1.real, cdot.real, cdot.imag, p1dot.real])
+    return np.array(rows)
+
+
 def test_propagate_zero_time_is_identity():
     config = _random_config(2)
     after = dynamics.propagate(config.state, config.hamiltonian, 0.0)
@@ -134,7 +148,7 @@ def test_stacked_extended_check_raises_what_one_record_raises(bad_row):
     configs = [_random_config(seed) for seed in range(8)]
     psi = np.stack([c.state.psi for c in configs])
     matrix = np.stack([c.hamiltonian.matrix for c in configs])
-    coords = dynamics.extended_coordinates(*dynamics.rho_and_derivative(psi, matrix), "A")
+    coords = dynamics.pure_extended_coordinates(psi, _hpsi(psi, matrix))[:, 0]
     dynamics.check_extended_coordinates(coords)
     coords[5] = bad_row
     with pytest.raises(ValueError) as one:
@@ -145,44 +159,31 @@ def test_stacked_extended_check_raises_what_one_record_raises(bad_row):
 
 
 def test_extended_coordinates_are_column_one_of_the_partial_traces():
+    # the state half is the textbook partial trace of |psi><psi| bit for bit;
+    # the derivative half is that of the commutator, up to rounding
     for seed in range(20):
         config = _random_config(seed)
-        rho, rho_dot = dynamics.rho_and_derivative(config.state.psi, config.hamiltonian.matrix)
-        for subsystem in dynamics.SUBSYSTEMS:
-            (c, p1), (cdot, p1dot) = (
-                dynamics.partial_trace(m, subsystem)[:, 1] for m in (rho, rho_dot)
-            )
-            expected = [c.real, c.imag, p1.real, cdot.real, cdot.imag, p1dot.real]
-            coords = dynamics.extended_coordinates(rho, rho_dot, subsystem)
-            assert coords.tolist() == expected
+        psi, matrix = config.state.psi, config.hamiltonian.matrix
+        rho = np.outer(psi, psi.conj())
+        expected = _records(rho, -1j * (matrix @ rho - rho @ matrix))
+        coords = dynamics.pure_extended_coordinates(psi, _hpsi(psi, matrix))
+        for subsystem, row in zip(dynamics.SUBSYSTEMS, coords):
+            c, p1 = dynamics.partial_trace(psi, subsystem)[:, 1]
+            assert row[:3].tolist() == [c.real, c.imag, p1.real]
+        assert np.max(np.abs(coords - expected)) <= 1e-14 * np.linalg.norm(matrix, ord=2)
 
 
 def test_extended_state_formula_broadcasts_bitwise():
     configs = [_random_config(seed) for seed in range(30)]
     psi = np.stack([c.state.psi for c in configs]).reshape(5, 6, 4)
     matrix = np.stack([c.hamiltonian.matrix for c in configs]).reshape(5, 6, 4, 4)
-    rho, rho_dot = dynamics.rho_and_derivative(psi, matrix)
-    assert rho.shape == rho_dot.shape == (5, 6, 4, 4)
-    for subsystem in dynamics.SUBSYSTEMS:
-        stacked = dynamics.extended_coordinates(rho, rho_dot, subsystem)
-        assert stacked.shape == (5, 6, 6)
-        for flat, config in enumerate(configs):
-            idx = np.unravel_index(flat, (5, 6))
-            point_rho, point_rho_dot = dynamics.rho_and_derivative(
-                config.state.psi, config.hamiltonian.matrix
-            )
-            assert rho[idx].tobytes() == point_rho.tobytes()
-            assert rho_dot[idx].tobytes() == point_rho_dot.tobytes()
+    stacked = dynamics.pure_extended_coordinates(psi, _hpsi(psi, matrix))
+    assert stacked.shape == (5, 6, 2, 6)
+    for flat, config in enumerate(configs):
+        idx = np.unravel_index(flat, (5, 6))
+        for row, subsystem in enumerate(dynamics.SUBSYSTEMS):
             point = dynamics.extended_state(config, subsystem).to_array()
-            assert stacked[idx].tobytes() == point.tobytes()
-
-
-def test_extended_coordinates_of_real_matrices():
-    # a real rho must be read as complex, not reinterpreted bytewise
-    rho = np.diag([0.25, 0.25, 0.25, 0.25])
-    rho[0, 2] = rho[2, 0] = 0.1
-    coords = dynamics.extended_coordinates(rho, np.zeros((4, 4)), "A")
-    assert np.array_equal(coords, [0.1, 0.0, 0.5, 0.0, 0.0, 0.0])
+            assert stacked[idx][row].tobytes() == point.tobytes()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -193,7 +194,7 @@ def test_extended_coordinates_of_real_matrices():
     size=st.integers(1, 5),
 )
 def test_rho_dot_is_the_hermitian_commutator(parts, entries, angle, size):
-    # a stack of random states and Hermitian H, and each point alone
+    # the records of a stack of random states and Hermitian H, and of each point alone
     psi = parts[:size, 0] + 1j * parts[:size, 1]
     norms = np.linalg.norm(psi, axis=-1, keepdims=True)
     assume(np.all(norms > 1e-3))
@@ -201,15 +202,18 @@ def test_rho_dot_is_the_hermitian_commutator(parts, entries, angle, size):
     m = entries[:size, 0] + 1j * entries[:size, 1]
     matrix = m + m.conj().swapaxes(-1, -2)
     scale = np.linalg.norm(matrix, ord=2, axis=(-2, -1))[:, None, None]
-    rho, rho_dot = dynamics.rho_and_derivative(psi, matrix)
-    _, turned = dynamics.rho_and_derivative(np.exp(1j * angle) * psi, matrix)
+    hpsi = _hpsi(psi, matrix)
+    records = dynamics.pure_extended_coordinates(psi, hpsi)
+    turned_psi = np.exp(1j * angle) * psi
+    turned = dynamics.pure_extended_coordinates(turned_psi, _hpsi(turned_psi, matrix))
+    rho = psi[:, :, None] * psi[:, None, :].conj()
     commutator = -1j * (matrix @ rho - rho @ matrix)
-    for result in [rho_dot] + [dynamics.rho_and_derivative(p, h)[1] for p, h in zip(psi, matrix)]:
-        assert np.array_equal(result, result.conj().swapaxes(-1, -2))
-    assert np.all(np.abs(rho_dot - commutator) <= 1e-14 * scale)
-    assert np.all(np.abs(turned - rho_dot) <= 1e-14 * scale)
+    expected = np.stack([_records(r, d) for r, d in zip(rho, commutator)])
+    # the derivative halves, which scale with H
+    assert np.all(np.abs(records - expected)[..., 3:] <= 1e-14 * scale)
+    assert np.all(np.abs(turned - records)[..., 3:] <= 1e-14 * scale)
     for i in range(size):
-        assert dynamics.rho_and_derivative(psi[i], matrix[i])[1].tobytes() == rho_dot[i].tobytes()
+        assert dynamics.pure_extended_coordinates(psi[i], hpsi[i]).tobytes() == records[i].tobytes()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "rho-dot-sign"])
@@ -220,10 +224,9 @@ def test_pure_extended_coordinates_equal_the_matrix_route_bitwise(sign):
     x[::2] += rng.normal(0.0, 1e-2, x[::2].shape)
     psi = x[:, :4] * np.exp(1j * x[:, 4:8])
     matrix = core.hamiltonian_matrix(x[:, 8], x[:, 9], x[:, 10:].reshape(-1, 3, 3))
-    hpsi = (matrix @ psi[..., None])[..., 0]
+    hpsi = _hpsi(psi, matrix)
     token = dynamics.RHO_DOT_SIGN.set(sign)
     try:
-        rho, rho_dot = dynamics.rho_and_derivative(psi, matrix)
         lean = dynamics.pure_extended_coordinates(psi, hpsi)
         observables = locality.rep_observables(x)
         points = [dynamics.pure_extended_coordinates(p, h) for p, h in zip(psi, hpsi)]
@@ -231,12 +234,9 @@ def test_pure_extended_coordinates_equal_the_matrix_route_bitwise(sign):
     finally:
         dynamics.RHO_DOT_SIGN.reset(token)
     # the full 4x4 matrices, written out as outer products
+    rho = psi[:, :, None] * psi[:, None, :].conj()
     a = (sign * -1j) * hpsi[:, :, None] * psi[:, None, :].conj()
-    assert rho.tobytes() == (psi[:, :, None] * psi[:, None, :].conj()).tobytes()
-    assert rho_dot.tobytes() == (a + a.conj().swapaxes(-1, -2)).tobytes()
-    expected = np.stack(
-        [dynamics.extended_coordinates(rho, rho_dot, s) for s in dynamics.SUBSYSTEMS], axis=-2
-    )
+    expected = np.stack([_records(r, d) for r, d in zip(rho, a + a.conj().swapaxes(-1, -2))])
     assert lean.shape == (60, 2, 6)
     assert lean.tobytes() == expected.tobytes()
     assert np.stack(points).tobytes() == lean.tobytes()
