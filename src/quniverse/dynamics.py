@@ -8,9 +8,11 @@ state the commutator needs no 4x4 product, only ``phi = -i H psi`` and
 the outer products ``phi psi^†`` and ``psi phi^†``.  The extended-state
 records read column 1 of each reduced matrix, which sums 8 entries of
 ``rho`` and of ``rho_dot``; :func:`pure_extended_coordinates` forms only
-those, :func:`pure_extended_tangent` differentiates them exactly, and
-:func:`rho_dot_local` assembles a reduced derivative from them.  The
-textbook route, :func:`partial_trace` of ``|psi><psi|`` and central
+those, and :func:`rho_dot_local` assembles a reduced derivative from them.
+Each state record is a quadratic form ``<psi|M|psi>`` with a constant local
+``M``, and its derivative ``<psi|i s [H, M]|psi>`` (``s`` the sign of
+``rho_dot``); ``quniverse.locality`` reads the ``M`` off this reader and
+differentiates the forms exactly.  The textbook route, :func:`partial_trace` of ``|psi><psi|`` and central
 differences through the propagator (:func:`finite_difference_rho_dot`),
 shares none of that algebra and is kept as the independent oracle.
 """
@@ -35,7 +37,6 @@ __all__ = [
     "partial_trace",
     "propagate",
     "pure_extended_coordinates",
-    "pure_extended_tangent",
     "rho_dot_local",
     "trajectory",
 ]
@@ -188,26 +189,6 @@ def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     """
     rows = _views(psi, hpsi)
     return _pack(_entries(rows, rows[0, :, 1:], rows[1, :, 1:]), psi.shape[:-1])
-
-
-def pure_extended_tangent(psi, hpsi, dpsi, dhpsi) -> np.ndarray:
-    """Derivative of :func:`pure_extended_coordinates` along ``(dpsi, d(H psi))``.
-
-    ``dpsi`` and ``dhpsi`` are ``(..., 4)`` tangents of ``psi`` and of
-    ``H psi`` (for ``H`` Hermitian along the path, ``d(H psi) = H dpsi +
-    dH psi``); ``psi`` and ``hpsi`` have as many axes and broadcast against
-    them through axes of size 1.  Returns the
-    ``(..., 2, 6)`` derivatives of both records, exact up to rounding.  Each
-    entry is bilinear in its row and column operands, so its derivative is
-    the same entry formula applied twice, once to the differentiated rows
-    and once to the differentiated columns; the fault sign enters through
-    ``phi`` and ``dphi`` alike.
-    """
-    lead = np.broadcast_shapes(np.shape(psi), np.shape(dpsi))[:-1]
-    rows, drows = _views(psi, hpsi), _views(dpsi, dhpsi)
-    entries = _entries(drows, rows[0, :, 1:], rows[1, :, 1:])
-    entries += _entries(rows, drows[0, :, 1:], drows[1, :, 1:])
-    return _pack(entries, lead)
 
 
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:

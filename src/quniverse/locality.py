@@ -10,8 +10,9 @@ which rules out reconstructing the energy from those records alone.
 ``run_experiment`` repeats the audit over seeded samples and aggregates
 the residual norms relative to the requested increment.  It takes
 ``AUDIT_BLOCK`` samples at a time: their coordinates come from one
-``_uniforms`` pass, their exact forward-mode Jacobians (``audit_jacobian``)
-from one call per ``AUDIT_CHUNK`` samples, and their least-squares
+``_uniforms`` pass, their exact Jacobians (``audit_jacobian``, which
+differentiates each row as the quadratic form ``<psi|Q|psi>`` it is) from
+one call per ``AUDIT_CHUNK`` samples, and their least-squares
 solutions from one ``_solve_deflated`` call.  Once per run, on the first
 sample, the exact matrix is checked against the central-difference one
 (``build_system``) at the run's ``h_step``.
@@ -36,10 +37,11 @@ show as a large residual, never as a false "solvable".
 Each sample has its own ``SeedSequence(entropy=seed, spawn_key=(index,))``
 substream (``_substream``, the bitwise reference); a block of samples is
 drawn at once by ``_uniforms``, a vectorized re-derivation of numpy's
-SeedSequence -> PCG64 chain, so reports are byte-identical to drawing
-each sample from its own ``Generator``.  The central-difference route
-(``numerical_jacobian``, ``build_system``) stays as the oracle it is
-checked against.
+SeedSequence -> PCG64 chain that reaches each sample's 19 generator
+states by jump-ahead rather than by 19 sequential steps, so reports are
+byte-identical to drawing each sample from its own ``Generator``.  The
+central-difference route (``numerical_jacobian``, ``build_system``) stays
+as the oracle it is checked against.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import core
 from .core import COORD_NAMES, ConfigRep
-from .dynamics import pure_extended_coordinates, pure_extended_tangent
+from .dynamics import _rates, pure_extended_coordinates
 
 __all__ = [
     "FD_ORACLE_TOL",
@@ -87,19 +89,19 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 TANGENCY_TOL = 1e-9
 
 #: samples per exact Jacobian evaluation in :func:`run_experiment`.  The
-#: report does not depend on it.  ``sample --n 5000``, run in process at
-#: AUDIT_BLOCK = 256, took a median 0.22 s of CPU at 16, 0.19 s at 32,
-#: 0.23 s at 64 and 0.25 s at 128, with peak RSS 34.7, 34.5, 35.0 and
-#: 36.6 MB (3 x 7 runs each, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4).
-AUDIT_CHUNK = 32
+#: report does not depend on it.  ``run_experiment(5000, seed)``, run in
+#: process at AUDIT_BLOCK = 256, took a median 0.15 s of CPU at 16, 0.14 s at
+#: 32, 0.12 s at 64, 0.11 s at 128 and 0.15 s at 256, with peak RSS 34.6,
+#: 34.6, 34.5, 34.6 and 35.0 MB (median over 5 processes of the median of
+#: 7 runs each, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4).
+AUDIT_CHUNK = 128
 
 #: samples drawn, mapped, checked and solved at a time in
 #: :func:`run_experiment`: one :func:`_uniforms` pass, one
 #: :func:`_solve_deflated` call, and :data:`AUDIT_CHUNK`-sample Jacobian
 #: calls in between, so memory does not grow with ``n``.  The report does
-#: not depend on it.  Measured as for AUDIT_CHUNK, at 32: 0.28 s at 128,
-#: 0.19 s at 256, 0.18 s at 512 and 0.17 s at 1024, with peak RSS 33.9,
-#: 34.5, 36.0 and 39.2 MB.
+#: not depend on it.  Measured as for AUDIT_CHUNK, at 128: 0.17 s at 128,
+#: 0.11 s at 256, 512 and 1024, with peak RSS 33.8, 34.6, 35.9 and 39.8 MB.
 AUDIT_BLOCK = 256
 
 #: largest entrywise difference :func:`run_experiment` allows between the
@@ -162,43 +164,86 @@ _UNIT_HAMILTONIANS = core.hamiltonian_matrix(*np.eye(11)[:, :2].T, np.eye(11)[:,
 _UNIT_HAMILTONIANS.setflags(write=False)
 
 
+def _state_forms() -> np.ndarray:
+    """``(2, 3, 4, 4)`` Hermitian ``M`` with ``<psi|M|psi>`` the state half of each record.
+
+    Read off :func:`quniverse.dynamics.pure_extended_coordinates` by
+    polarization, ``M_ij = (f(e_i + e_j) - f(e_i) - f(e_j)) / 2 - i (f(e_i +
+    i e_j) - f(e_i) - f(e_j)) / 2``, so the records keep one hand-written
+    formula.  Every entry is ``0``, ``1/2``, ``i/2`` or ``1`` up to sign, and
+    comes out exactly.
+    """
+    basis = np.eye(4, dtype=complex)
+    pairs = np.stack([basis[:, None] + basis, basis[:, None] + 1j * basis])
+
+    def form(psi):
+        return pure_extended_coordinates(psi, np.zeros_like(psi))[..., :3]
+
+    diagonal = form(basis)
+    excess = form(pairs) - diagonal[:, None] - diagonal
+    forms = 0.5 * excess[0] - 0.5j * excess[1]
+    # [row i, column j, subsystem, k] -> [subsystem, k, row, column]
+    return np.ascontiguousarray(forms.transpose(2, 3, 0, 1))
+
+
+# the state forms' rows and the unit Hamiltonians' rows, each stacked as one matrix
+_FORM_ROWS = _state_forms().reshape(24, 4)
+_FORM_ROWS.setflags(write=False)
+_UNIT_ROWS = _UNIT_HAMILTONIANS.reshape(44, 4)
+
+
 def audit_jacobian(x) -> np.ndarray:
     """Exact Jacobian of :func:`rep_observables`: ``(..., 19)`` coordinates give ``(..., 14, 19)``.
 
-    Forward mode, with no step: one ``H psi`` per point, and the tangents of
-    ``psi`` and ``H psi`` along the 19 coordinates.  Along ``R_k`` and
-    ``theta_k`` only ``psi_k`` moves, by ``e^{i theta_k}`` and by
-    ``i psi_k``, so ``d(H psi)`` is column ``k`` of ``H`` times that; along
-    a gap or a coupling only ``H`` moves, by a constant unit Hamiltonian.
-    Rows 0-11 read the tangents through
-    :func:`quniverse.dynamics.pure_extended_tangent`, the derivative of the
-    records' own formula; row 12 is ``2 R`` and row 13 the derivative of
-    ``Re vecdot(psi, H psi)``.  No validation; each point's matrix is
+    Every row is a quadratic form ``<psi|Q_m|psi>`` in the amplitudes: the
+    state half of each record has a constant ``Q_m = M_m``
+    (:func:`_state_forms`), its derivative half ``i s [H, M_m]`` (``s`` the
+    sign of ``rho_dot``), the norm row ``I`` and the energy row ``H``.  So
+    one vector ``w_m = Q_m psi`` per row gives its moduli and phase columns:
+    ``psi_k`` moves by ``t_k = e^{i theta_k}`` along ``R_k`` and by ``t_k =
+    i psi_k`` along ``theta_k``, and the column is ``2 Re(conj(w_mk)
+    t_k)``.  On a derivative row ``w_m = M_m phi - (-i s) H M_m psi`` with
+    ``phi = -i s H psi``, so the sign enters only through
+    :func:`quniverse.dynamics._rates`.  Along a gap or a coupling only ``H``
+    moves, by a constant unit Hamiltonian ``U``: a derivative row moves by
+    ``2 Re((M_m psi)^† (-i s U psi))``, the energy row by ``Re <psi|U
+    psi>``, the state and norm rows not at all.  The norm row is written
+    exactly, ``2 R`` and zeros.  No validation; each point's matrix is
     computed from its own coordinates alone, and a non-finite coordinate
     gives a non-finite matrix.
     """
     x = np.asarray(x, dtype=float)
     lead = x.shape[:-1]
     x = x.reshape(-1, 19)
+    n = len(x)
     psi, matrix = _psi_and_matrix(x)
     hpsi = core._apply(matrix, psi)
-    # tangents along the 19 coordinates, [point, coordinate, amplitude]
-    k = np.arange(4)
-    phase = np.exp(1j * x[:, 4:8])
-    turned = 1j * psi
-    dpsi = np.zeros((len(x), 19, 4), dtype=complex)
-    dpsi[:, k, k] = phase
-    dpsi[:, 4 + k, k] = turned
-    dhpsi = np.empty_like(dpsi)
-    columns = matrix.swapaxes(-1, -2)
-    dhpsi[:, 0:4] = columns * phase[:, :, None]
-    dhpsi[:, 4:8] = columns * turned[:, :, None]
-    dhpsi[:, 8:] = core._apply(_UNIT_HAMILTONIANS, psi[:, None])
-    jac = np.zeros((len(x), 14, 19))
-    records = pure_extended_tangent(psi[:, None], hpsi[:, None], dpsi, dhpsi)
-    jac[:, :12] = records.reshape(-1, 19, 12).swapaxes(-1, -2)
-    jac[:, 12, k] = 2.0 * x[:, :4]
-    jac[:, 13] = (np.vecdot(dpsi, hpsi[:, None]) + np.vecdot(psi[:, None], dhpsi)).real
+    # w[:, m] = Q_m psi; the record rows as [point, subsystem, half, k, amplitude].
+    # Each reshape written through below only splits an axis, so it is a view.
+    w = np.empty((n, 14, 4), dtype=complex)
+    records = w[:, :12].reshape(n, 2, 2, 3, 4)
+    forms = core._apply(_FORM_ROWS, psi).reshape(n, 6, 4)
+    records[:, :, 0] = forms.reshape(n, 2, 3, 4)
+    records[:, :, 1] = core._apply(_FORM_ROWS, _rates(hpsi)).reshape(n, 2, 3, 4)
+    # H times the matrix whose columns are the six M_m psi
+    records[:, :, 1] -= _rates(matrix @ forms.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(n, 2, 3, 4)
+    w[:, 12] = psi
+    w[:, 13] = hpsi
+    # 2 conj(t), so that Re(w 2 conj(t)) = 2 Re(conj(w) t)
+    tangents = np.empty((n, 1, 2, 4), dtype=complex)
+    tangents[:, 0, 0] = 2.0 * np.exp(-1j * x[:, 4:8])
+    tangents[:, 0, 1] = -2j * psi.conj()
+    jac = np.empty((n, 14, 19))
+    jac[:, :, :8].reshape(n, 14, 2, 4)[...] = (w[:, :, None] * tangents).real
+    jac[:, 12, :4] = 2.0 * x[:, :4]
+    jac[:, 12, 4:] = 0.0
+    # Re(conj(a) b) of complex 4-vectors is the dot product of their (re, im) views
+    unit = core._apply(_UNIT_ROWS, psi).reshape(n, 11, 4)
+    rates = _rates(unit).view(float)
+    gaps = jac[:, :12, 8:].reshape(n, 2, 2, 3, 11)
+    gaps[:, :, 0] = 0.0
+    gaps[:, :, 1] = 2.0 * (forms.view(float) @ rates.swapaxes(-1, -2)).reshape(n, 2, 3, 11)
+    jac[:, 13, 8:] = (unit.view(float) @ psi.view(float)[:, :, None])[..., 0]
     return jac.reshape(lead + (14, 19))
 
 
@@ -299,7 +344,25 @@ def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
     coefficients = np.divide(rhs @ u, s, out=np.zeros_like(s), where=kept)
     solutions = (coefficients[..., None, :] @ vt)[..., 0, :]
     misfit = (matrices @ solutions[..., None])[..., 0] - rhs
-    return solutions, np.sqrt(np.vecdot(misfit, misfit))
+    return solutions, _residual_norms(misfit)
+
+
+def _residual_norms(misfit: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a ``(m, k)`` stack, ``sqrt(vecdot(misfit, misfit))``.
+
+    A finite row whose sum of squares overflows (entries of about 1e154 or
+    more) is recomputed divided by its largest entry, so it gets a finite
+    norm and every other row keeps the bits of the plain formula.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(misfit, misfit)
+        overflowed = np.isinf(squares) & np.all(np.isfinite(misfit), axis=-1)
+        norms = np.sqrt(squares)
+        if np.any(overflowed):
+            scale = np.max(np.abs(misfit[overflowed]), axis=-1)
+            scaled = misfit[overflowed] / scale[:, None]
+            norms[overflowed] = scale * np.sqrt(np.vecdot(scaled, scaled))
+    return norms
 
 
 def _schmidt_normals(values: np.ndarray) -> np.ndarray:
@@ -394,8 +457,7 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
         step = tau[:, j] * (solutions[:, j] + np.vecdot(v, solutions[:, j + 1:]))
         solutions[:, j] -= step
         solutions[:, j + 1:] -= step[:, None] * v
-    misfit = (matrices @ solutions[..., None])[..., 0] - rhs
-    residuals = np.sqrt(np.vecdot(misfit, misfit))
+    residuals = _residual_norms((matrices @ solutions[..., None])[..., 0] - rhs)
     certified &= np.all(np.isfinite(solutions), axis=-1)
     if not np.all(certified):
         solutions[~certified], residuals[~certified] = _solve_stack(matrices[~certified], rhs)
@@ -481,10 +543,8 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier as (high, low) words, and the low word's 32-bit limbs
+# PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
-_PCG_MULT_LIMB0, _PCG_MULT_LIMB1 = _PCG_MULT & _MASK32, _PCG_MULT >> 32 & _MASK32
 
 
 def _hash_constants(const: int, mult: int, count: int):
@@ -542,20 +602,34 @@ def _seed_pool(seed: int):
     return pool, const
 
 
-def _mulhi(a: np.ndarray) -> np.ndarray:
-    """High 64 bits of uint64 ``a`` times the multiplier's low word, in 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    low, cross, other = a0 * _PCG_MULT_LIMB0, a0 * _PCG_MULT_LIMB1, a1 * _PCG_MULT_LIMB0
+def _lcg_jumps(count: int) -> tuple:
+    """Factors that carry PCG64's seeds to its state after ``j = 1..count`` outputs.
+
+    ``pcg_setseq_128_srandom_r`` sets the state to ``(inc + initstate) M +
+    inc``, and each output first steps ``state -> state M + inc``, so after
+    ``j`` outputs the state is ``M^(j+1) initstate + (1 + M + ... +
+    M^(j+1)) inc`` mod ``2**128``.  Returns the (high, low) uint64 words of
+    those two factors, each ``(2, 1, count)``: ``[initstate or inc, 1, j - 1]``.
+    """
+    modulus = 2**128
+    powers, sums = [1], [1]
+    for _ in range(count + 1):
+        powers.append(powers[-1] * _PCG_MULT % modulus)
+        sums.append((sums[-1] + powers[-1]) % modulus)
+    factors = [[powers[2:]], [sums[2:]]]
+    return (np.array([[[f >> 64 for f in row] for row in pair] for pair in factors], np.uint64),
+            np.array([[[f & (2**64 - 1) for f in row] for row in pair] for pair in factors], np.uint64))
+
+
+_JUMP_HI, _JUMP_LO = _lcg_jumps(19)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product of uint64 ``a`` and ``b``, in 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low, cross, other = a0 * b0, a0 * b1, a1 * b0
     mid = (low >> 32) + (cross & _MASK32) + (other & _MASK32)
-    return a1 * _PCG_MULT_LIMB1 + (cross >> 32) + (other >> 32) + (mid >> 32)
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One 128-bit LCG step ``state * M + inc`` on (high, low) uint64 lanes."""
-    product = lo * _PCG_MULT_LO
-    new_lo = product + inc_lo
-    new_hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo) + inc_hi + (new_lo < product)
-    return new_hi, new_lo
+    return a1 * b1 + (cross >> 32) + (other >> 32) + (mid >> 32)
 
 
 def _uniforms(seed: int, keys) -> np.ndarray:
@@ -565,9 +639,11 @@ def _uniforms(seed: int, keys) -> np.ndarray:
     One vectorized pass over all keys: the seed's words are mixed into the
     SeedSequence pool once, in Python ints; each key, one uint32 spawn-key
     word, is mixed into its own copy of the pool; ``generate_state(4,
-    uint64)`` seeds PCG64 as ``pcg_setseq_128_srandom_r`` does; and each of
-    19 steps yields the XSL-RR output ``out``, mapped as ``(out >> 11) *
-    2**-53``.
+    uint64)`` gives PCG64's ``initstate`` and ``initseq``; and the 19
+    states that follow seeding are reached by jump-ahead
+    (:func:`_lcg_jumps`), all in one pass over a ``(keys, 19)`` array of
+    128-bit products mod ``2**128``.  Each state yields the XSL-RR output
+    ``out``, mapped as ``(out >> 11) * 2**-53``.
     """
     keys = np.asarray(keys, dtype=np.uint32)
     pool, const = _seed_pool(seed)
@@ -575,20 +651,17 @@ def _uniforms(seed: int, keys) -> np.ndarray:
     words = _hash(mixed[:, [0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MUL).astype(np.uint64)
     # little-endian pairs: initstate (high, low), then initseq (high, low)
     init_hi, init_lo, seq_hi, seq_lo = (words[:, 0::2] | words[:, 1::2] << 32).T
-    inc_hi = seq_hi << 1 | seq_lo >> 63
-    inc_lo = seq_lo << 1 | 1
-    # srandom: one step from 0 (giving inc), add initstate, one more step
-    lo = inc_lo + init_lo
-    hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    his = np.empty((19, len(keys)), np.uint64)
-    los = np.empty_like(his)
-    for j in range(19):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        his[j], los[j] = hi, lo
-    folded = his ^ los
-    rotation = his >> 58
+    # [initstate or inc, key, 1], against the factors' [initstate or inc, 1, output]
+    hi = np.stack([init_hi, seq_hi << 1 | seq_lo >> 63])[..., None]
+    lo = np.stack([init_lo, seq_lo << 1 | 1])[..., None]
+    terms_hi = hi * _JUMP_LO + lo * _JUMP_HI + _mulhi(lo, _JUMP_LO)
+    terms_lo = lo * _JUMP_LO
+    state_lo = terms_lo[0] + terms_lo[1]
+    state_hi = terms_hi[0] + terms_hi[1] + (state_lo < terms_lo[0])
+    folded = state_hi ^ state_lo
+    rotation = state_hi >> 58
     out = folded >> rotation | folded << ((64 - rotation) & 63)
-    return (out >> 11).T * 2.0**-53
+    return (out >> 11) * 2.0**-53
 
 
 def _draw_chunk(seed: int, indices: range) -> np.ndarray:

@@ -209,9 +209,11 @@ def test_rho_dot_is_the_hermitian_commutator(parts, entries, angle, size):
     rho = psi[:, :, None] * psi[:, None, :].conj()
     commutator = -1j * (matrix @ rho - rho @ matrix)
     expected = np.stack([_records(r, d) for r, d in zip(rho, commutator)])
-    # the derivative halves, which scale with H
-    assert np.all(np.abs(records - expected)[..., 3:] <= 1e-14 * scale)
-    assert np.all(np.abs(turned - records)[..., 3:] <= 1e-14 * scale)
+    # the derivative halves, which scale with H; the floor keeps the bound
+    # from underflowing below the spacing of subnormals when H is subnormal
+    bound = 1e-14 * scale + 4 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(records - expected)[..., 3:] <= bound)
+    assert np.all(np.abs(turned - records)[..., 3:] <= bound)
     for i in range(size):
         assert dynamics.pure_extended_coordinates(psi[i], hpsi[i]).tobytes() == records[i].tobytes()
 
@@ -250,26 +252,21 @@ def test_pure_extended_coordinates_equal_the_matrix_route_bitwise(sign):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "rho-dot-sign"])
-def test_pure_extended_tangent_is_the_derivative_of_the_reader(sign):
-    # the records are quadratic along psi + t dpsi, H psi + t d(H psi), so
-    # central differences there carry rounding alone, whatever the step
+def test_audit_jacobian_is_the_derivative_of_the_reader(sign):
+    # half the points displaced off the sphere, as finite-difference points are
     rng = np.random.default_rng(33)
-    psi, hpsi, dpsi, dhpsi = rng.normal(size=(4, 50, 4)) + 1j * rng.normal(size=(4, 50, 4))
-    step = 0.25
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(50)])
+    x[::2] += rng.normal(0.0, 1e-2, x[::2].shape)
     token = dynamics.RHO_DOT_SIGN.set(sign)
     try:
-        tangent = dynamics.pure_extended_tangent(psi, hpsi, dpsi, dhpsi)
-        shared = dynamics.pure_extended_tangent(psi[:1], hpsi[:1], dpsi, dhpsi)
-        singles = [dynamics.pure_extended_tangent(psi[0], hpsi[0], dpsi[i], dhpsi[i]) for i in (0, 17)]
-        plus = dynamics.pure_extended_coordinates(psi + step * dpsi, hpsi + step * dhpsi)
-        minus = dynamics.pure_extended_coordinates(psi - step * dpsi, hpsi - step * dhpsi)
+        exact = locality.audit_jacobian(x)
+        central = locality.numerical_jacobian(locality.rep_observables, x)
     finally:
         dynamics.RHO_DOT_SIGN.reset(token)
-    assert tangent.shape == shared.shape == (50, 2, 6)
-    assert np.max(np.abs(tangent - (plus - minus) / (2.0 * step))) < 1e-12
-    # a base point broadcast against many tangents gives each tangent's own bits
-    assert [single.tobytes() for single in singles] == [shared[0].tobytes(), shared[17].tobytes()]
-    # the fault enters through phi and dphi alike: it flips the derivative rows only
-    plain = dynamics.pure_extended_tangent(psi, hpsi, dpsi, dhpsi)
-    assert np.array_equal(tangent[..., :3], plain[..., :3])
-    assert np.array_equal(tangent[..., 3:], sign * plain[..., 3:])
+    assert exact.shape == (50, 14, 19)
+    assert np.max(np.abs(exact - central)) < locality.FD_ORACLE_TOL
+    # the fault enters through phi alone: it flips the derivative rows and nothing else
+    plain = locality.audit_jacobian(x)
+    derivative, others = [3, 4, 5, 9, 10, 11], [0, 1, 2, 6, 7, 8, 12, 13]
+    assert np.array_equal(exact[:, derivative], sign * plain[:, derivative])
+    assert np.array_equal(exact[:, others], plain[:, others])

@@ -1,5 +1,7 @@
 """Sampling, finite-difference Jacobians, the audit system and its chart."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,48 @@ def test_stacked_jacobian_matches_exact_oracle():
     assert np.max(np.abs(matrices - locality.audit_jacobian(x))) < 1e-8
 
 
+def _partial_trace_records(m):
+    """The six entries per subsystem that the records read off column 1 of
+    the textbook partial traces of a 4x4 matrix, ``(2, 3)``."""
+    columns = [dynamics.partial_trace(m, subsystem)[:, 1] for subsystem in dynamics.SUBSYSTEMS]
+    return np.array([[c.real, c.imag, p1.real] for c, p1 in columns])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "rho-dot-sign"])
+def test_exact_jacobian_hamiltonian_columns_match_the_textbook_commutator(sign):
+    # along gap or coupling h only H moves, by U_h: the derivative rows move by
+    # the records of -i s [U_h, rho], the energy row by <psi|U_h|psi>, and no
+    # state row or the norm row at all; none of it shares the forms' algebra
+    x = locality._draw_chunk(41, range(200))
+    token = dynamics.RHO_DOT_SIGN.set(sign)
+    try:
+        exact = locality.audit_jacobian(x)
+    finally:
+        dynamics.RHO_DOT_SIGN.reset(token)
+    psi = x[:, :4] * np.exp(1j * x[:, 4:8])
+    columns = exact[:, :12, 8:].reshape(200, 2, 6, 11)
+    for point, rho in enumerate(psi[:, :, None] * psi[:, None, :].conj()):
+        for h, unit in enumerate(locality._UNIT_HAMILTONIANS):
+            expected = sign * _partial_trace_records(-1j * (unit @ rho - rho @ unit))
+            assert np.max(np.abs(columns[point, :, 3:6, h] - expected)) < 1e-14
+            energy = (psi[point].conj() @ unit @ psi[point]).real
+            assert abs(exact[point, 13, 8 + h] - energy) < 1e-14
+    assert np.all(columns[:, :, :3] == 0.0) and np.all(exact[:, 12, 8:] == 0.0)
+
+
+def test_state_forms_reproduce_the_state_records():
+    # the forms M read off the reader by polarization give back its state halves
+    x = locality._draw_chunk(42, range(200))
+    x[::2, :4] *= 1.7  # off the sphere too
+    psi = x[:, :4] * np.exp(1j * x[:, 4:8])
+    forms = locality._FORM_ROWS.reshape(2, 3, 4, 4)
+    assert np.array_equal(forms, forms.conj().swapaxes(-1, -2))
+    assert set(np.concatenate([forms.real, forms.imag]).ravel().tolist()) <= {0.0, 0.5, -0.5, 1.0}
+    quadratic = np.einsum("ni,skij,nj->nsk", psi.conj(), forms, psi).real
+    records = dynamics.pure_extended_coordinates(psi, np.zeros_like(psi))[..., :3]
+    assert np.max(np.abs(quadratic - records)) < 1e-15 * np.max(locality.rep_norm_sq(x))
+
+
 def _poison_engine(monkeypatch, targets):
     """Make the exact engine return a NaN matrix at each of the coordinate vectors ``targets``."""
     original = locality.audit_jacobian
@@ -369,6 +413,28 @@ def test_least_squares_duplicated_row_is_inconsistent():
     rhs = np.array([0.0, 1.0])
     _, residual = locality.solve_least_squares((matrix, rhs))
     assert abs(residual - 1.0 / np.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("delta_e", [1e160, 1e200, -1e300])
+def test_least_squares_residual_of_a_huge_request_is_finite(delta_e):
+    # the squared misfit of a request above about 1e154 overflows; such a row
+    # is rescaled, and its relative residual stays at the rounding level
+    x = locality.sample_interior_rep(0).to_array()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, residual = locality.solve_least_squares(locality.build_system(x, delta_e=delta_e))
+    assert np.isfinite(residual) and residual / abs(delta_e) < 1e-13
+
+
+def test_residual_norms_rescale_only_the_rows_that_overflow():
+    misfit = np.random.default_rng(5).normal(size=(6, 14))
+    misfit[[1, 4]] *= [[1e200], [-1e300]]
+    misfit[5, 3] = np.inf
+    norms = locality._residual_norms(misfit)
+    plain = np.sqrt(np.vecdot(misfit[[0, 2, 3]], misfit[[0, 2, 3]]))
+    assert norms[[0, 2, 3]].tobytes() == plain.tobytes()
+    assert np.allclose(norms[[1, 4]], [1e200, 1e300] * np.linalg.norm(misfit[[1, 4]] / [[1e200], [-1e300]], axis=1))
+    assert norms[5] == np.inf
 
 
 def _lstsq_reference(matrices, rhs):
