@@ -40,7 +40,6 @@ from .iel import (
     register_law,
 )
 from .locality import (
-    SampleResult,
     SolvabilityReport,
     build_system,
     build_tangent_system,

@@ -132,8 +132,10 @@ _VERIFY_KEYS = {
 
 CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
 
-#: trajectory rows per stacked law evaluation in ``simulate``; it bounds the
-#: ``(chunk, 4, 4)`` temporaries of the extended-state kernel
+#: trajectory rows per stacked law evaluation in ``simulate``; it bounds that
+#: evaluation's temporaries, the largest being the ``(chunk, 4, 4)`` density
+#: matrices of the ``bare`` law (``iel._bare_law``), since the ``rc`` law reads
+#: only the 8 entries per row that the records sum
 SIMULATE_CHUNK = 512
 
 #: largest ``||H||_F t_max eps`` that ``simulate`` accepts.  It bounds the
@@ -190,12 +192,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 seed=params["seed"],
                 h_step=params["h_step"],
                 threshold=params["threshold"],
-                delta_e=params["delta_e"],
-                keep_samples=params["per_sample"],
             )
-        except ValueError as exc:
-            # an --h-step that fails the central-difference oracle; the empty
-            # report goes if this run created it
+        except (ValueError, MemoryError) as exc:
+            # an --h-step that fails the central-difference oracle, or an --n
+            # whose residual vector cannot be allocated; the empty report goes
+            # if this run created it
             handle.close()
             if created:
                 os.remove(params["out"])
@@ -311,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--seed", type=int, help="master seed (default 0)")
     sample.add_argument("--h-step", dest="h_step", type=float, help="step of the central-difference oracle (default 1e-6)")
     sample.add_argument("--threshold", type=float, help="residual threshold (default 1e-12)")
-    sample.add_argument("--delta-e", dest="delta_e", type=float, help="requested energy increment (default 1)")
+    sample.add_argument("--delta-e", dest="delta_e", type=float, help="requested energy increment (default 1); the report does not depend on it")
     sample.add_argument("--per-sample", dest="per_sample", action="store_true", default=None,
                         help="include per-sample residuals in the report")
     sample.add_argument("--out", help="report path (default solvability_report.json)")

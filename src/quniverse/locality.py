@@ -7,8 +7,10 @@ right-hand side asks for a pure energy increment.  A solution is a
 direction in coordinate space that changes the mean energy at first order
 while leaving both extended states (and the norm constraint) unchanged,
 which rules out reconstructing the energy from those records alone.
-``run_experiment`` repeats the audit over seeded samples and aggregates
-the residual norms relative to the requested increment.  It takes
+``run_experiment`` repeats the audit over seeded samples; its report is
+the vector of their residual norms relative to the requested increment,
+``report.residuals`` (NaN for a sample whose matrix turned non-finite),
+and every figure of the report is read off it.  It takes
 ``AUDIT_BLOCK`` samples at a time: their coordinates come from one
 ``_uniforms`` pass, their exact Jacobians (``audit_jacobian``, which
 differentiates each row as the quadratic form ``<psi|Q|psi>`` it is) from
@@ -35,7 +37,9 @@ re-evaluated against the full 14-row matrix, so a wrong deflation would
 show as a large residual, never as a false "solvable".
 
 Each sample has its own ``SeedSequence(entropy=seed, spawn_key=(index,))``
-substream (``_substream``, the bitwise reference); a block of samples is
+substream (``_substream``, the bitwise reference), so sample ``i``'s
+coordinates are ``sample_interior_rep(np.random.SeedSequence(entropy=seed,
+spawn_key=(i,)))``; a block of samples is
 drawn at once by ``_uniforms``, a vectorized re-derivation of numpy's
 SeedSequence -> PCG64 chain that reaches each sample's 19 generator
 states by jump-ahead rather than by 19 sequential steps, so reports are
@@ -51,7 +55,6 @@ can be checked.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -66,7 +69,6 @@ __all__ = [
     "FD_ORACLE_TOL",
     "JacobianEvaluationError",
     "SAMPLER_ID",
-    "SampleResult",
     "SolvabilityReport",
     "audit_jacobian",
     "build_system",
@@ -696,41 +698,51 @@ def _draw_chunk(seed: int, indices: range) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleResult:
-    """One audited representation with its residual verdict.
-
-    ``index`` is the sample's position in the run (its substream key);
-    ``residual_norm`` is relative to the requested energy increment,
-    ``||A dx - b|| / |delta_e|``.
-    """
-
-    index: int
-    rep: ConfigRep
-    residual_norm: float
-    solvable: bool
-
-
-@dataclass(frozen=True)
 class SolvabilityReport:
-    """Aggregate outcome of a seeded solvability experiment.
+    """Outcome of a seeded solvability experiment, read off one residual vector.
 
-    Residuals are relative to the requested energy increment; the maximum
-    and median are ``None`` when every sample failed.
+    ``residuals[i]`` is sample ``i``'s residual relative to the requested
+    energy increment, NaN where its matrix turned non-finite;
+    :func:`run_experiment` hands it over read-only.  Every other figure is
+    derived from it: a non-finite entry is a failed sample, a finite one
+    below ``threshold`` a solvable one, and the maximum and median run over
+    the finite entries (``None`` when every sample failed).
     """
 
-    n_samples: int
+    residuals: np.ndarray
     h_step: float
     threshold: float
     seed: int
-    n_solvable: int
-    max_residual: float | None
-    median_residual: float | None
     sampler: str = SAMPLER_ID
-    failed_indices: tuple = ()
-    samples: tuple | None = None
+
+    @property
+    def n_samples(self) -> int:
+        return self.residuals.size
+
+    @property
+    def n_solvable(self) -> int:
+        return int(np.count_nonzero(self.residuals < self.threshold))
+
+    @property
+    def failed_indices(self) -> tuple:
+        return tuple(np.flatnonzero(~np.isfinite(self.residuals)).tolist())
+
+    @property
+    def max_residual(self) -> float | None:
+        finite = self.residuals[np.isfinite(self.residuals)]
+        return float(np.max(finite)) if finite.size else None
+
+    @property
+    def median_residual(self) -> float | None:
+        finite = self.residuals[np.isfinite(self.residuals)]
+        return float(np.median(finite)) if finite.size else None
 
     def to_json_dict(self, per_sample: bool = False) -> dict:
-        """Flat dictionary ready for JSON serialization."""
+        """Flat dictionary ready for JSON serialization.
+
+        With ``per_sample``, ``samples`` lists ``[index, residual]`` for each
+        finite sample in index order.
+        """
         out = {
             "n_samples": self.n_samples,
             "h_step": self.h_step,
@@ -743,9 +755,9 @@ class SolvabilityReport:
             "failed_indices": list(self.failed_indices),
         }
         if per_sample:
-            if self.samples is None:
-                raise ValueError("per-sample data was not kept for this run")
-            out["samples"] = [[s.index, s.residual_norm] for s in self.samples]
+            finite = np.isfinite(self.residuals)
+            out["samples"] = [[index, residual] for index, residual in
+                              zip(np.flatnonzero(finite).tolist(), self.residuals[finite].tolist())]
         return out
 
 
@@ -763,38 +775,28 @@ def _check_oracle(x0: np.ndarray, exact: np.ndarray, h_step: float) -> None:
                          f"above {FD_ORACLE_TOL:g}")
 
 
-def run_experiment(
-    n: int,
-    seed: int,
-    h_step: float = 1e-6,
-    threshold: float = 1e-12,
-    delta_e: float = 1.0,
-    keep_samples: bool = False,
-) -> SolvabilityReport:
+def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1e-12) -> SolvabilityReport:
     """Audit ``n`` freshly sampled interior representations.
 
-    Each sample draws from its own substream ``(seed, index)``, so the
-    report is identical however the loop is scheduled.  The run goes a
-    block of :data:`AUDIT_BLOCK` samples at a time: the block is drawn by
-    the vectorized substream kernel (:func:`_uniforms`, bitwise what
-    :func:`_substream` gives each sample) and checked as one ``(m, 19)``
-    array, its ``(m, 14, 19)`` exact matrices are filled by one
-    :func:`audit_jacobian` call per :data:`AUDIT_CHUNK` samples, and the
-    samples whose matrix is finite are solved by one
+    Sample ``i`` draws from its own substream ``(seed, i)``, so the report
+    is identical however the loop is scheduled; its coordinates are
+    ``sample_interior_rep(np.random.SeedSequence(entropy=seed,
+    spawn_key=(i,)))``.  The run goes a block of :data:`AUDIT_BLOCK` samples
+    at a time: the block is drawn by the vectorized substream kernel
+    (:func:`_uniforms`, bitwise what :func:`_substream` gives each sample)
+    and checked as one ``(m, 19)`` array, its ``(m, 14, 19)`` exact matrices
+    are filled by one :func:`audit_jacobian` call per :data:`AUDIT_CHUNK`
+    samples, and the samples whose matrix is finite are solved by one
     :func:`_solve_deflated` call (the minimum-norm solution of
-    :func:`solve_least_squares` up to rounding, and bitwise its residual
-    for a sample handed to the SVD).  Failures, verdicts and kept
-    residuals are read off each block's residual vector; a
-    :class:`ConfigRep` is built, one sample at a time, only for the
-    samples ``keep_samples`` keeps.  A residual is judged relative to the
-    request, ``||A dx - b|| / |delta_e|``, because it scales with
-    ``delta_e``; by linearity that is the residual of the unit request
-    ``e_13``, which is what is solved, so ``delta_e`` (nonzero and finite,
-    else ``ValueError``) changes no bit of the report and no request
-    overflows the solve.  Samples whose matrix turns non-finite are
-    recorded in ``failed_indices`` and excluded from ``n_solvable`` rather
-    than aborting the run; numpy's overflow and invalid-value warnings are
-    silenced.
+    :func:`solve_least_squares` up to rounding, and bitwise its residual for
+    a sample handed to the SVD).  Each block's residuals are written
+    straight into the report's ``residuals``, which is all the report
+    holds.  The request solved is the unit energy increment ``e_13``: by
+    linearity its residual is the residual of any request ``delta_e``
+    divided by ``|delta_e|``, so the report serves every request and no
+    request overflows the solve.  A sample whose matrix turns non-finite
+    keeps a NaN residual and fails alone rather than aborting the run;
+    numpy's overflow and invalid-value warnings are silenced.
 
     ``h_step`` is the step of a central-difference oracle run once, on the
     first sample (skipped if that sample failed): if :func:`build_system`
@@ -803,13 +805,8 @@ def run_experiment(
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
-    if not (delta_e != 0.0 and math.isfinite(delta_e)):
-        raise ValueError(f"delta_e must be nonzero and finite, got {delta_e!r}")
     rhs = _energy_rhs(14, 1.0)
-    residual_blocks = []
-    failed = []
-    samples = []
-    n_solvable = 0
+    residuals = np.full(n, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         # one buffer holds each block's matrices in turn, so the heap does not
         # cycle a block-sized array per block (0.45 MB of the audit's peak RSS)
@@ -826,36 +823,10 @@ def run_experiment(
             # a boolean index copies the stack, so it is taken only when a sample failed
             solvable = slice(None) if np.all(evaluated) else evaluated
             _, solved = _solve_deflated(matrices[solvable], coords[solvable], rhs)
-            block_residuals = np.full(len(coords), np.nan)
-            block_residuals[evaluated] = solved
-            finite = np.isfinite(block_residuals)
-            failed.extend(indices[row] for row in np.flatnonzero(~finite).tolist())
-            kept = block_residuals[finite]
-            n_solvable += int(np.count_nonzero(kept < threshold))
-            residual_blocks.append(kept)
-            if keep_samples:
-                for row in np.flatnonzero(finite).tolist():
-                    residual = float(block_residuals[row])
-                    samples.append(
-                        SampleResult(
-                            index=indices[row],
-                            rep=ConfigRep.from_array(coords[row]),
-                            residual_norm=residual,
-                            solvable=bool(residual < threshold),
-                        )
-                    )
-    residuals = np.concatenate(residual_blocks)
-    return SolvabilityReport(
-        n_samples=n,
-        h_step=float(h_step),
-        threshold=float(threshold),
-        seed=int(seed),
-        n_solvable=n_solvable,
-        max_residual=float(np.max(residuals)) if residuals.size else None,
-        median_residual=float(np.median(residuals)) if residuals.size else None,
-        failed_indices=tuple(failed),
-        samples=tuple(samples) if keep_samples else None,
-    )
+            residuals[indices.start:indices.stop][solvable] = solved
+    residuals.setflags(write=False)
+    return SolvabilityReport(residuals=residuals, h_step=float(h_step), threshold=float(threshold),
+                             seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -291,15 +291,14 @@ def _audit_and_chart(rng, n):
     # 8n round trips through the chart, and three exact audit solutions transported
     # into the exact intrinsic system
     seed = rng.bit_generator.seed_seq.entropy
-    report, repeat = [locality.run_experiment(n=n, seed=seed, keep_samples=True) for _ in range(2)]
+    report, repeat = [locality.run_experiment(n=n, seed=seed) for _ in range(2)]
     same = report.to_json_dict(per_sample=True) == repeat.to_json_dict(per_sample=True)
     moduli = rng.uniform(0.02, 1.0, (8 * n, 4))
     moduli /= np.linalg.norm(moduli, axis=1, keepdims=True)
     trips = [locality.hyperspherical_backward(*locality.hyperspherical_forward(m)) for m in moduli]
     transport = []
     rhs = locality._energy_rhs(14, 1.0)
-    for sample in report.samples[:3]:
-        x = sample.rep.to_array()
+    for x in locality._draw_chunk(seed, range(3)):
         solution, _ = locality.solve_least_squares((locality.audit_jacobian(x), rhs))
         tangent_matrix, tangent_rhs = locality._exact_tangent_system(x)
         dy = locality.transport_solution(solution, x)

@@ -1,7 +1,8 @@
-"""Public API consistency: every exported name resolves."""
+"""Public API consistency: every exported name resolves, and the README example runs."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,11 @@ def test_package_reexports_exist_in_their_modules():
         module = importlib.import_module(f"quniverse.{module_name}")
         assert name in module.__all__, f"{module_name}.{name} is not in __all__"
         assert getattr(quniverse, name) is getattr(module, name)
+
+
+def test_readme_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out

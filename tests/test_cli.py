@@ -48,6 +48,42 @@ def test_sample_per_sample_array(tmp_path):
     assert index == 0 and residual < 1e-12
 
 
+def test_per_sample_report_extends_the_plain_one(tmp_path, monkeypatch):
+    # both reports are read off one residual vector; sample 7's NaN matrix
+    # leaves a gap in the pairs, which keep each sample's own index
+    original = locality.audit_jacobian
+    target = locality._draw_chunk(5, range(8))[7]
+
+    def poisoned(x):
+        out = original(x)
+        out[np.all(x == target, axis=-1)] = np.nan
+        return out
+
+    monkeypatch.setattr(locality, "audit_jacobian", poisoned)
+    plain, detailed = tmp_path / "plain.json", tmp_path / "detailed.json"
+    assert main(["sample", "--n", "300", "--seed", "5", "--out", str(plain)]) == 1
+    assert main(["sample", "--n", "300", "--seed", "5", "--per-sample", "--out", str(detailed)]) == 1
+    report = json.loads(detailed.read_text())
+    pairs = report.pop("samples")
+    assert report == json.loads(plain.read_text())
+    residuals = locality.run_experiment(n=300, seed=5).residuals
+    finite = np.flatnonzero(np.isfinite(residuals)).tolist()
+    assert len(finite) == 299 and 7 not in finite
+    assert pairs == [[i, residuals[i]] for i in finite]
+    with pytest.raises(ValueError, match="read-only"):
+        residuals[0] = 0.0
+
+
+def test_sample_too_large_to_allocate_is_one_line_usage_error(tmp_path, capsys):
+    # numpy refuses the 7 PiB residual vector before taking any memory
+    out = tmp_path / "report.json"
+    assert main(["sample", "--n", "1000000000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sample_rejects_empty_run(tmp_path, capsys):
     assert main(["sample", "--n", "0", "--out", str(tmp_path / "r.json")]) == 2
     assert "error" in capsys.readouterr().err

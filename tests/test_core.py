@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quniverse import core, locality
 from shared_checks import shared_check
@@ -17,11 +20,21 @@ test_round_trip_preserves_coordinates = shared_check("gauge_and_round_trip", see
 test_mean_energy_gauge_invariant = shared_check("gauge_and_round_trip", seed=10, n=100)
 
 
-@pytest.mark.parametrize("axis", ["x", "y", "z"])
-def test_pauli_involution(axis):
-    p = core.pauli(axis)
-    assert np.array_equal(p @ p, np.eye(2, dtype=complex))
-    assert np.array_equal(p, p.conj().T)
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    moduli=arrays(float, 4, elements=st.floats(0.05, 1.0)),
+    theta=arrays(float, 4, elements=st.floats(0.0, 2.0 * np.pi)),
+    gaps=arrays(float, 2, elements=st.floats(1e-6, 1e6)),
+    h=arrays(float, (3, 3), elements=st.floats(-1e6, 1e6)),
+)
+def test_representation_round_trip_returns_every_coordinate(moduli, theta, gaps, h):
+    rep = core.ConfigRep(r=moduli / np.linalg.norm(moduli), theta=theta,
+                         omega_a=gaps[0], omega_b=gaps[1], h=h)
+    back = core.config_to_rep(core.rep_to_config(rep))
+    assert np.max(np.abs(back.r - rep.r)) < 1e-15
+    wrapped = np.mod(back.theta - rep.theta + np.pi, 2.0 * np.pi) - np.pi
+    assert np.max(np.abs(wrapped)) < 1e-14
+    assert back.to_array()[8:].tobytes() == rep.to_array()[8:].tobytes()
 
 
 def test_pauli_cyclic_product():

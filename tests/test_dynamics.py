@@ -218,6 +218,24 @@ def test_rho_dot_is_the_hermitian_commutator(parts, entries, angle, size):
         assert dynamics.pure_extended_coordinates(psi[i], hpsi[i]).tobytes() == records[i].tobytes()
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    parts=arrays(float, (2, 4), elements=st.floats(-1.0, 1.0)),
+    gaps=arrays(float, 2, elements=st.floats(1e-3, 10.0)),
+    h=arrays(float, (3, 3), elements=st.floats(-10.0, 10.0)),
+    t_max=st.floats(0.0, 100.0),
+)
+def test_trajectory_conserves_norm_and_energy(parts, gaps, h, t_max):
+    psi = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(psi)
+    assume(norm > 1e-3)
+    spec = core.assemble_hamiltonian(gaps[0], gaps[1], h)
+    states = dynamics.trajectory(psi / norm, spec, np.linspace(0.0, t_max, 64))
+    assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-13
+    energies = core.expectation(states, spec.matrix).real
+    assert np.max(np.abs(energies - energies[0])) < 1e-13 * spec.frobenius_norm
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "rho-dot-sign"])
 def test_pure_extended_coordinates_equal_the_matrix_route_bitwise(sign):
     # half the points displaced off the sphere, as finite-difference points are

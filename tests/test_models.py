@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quniverse import core, dynamics, iel, models
 from quniverse.verification import random_control_case, random_spec
@@ -141,3 +144,21 @@ def test_embedding_order():
     assert embedded.psi[1] == 0.0
     assert embedded.psi[2] == 0.8j
     assert embedded.psi[3] == 0.0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    parts=arrays(float, (2, 4), elements=st.floats(-1.0, 1.0)),
+    interaction=arrays(float, 3, elements=st.floats(-2.0, 2.0)),
+    gaps=arrays(float, 2, elements=st.floats(1e-3, 2.0)),
+    t_max=st.floats(0.0, 50.0),
+)
+def test_trajectory_conserves_the_excitation_number(parts, interaction, gaps, t_max):
+    psi = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(psi)
+    assume(norm > 1e-3)
+    spec = models.NumberConservingSpec(lam=complex(*interaction[:2]), delta=interaction[2])
+    hamiltonian = models.number_conserving_hamiltonian(spec, *gaps)
+    states = dynamics.trajectory(psi / norm, hamiltonian, np.linspace(0.0, t_max, 64))
+    numbers = core.expectation(states, models.number_operator()).real
+    assert np.max(np.abs(numbers - numbers[0])) < 1e-12
