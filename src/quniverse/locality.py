@@ -3,12 +3,12 @@
 For a sampled interior representation ``X0`` the audit stacks the
 Jacobians of the two six-coordinate extended states, of the moduli norm
 ``sum R_k^2`` and of the mean energy into a 14x19 linear system whose
-right-hand side asks for a pure energy increment.  A solution is a
+right-hand side asks for a unit energy increment.  A solution is a
 direction in coordinate space that changes the mean energy at first order
 while leaving both extended states (and the norm constraint) unchanged,
 which rules out reconstructing the energy from those records alone.
 ``run_experiment`` repeats the audit over seeded samples; its report is
-the vector of their residual norms relative to the requested increment,
+the vector of their residual norms relative to any requested increment,
 ``report.residuals`` (NaN for a sample whose matrix turned non-finite),
 and every figure of the report is read off it.  It takes
 ``AUDIT_BLOCK`` samples at a time: their coordinates come from one
@@ -44,8 +44,8 @@ drawn at once by ``_uniforms``, a vectorized re-derivation of numpy's
 SeedSequence -> PCG64 chain that reaches each sample's 19 generator
 states by jump-ahead rather than by 19 sequential steps, so reports are
 byte-identical to drawing each sample from its own ``Generator``.  The
-central-difference route (``numerical_jacobian``, ``build_system``) stays
-as the oracle it is checked against.
+central-difference route (``numerical_jacobian``, one call for every
+displaced point, and ``build_system``) stays as the oracle.
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
@@ -95,7 +95,9 @@ TANGENCY_TOL = 1e-9
 #: process at AUDIT_BLOCK = 256, took a median 0.15 s of CPU at 16, 0.14 s at
 #: 32, 0.12 s at 64, 0.11 s at 128 and 0.15 s at 256, with peak RSS 34.6,
 #: 34.6, 34.5, 34.6 and 35.0 MB (median over 5 processes of the median of
-#: 7 runs each, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4).
+#: 7 runs each, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4).  Merged into
+#: AUDIT_BLOCK (no buffer), ``sample`` fell from 66.0k-72.4k to 57.8k-65.5k
+#: samples/s (5 of 5 pairs) and peaked 0.3-0.5 MB higher; 20% slower at 128.
 AUDIT_CHUNK = 128
 
 #: samples drawn, mapped, checked and solved at a time in
@@ -262,17 +264,15 @@ def _as_coords(x0) -> np.ndarray:
 def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     """Two-point central-difference Jacobian of ``f`` at ``x0``.
 
-    ``f`` maps a coordinate vector to ``k`` reals; entry ``(i, j)`` is
-    ``(f_i(x0 + h e_j) - f_i(x0 - h e_j)) / (2 h)``.  The step 1e-6 is
-    near optimal for double precision and smooth integrands.  For a 1-D
-    ``x0``, ``f`` is called once per displaced point, ``2 d`` times in all.
-
-    ``x0`` may also be an ``(m, d)`` stack of points when ``f`` maps an
-    ``(n, d)`` stack to ``(n, k)`` (or ``(n,)``) values row by row.  Then
-    ``f`` is called once, on the ``(2 d m, d)`` stack of every displaced
-    copy of every point, and the result is the C-contiguous ``(m, k, d)``
-    stack of Jacobians.  A non-finite value at any point raises, naming
-    the first coordinate whose displacement produced one.
+    ``f`` maps an ``(n, d)`` stack of coordinate vectors to ``(n, k)`` (or
+    ``(n,)``) reals row by row; entry ``(i, j)`` is ``(f_i(x0 + h e_j) -
+    f_i(x0 - h e_j)) / (2 h)``.  The step 1e-6 is near optimal for double
+    precision and smooth integrands.  ``f`` is called once, on the ``(2 d m,
+    d)`` stack of every displaced copy of the ``m`` points of ``x0``: a
+    ``d``-vector (``m = 1``) gives the ``(k, d)`` Jacobian, an ``(m, d)``
+    stack the C-contiguous ``(m, k, d)`` stack of them.  A non-finite value
+    at any point raises, naming the first coordinate whose displacement
+    produced one.
     """
     x0 = _as_coords(x0)
     if h_step <= 0:
@@ -284,12 +284,7 @@ def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     j = np.arange(size)
     points[0, j, ..., j] += h_step
     points[1, j, ..., j] -= h_step
-    flat = points.reshape(-1, size)
-    if x0.ndim == 1:
-        values = np.stack([np.asarray(f(x), dtype=float).reshape(-1) for x in flat])
-    else:
-        values = np.asarray(f(flat), dtype=float)
-    values = values.reshape((2, size) + x0.shape[:-1] + (-1,))
+    values = np.asarray(f(points.reshape(-1, size)), dtype=float).reshape((2, size) + x0.shape[:-1] + (-1,))
     finite = np.all(np.isfinite(values.reshape(2, size, -1)), axis=(0, 2))
     if not np.all(finite):
         bad = int(np.argmin(finite))
@@ -298,30 +293,27 @@ def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis((values[0] - values[1]) / (2.0 * h_step), 0, -1))
 
 
-def _energy_rhs(rows: int, delta_e: float) -> np.ndarray:
-    """Right-hand side asking for ``delta_e`` in the last row, zero elsewhere."""
-    if delta_e == 0.0:
-        raise ValueError("delta_e must be nonzero")
+def _energy_rhs(rows: int) -> np.ndarray:
+    """Right-hand side asking for a unit increment in the last row, zero elsewhere."""
     rhs = np.zeros(rows)
-    rhs[-1] = float(delta_e)
+    rhs[-1] = 1.0
     return rhs
 
 
-def build_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
+def build_system(x0, h_step: float = 1e-6):
     """Assemble the 14x19 audit system at one representation.
 
     Returns ``(matrix, rhs)``.  One Jacobian pass over
     :func:`rep_observables` yields the rows in order: extended state of
     A, extended state of B, moduli norm, mean energy.  The right-hand
-    side requests the energy increment ``delta_e`` while pinning
-    everything else to zero.
+    side requests a unit energy increment while pinning everything else
+    to zero; by linearity it answers every request.
 
     ``x0`` may also be an ``(m, 19)`` stack; then ``matrix`` is the
     ``(m, 14, 19)`` stack of the systems, each bitwise the matrix built
     from its own representation, and the one ``rhs`` serves them all.
     """
-    rhs = _energy_rhs(14, delta_e)
-    return numerical_jacobian(rep_observables, x0, h_step), rhs
+    return numerical_jacobian(rep_observables, x0, h_step), _energy_rhs(14)
 
 
 def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
@@ -412,11 +404,11 @@ _STATE_ROWS = np.array([0, 1, 2, 6, 7, 8])
 _KEPT_ROWS = np.array([np.delete(np.arange(14), [p, p + 3]) for p in _STATE_ROWS])
 
 
-def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
+def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
     """:func:`_solve_stack` for a ``(m, 14, 19)`` stack of exact audit matrices at ``coords``.
 
-    ``rhs`` must ask for energy alone, as :func:`_energy_rhs` does.  The
-    two :func:`_schmidt_normals` ``n1``, ``n2`` annihilate every exact audit
+    It solves the unit energy request :func:`_energy_rhs`.  The two
+    :func:`_schmidt_normals` ``n1``, ``n2`` annihilate every exact audit
     matrix; the row values they are built from are read off the matrix
     itself (rows 0-12 are quadratic in the moduli, so each row's value is
     half its moduli gradient dotted with the moduli, by Euler's theorem).  ``n1`` is zero on
@@ -425,9 +417,9 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
     minor of ``[n1 n2]`` on rows ``(p, p + 3)`` is ``n1[p]^2``: those two
     rows are combinations of the other 12, with zero right-hand side, and
     dropping them leaves the solution set as it was.  The kept rows form
-    ``B``, energy last, so its right-hand side is ``delta e_11``; with one
+    ``B``, energy last, so its right-hand side is ``e_11``; with one
     Householder QR ``B^T = Q R``, stored as reflectors, the minimum-norm
-    solution ``Q R^{-T} delta e_11`` is ``delta / R[11, 11]`` times ``Q``'s
+    solution ``Q R^{-T} e_11`` is ``1 / R[11, 11]`` times ``Q``'s
     last column, which the 12 reflectors give from ``e_11`` without forming
     ``Q`` (Golub & Van Loan, *Matrix Computations*, §5.2).  When ``A`` has
     rank 12 this is the SVD's solution up to rounding.  Each residual is
@@ -440,6 +432,7 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
     test; a product state without coupling (rank 10) fails the second.
     Every row is bitwise the one a 1-system stack gives.
     """
+    rhs = _energy_rhs(14)
     values = 0.5 * (matrices[:, :13, :4] @ coords[:, :4, None])[..., 0]
     first = _schmidt_normals(values)[:, _STATE_ROWS, 0]
     pivots = np.argmax(np.abs(first), axis=-1)
@@ -453,7 +446,7 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray, rhs: np.ndarray):
     # part of reflector j's vector v_j, whose entry j is 1 and whose earlier
     # entries are 0; Q = H_0 ... H_11 with H_j = I - tau_j v_j v_j^T
     solutions = np.zeros((len(h), 19))
-    solutions[:, 11] = np.divide(rhs[-1], h[:, 11, 11], out=np.zeros(len(h)), where=certified)
+    solutions[:, 11] = np.divide(1.0, h[:, 11, 11], out=np.zeros(len(h)), where=certified)
     for j in range(11, -1, -1):
         v = h[:, j, j + 1:]
         step = tau[:, j] * (solutions[:, j] + np.vecdot(v, solutions[:, j + 1:]))
@@ -579,7 +572,9 @@ def _seed_pool(seed: int):
     running hash constant the spawn-key word starts from.
 
     With a spawn key the run entropy is padded with zero words to the pool
-    size, 4, so the pool at this point depends on the seed alone.
+    size, 4, so the pool at this point depends on the seed alone.  numpy's
+    ``SeedSequence(seed).pool`` agrees, but importing ``numpy.random``, which
+    ``sample`` otherwise never loads, costs it 11-17 ms and 2 MB of peak RSS.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -713,7 +708,6 @@ class SolvabilityReport:
     h_step: float
     threshold: float
     seed: int
-    sampler: str = SAMPLER_ID
 
     @property
     def n_samples(self) -> int:
@@ -751,7 +745,7 @@ class SolvabilityReport:
             "n_solvable": self.n_solvable,
             "max_residual": self.max_residual,
             "median_residual": self.median_residual,
-            "sampler": self.sampler,
+            "sampler": SAMPLER_ID,
             "failed_indices": list(self.failed_indices),
         }
         if per_sample:
@@ -766,7 +760,7 @@ def _check_oracle(x0: np.ndarray, exact: np.ndarray, h_step: float) -> None:
     :data:`FD_ORACLE_TOL` of the exact audit matrix ``exact`` at ``x0``."""
     failed = f"h_step {h_step:g} fails the central-difference oracle"
     try:
-        oracle = build_system(x0[None], h_step)[0][0]
+        oracle = build_system(x0, h_step)[0]
     except JacobianEvaluationError as exc:
         raise ValueError(f"{failed}: {exc}") from None
     difference = float(np.max(np.abs(oracle - exact)))
@@ -791,12 +785,11 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     :func:`solve_least_squares` up to rounding, and bitwise its residual for
     a sample handed to the SVD).  Each block's residuals are written
     straight into the report's ``residuals``, which is all the report
-    holds.  The request solved is the unit energy increment ``e_13``: by
-    linearity its residual is the residual of any request ``delta_e``
-    divided by ``|delta_e|``, so the report serves every request and no
-    request overflows the solve.  A sample whose matrix turns non-finite
-    keeps a NaN residual and fails alone rather than aborting the run;
-    numpy's overflow and invalid-value warnings are silenced.
+    holds.  The request solved is the unit energy increment ``e_13``; by
+    linearity its residual is that of every request relative to the
+    request, so no request overflows the solve.  A sample whose matrix
+    turns non-finite keeps a NaN residual and fails alone rather than
+    aborting the run; numpy's overflow and invalid-value warnings are silenced.
 
     ``h_step`` is the step of a central-difference oracle run once, on the
     first sample (skipped if that sample failed): if :func:`build_system`
@@ -805,7 +798,6 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
-    rhs = _energy_rhs(14, 1.0)
     residuals = np.full(n, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         # one buffer holds each block's matrices in turn, so the heap does not
@@ -822,7 +814,7 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
                 _check_oracle(coords[0], matrices[0], h_step)
             # a boolean index copies the stack, so it is taken only when a sample failed
             solvable = slice(None) if np.all(evaluated) else evaluated
-            _, solved = _solve_deflated(matrices[solvable], coords[solvable], rhs)
+            _, solved = _solve_deflated(matrices[solvable], coords[solvable])
             residuals[indices.start:indices.stop][solvable] = solved
     residuals.setflags(write=False)
     return SolvabilityReport(residuals=residuals, h_step=float(h_step), threshold=float(threshold),
@@ -906,12 +898,11 @@ def transport_solution(dx, x0) -> np.ndarray:
 
 
 def _tangent_observables(y: np.ndarray) -> np.ndarray:
-    x = np.empty(19)
-    x[:4] = hyperspherical_backward(1.0, y[0], y[1], y[2])
-    x[4:] = y[3:]
-    observables = rep_observables(x)
-    # the norm row is identically 1 on the sphere chart
-    return np.concatenate([observables[:12], observables[13:]])
+    x = np.empty((len(y), 19))
+    x[:, :4] = hyperspherical_backward(1.0, *y[:, :3].T).T
+    x[:, 4:] = y[:, 3:]
+    # y is an (n, 18) stack of chart points; the norm row is identically 1 on the sphere chart
+    return np.delete(rep_observables(x), 12, axis=-1)
 
 
 def _exact_tangent_system(x0):
@@ -925,10 +916,10 @@ def _exact_tangent_system(x0):
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     rows = np.delete(audit_jacobian(x0), 12, axis=0)
     chart = _forward_jacobian(1.0, alpha, beta, gamma)[:, 1:]
-    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), _energy_rhs(13, 1.0)
+    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), _energy_rhs(13)
 
 
-def build_tangent_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
+def build_tangent_system(x0, h_step: float = 1e-6):
     """13x18 audit system in the intrinsic chart at the same base point.
 
     Returns ``(matrix, rhs)``.  A transported solution of the
@@ -936,8 +927,7 @@ def build_tangent_system(x0, h_step: float = 1e-6, delta_e: float = 1.0):
     noise; that equivalence is what justifies auditing with the extra
     norm row instead of intrinsic coordinates.
     """
-    rhs = _energy_rhs(13, delta_e)
     x0 = _as_coords(x0)
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     y0 = np.concatenate([[alpha, beta, gamma], x0[4:]])
-    return numerical_jacobian(_tangent_observables, y0, h_step), rhs
+    return numerical_jacobian(_tangent_observables, y0, h_step), _energy_rhs(13)

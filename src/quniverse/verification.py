@@ -35,13 +35,14 @@ EXACT = math.ulp(0.0)
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """One suite's outcome: its case count, the labels that failed, and
-    ``(label, worst, tolerance)`` of every case in run order."""
+    """One suite's outcome: its case count, the labels that failed, ``(label,
+    worst, tolerance)`` of every case in run order, and each raised check's message."""
 
     name: str
     cases: int
     failures: tuple
     checks: tuple = ()
+    errors: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -280,7 +281,7 @@ def _linear_map(rng, n):
     # dyadic rational, so central differences carry no rounding at all
     matrix = rng.integers(-9, 10, size=(n, 19)).astype(float)
     point = rng.integers(-9, 10, size=19).astype(float)
-    return _dist(locality.numerical_jacobian(lambda x: matrix @ x, point, 2.0**-10), matrix)
+    return _dist(locality.numerical_jacobian(lambda x: x @ matrix.T, point, 2.0**-10), matrix)
 
 
 @_check("locality", 25, ("small experiment: every sample solvable", EXACT),
@@ -297,9 +298,8 @@ def _audit_and_chart(rng, n):
     moduli /= np.linalg.norm(moduli, axis=1, keepdims=True)
     trips = [locality.hyperspherical_backward(*locality.hyperspherical_forward(m)) for m in moduli]
     transport = []
-    rhs = locality._energy_rhs(14, 1.0)
     for x in locality._draw_chunk(seed, range(3)):
-        solution, _ = locality.solve_least_squares((locality.audit_jacobian(x), rhs))
+        solution, _ = locality.solve_least_squares((locality.audit_jacobian(x), locality._energy_rhs(14)))
         tangent_matrix, tangent_rhs = locality._exact_tangent_system(x)
         dy = locality.transport_solution(solution, x)
         transport.append(float(np.linalg.norm(tangent_matrix @ dy - tangent_rhs)))
@@ -334,9 +334,16 @@ def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list
 
 def _run_suite(suite: str, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    cases = [case for name, row in CHECKS.items() if row[0] == suite for case in run_check(name, rng)]
+    cases, errors = [], []
+    for name in [name for name, row in CHECKS.items() if row[0] == suite]:
+        try:
+            cases += run_check(name, rng)
+        except Exception as exc:
+            # a broken check fails each of its cases unmeasured; the rest still run
+            cases += [(label, math.nan, tol) for label, tol in CHECKS[name][3]]
+            errors.append(f"{name}: {type(exc).__name__}: {exc}")
     failures = tuple(label for label, error, tol in cases if not error < tol)
-    return SuiteResult(suite, len(cases), failures, tuple(cases))
+    return SuiteResult(suite, len(cases), failures, tuple(cases), tuple(errors))
 
 
 #: suite name -> ``(seed) -> SuiteResult``, in the order of :data:`CHECKS`
@@ -367,13 +374,15 @@ def summary_dict(results) -> dict:
 
     Each suite lists its checks' worst measured errors beside their
     tolerances, so the summary shows how close each case came to failing;
-    a worst error that is not finite (a failed exact assertion, or a NaN)
-    is written as ``null``, which keeps the summary strict JSON.
+    a worst error that is not finite (a failed exact assertion, a NaN, a
+    check that raised) is written as ``null``, which keeps the summary
+    strict JSON.  ``errors`` lists any raised check's message.
     """
     suites = [
         {"name": r.name, "cases": r.cases, "failures": list(r.failures),
          "checks": [{"label": label, "worst": error if math.isfinite(error) else None,
                      "tolerance": tol} for label, error, tol in r.checks]}
+        | ({"errors": list(r.errors)} if r.errors else {})
         for r in results
     ]
     return {"suites": suites, "all_passed": all(r.passed for r in results)}

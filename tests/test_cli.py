@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -374,7 +377,8 @@ def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
     (["sample"], {"n": 2.7}, "n must be an integer, got 2.7"),
     (["sample"], {"n": True}, "n must be an integer, got True"),
     (["verify"], {"inject_fault": "rho-dot"}, "unknown fault 'rho-dot', available: rho-dot-sign"),
-], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault"])
+    (["sample", "--delta-e", "0"], None, "delta_e must be nonzero, got 0.0"),
+], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault", "delta-e-zero"])
 def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
@@ -455,6 +459,43 @@ def test_verify_summary_writes_a_nonfinite_worst_as_null():
         {"label": "a", "worst": 0.0, "tolerance": 1e-12},
         {"label": "b", "worst": None, "tolerance": 1e-12},
     ]
+
+
+def test_verify_reports_a_check_that_raises_as_failed(tmp_path, monkeypatch):
+    def broken(rng, n):
+        raise ValueError("oracle refused")
+
+    suite, _, n, cases = verification.CHECKS["linear_map"]
+    monkeypatch.setitem(verification.CHECKS, "linear_map", (suite, broken, n, cases))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "locality", "--out", str(out)]) == 1
+    (summary,) = json.loads(out.read_text())["suites"]
+    assert summary["errors"] == ["linear_map: ValueError: oracle refused"]
+    assert summary["failures"] == [label for label, _ in cases]
+    checks = {c["label"]: c["worst"] for c in summary["checks"]}
+    assert [checks[label] for label, _ in cases] == [None]
+    # the checks after the broken one still ran and passed
+    assert summary["cases"] == sum(len(row[3]) for row in verification.CHECKS.values() if row[0] == "locality")
+    assert sum(worst is not None for worst in checks.values()) == summary["cases"] - 1
+    # a summary without a broken check has no errors key
+    assert main(["verify", "--suite", "core", "--out", str(out)]) == 0
+    assert "errors" not in json.loads(out.read_text())["suites"][0]
+
+
+def test_sample_and_simulate_never_import_numpy_random(tmp_path):
+    # numpy.random costs 11-17 ms and 2 MB of peak RSS to import; the audit's
+    # substream kernel re-derives the streams so that it is never loaded
+    script = (
+        "import sys\n"
+        "from quniverse.cli import main\n"
+        f"assert main(['sample', '--n', '200', '--seed', '3', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        f"assert main(['simulate', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _rho_dot_error():
