@@ -98,36 +98,40 @@ _POSITIVE = _kind(_NUMBER, lambda v: v > 0, "positive")
 _SEED = _kind(int, lambda v: v >= 0, "at least 0")
 _COUNT = _kind(int, lambda v: v >= 1, "at least 1")
 
-# key -> (default, check); the check of each key validates its flag or
-# config-file value once, in _merge.  A key whose default is None may be null.
+# key -> (default, check, help), one table per subcommand.  Each key is a
+# flag, --key with dashes, and a config-file key; _build_parser makes the flag
+# and shows the default, and the check validates its flag or config-file value
+# once, in _merge.  A key whose default is None may be null.
 _SAMPLE_KEYS = {
-    "n": (5000, _COUNT),
-    "seed": (0, _SEED),
-    "h_step": (1e-6, _POSITIVE),
-    "threshold": (1e-12, _POSITIVE),
-    "delta_e": (1.0, _kind(_NUMBER, lambda v: v != 0, "nonzero")),
-    "per_sample": (False, _kind(bool)),
-    "out": ("solvability_report.json", _kind(str)),
+    "n": (5000, _COUNT, "number of sampled representations"),
+    "seed": (0, _SEED, "master seed"),
+    "h_step": (1e-6, _POSITIVE, "step of the central-difference oracle"),
+    "threshold": (1e-12, _POSITIVE, "residual threshold"),
+    "delta_e": (1.0, _kind(_NUMBER, lambda v: v != 0, "nonzero"),
+                "requested energy increment; the report does not depend on it"),
+    "per_sample": (False, _kind(bool), "include per-sample residuals in the report"),
+    "out": ("solvability_report.json", _kind(str), "report path"),
 }
 
 _SIMULATE_KEYS = {
-    "omega_a": (1.0, _POSITIVE),
-    "omega_b": (0.85, _POSITIVE),
-    "lambda_re": (0.83, _REAL),
-    "lambda_im": (0.41, _REAL),
-    "delta": (0.0, _REAL),
-    "alpha": (0.0, _REAL),
-    "t_max": (20.0, _POSITIVE),
-    "n_steps": (1000, _COUNT),
-    "law": ("rc", _one_of(iel.LAWS, "law")),
-    "out": ("trajectory.csv", _kind(str)),
+    "omega_a": (1.0, _POSITIVE, "gap of subsystem A"),
+    "omega_b": (0.85, _POSITIVE, "gap of subsystem B"),
+    "lambda_re": (0.83, _REAL, "Re of the exchange amplitude"),
+    "lambda_im": (0.41, _REAL, "Im of the exchange amplitude"),
+    "delta": (0.0, _REAL, "dephasing strength"),
+    "alpha": (0.0, _REAL, "double-excitation amplitude of the initial state"),
+    "t_max": (20.0, _POSITIVE, "final time"),
+    "n_steps": (1000, _COUNT, "number of steps"),
+    "law": ("rc", _one_of(iel.LAWS, "law"), f"energy law to tabulate: {', '.join(iel.LAWS)}"),
+    "out": ("trajectory.csv", _kind(str), "CSV path"),
 }
 
 _VERIFY_KEYS = {
-    "suite": ("all", _suites),
-    "seed": (2024, _SEED),
-    "inject_fault": (None, _one_of(dynamics.FAULTS, "fault")),
-    "out": (None, _kind(str)),
+    "suite": ("all", _suites, "comma-separated suite names, or all"),
+    "seed": (2024, _SEED, "seed for the randomized checks"),
+    "inject_fault": (None, _one_of(dynamics.FAULTS, "fault"),
+                     f"fault to inject to prove the checks bite: {', '.join(dynamics.FAULTS)}"),
+    "out": (None, _kind(str), "JSON summary path; stdout if null"),
 }
 
 CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
@@ -165,7 +169,7 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
-    for key, (default, check) in keys.items():
+    for key, (default, check, _) in keys.items():
         value = getattr(args, key)
         if value is None:
             value = config.get(key, default)
@@ -305,41 +309,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-qubit universe energy laws: solvability runs, trajectories, self checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sample = sub.add_parser("sample", help="run the solvability experiment")
-    sample.add_argument("--config", help="flat JSON config file; flags win")
-    sample.add_argument("--n", type=int, help="number of sampled representations (default 5000)")
-    sample.add_argument("--seed", type=int, help="master seed (default 0)")
-    sample.add_argument("--h-step", dest="h_step", type=float, help="step of the central-difference oracle (default 1e-6)")
-    sample.add_argument("--threshold", type=float, help="residual threshold (default 1e-12)")
-    sample.add_argument("--delta-e", dest="delta_e", type=float, help="requested energy increment (default 1); the report does not depend on it")
-    sample.add_argument("--per-sample", dest="per_sample", action="store_true", default=None,
-                        help="include per-sample residuals in the report")
-    sample.add_argument("--out", help="report path (default solvability_report.json)")
-    sample.set_defaults(func=_cmd_sample)
-
-    simulate = sub.add_parser("simulate", help="export one trajectory as CSV")
-    simulate.add_argument("--config", help="flat JSON config file; flags win")
-    simulate.add_argument("--omega-a", dest="omega_a", type=float, help="gap of subsystem A (default 1)")
-    simulate.add_argument("--omega-b", dest="omega_b", type=float, help="gap of subsystem B (default 0.85)")
-    simulate.add_argument("--lambda-re", dest="lambda_re", type=float, help="Re of the exchange amplitude (default 0.83)")
-    simulate.add_argument("--lambda-im", dest="lambda_im", type=float, help="Im of the exchange amplitude (default 0.41)")
-    simulate.add_argument("--delta", type=float, help="dephasing strength (default 0)")
-    simulate.add_argument("--alpha", type=float, help="double-excitation amplitude of the initial state (default 0)")
-    simulate.add_argument("--t-max", dest="t_max", type=float, help="final time (default 20)")
-    simulate.add_argument("--n-steps", dest="n_steps", type=int, help="number of steps (default 1000)")
-    simulate.add_argument("--law", help="registered energy law to tabulate, e.g. bare or rc (default rc)")
-    simulate.add_argument("--out", help="CSV path (default trajectory.csv)")
-    simulate.set_defaults(func=_cmd_simulate)
-
-    verify = sub.add_parser("verify", help="run the self-check suites")
-    verify.add_argument("--config", help="flat JSON config file; flags win")
-    verify.add_argument("--suite", help="comma-separated suite names, or 'all' (default)")
-    verify.add_argument("--seed", type=int, help="seed for the randomized checks (default 2024)")
-    verify.add_argument("--inject-fault", dest="inject_fault", choices=dynamics.FAULTS,
-                        help="flip a sign in the local derivative to prove the checks bite")
-    verify.add_argument("--out", help="write the JSON summary here instead of stdout")
-    verify.set_defaults(func=_cmd_verify)
+    for name, about, keys, func in (
+        ("sample", "run the solvability experiment", _SAMPLE_KEYS, _cmd_sample),
+        ("simulate", "export one trajectory as CSV", _SIMULATE_KEYS, _cmd_simulate),
+        ("verify", "run the self-check suites", _VERIFY_KEYS, _cmd_verify),
+    ):
+        command = sub.add_parser(name, help=about)
+        command.set_defaults(func=func)
+        command.add_argument("--config", help="flat JSON config file; flags win")
+        for key, (default, _, text) in keys.items():
+            # every flag defaults to None, so that _merge can tell it was not
+            # given; the help shows the table's default as a config file spells it
+            kind = ({"action": "store_true"} if isinstance(default, bool)
+                    else {"type": str if default is None else type(default)})
+            command.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                                 help=f"{text} (default {json.dumps(default)})", **kind)
     return parser
 
 

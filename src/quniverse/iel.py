@@ -33,6 +33,7 @@ from .dynamics import (
     ExtendedStateRep,
     _density,
     _reduced,
+    _subsystem_index,
     check_extended_coordinates,
     extended_state,  # noqa: F401  (perfbench traces iel.extended_state by name)
     partial_trace,
@@ -85,11 +86,7 @@ class EnergyPair:
         return self.u_a + self.u_b
 
     def for_subsystem(self, subsystem: str) -> float:
-        if subsystem == "A":
-            return self.u_a
-        if subsystem == "B":
-            return self.u_b
-        raise ValueError(f"unknown subsystem {subsystem!r}, expected 'A' or 'B'")
+        return (self.u_a, self.u_b)[_subsystem_index(subsystem)]
 
 
 @dataclass(frozen=True)

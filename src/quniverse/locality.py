@@ -479,21 +479,37 @@ def solve_least_squares(system):
 # sampling and the experiment loop
 # ---------------------------------------------------------------------------
 
-def _open_uniform(rng: np.random.Generator, low: float, high: float, size):
-    # uniform() is half-open [low, high); redraw exact boundary hits so the
-    # sample stays in the open interval
-    while True:
-        values = rng.uniform(low, high, size)
-        if np.all(values > low):
-            return values
+# bounds of the 19 coordinates in the COORD_NAMES order: moduli (before
+# normalization), phases, gaps, couplings
+_LOW = np.array([0.0] * 10 + [-1.0] * 9)
+_SPAN = np.array([1.0] * 4 + [2.0 * np.pi] * 4 + [1.0] * 2 + [2.0] * 9)
+
+
+def _interior(u: np.ndarray) -> np.ndarray:
+    """Map a ``(m, 19)`` stack of unit doubles in place onto sampled coordinates.
+
+    Each coordinate becomes ``low + span * u``, as ``Generator.uniform``
+    maps it, and the moduli are put on the unit sphere.  Returns which rows
+    are accepted: no coordinate on its lower bound, and a moduli norm above
+    1e-3.  A rejected row is left unnormalized, to be drawn again whole.
+    """
+    u *= _SPAN
+    u += _LOW
+    # a 1-D np.linalg.norm is sqrt(dot(v, v)); vecdot gives each row those
+    # bits, which norm(axis=1) does not
+    norms = np.sqrt(np.vecdot(u[:, :4], u[:, :4]))
+    accepted = np.all(u > _LOW, axis=1) & (norms > 1e-3)
+    np.divide(u[:, :4], norms[:, None], out=u[:, :4], where=accepted[:, None])
+    return accepted
 
 
 def sample_interior_rep(rng) -> ConfigRep:
     """Draw one representation from the interior of the configuration surface.
 
-    Moduli come from the unit box, rejected when the norm falls below
-    1e-3, then normalized onto the sphere; phases from the open interval
-    (0, 2pi); gaps from (0, 1); couplings from (-1, 1).  Only energy
+    One draw is 19 unit doubles, mapped by :func:`_interior`: moduli from the
+    unit box, normalized onto the sphere; phases from (0, 2pi); gaps from
+    (0, 1); couplings from (-1, 1).  A draw with a coordinate on its lower
+    bound or a moduli norm at or below 1e-3 is redone whole.  Only energy
     ratios matter, so bounded gap and coupling ranges lose no generality.
     ``rng`` is a seed or a ``numpy.random.Generator``; a given seed
     reproduces the sample bitwise.  :func:`run_experiment` draws its
@@ -502,23 +518,9 @@ def sample_interior_rep(rng) -> ConfigRep:
     """
     rng = np.random.default_rng(rng)
     while True:
-        raw = rng.uniform(0.0, 1.0, 4)
-        norm = float(np.linalg.norm(raw))
-        if norm > 1e-3 and np.all(raw > 0.0):
-            break
-    moduli = raw / norm
-    theta = _open_uniform(rng, 0.0, 2.0 * np.pi, 4)
-    omega = _open_uniform(rng, 0.0, 1.0, 2)
-    couplings = _open_uniform(rng, -1.0, 1.0, (3, 3))
-    return ConfigRep(
-        r=moduli, theta=theta, omega_a=omega[0], omega_b=omega[1], h=couplings
-    )
-
-
-# bounds of the 19 coordinates in the order sample_interior_rep draws them:
-# moduli (before normalization), phases, gaps, couplings
-_LOW = np.array([0.0] * 10 + [-1.0] * 9)
-_SPAN = np.array([1.0] * 4 + [2.0 * np.pi] * 4 + [1.0] * 2 + [2.0] * 9)
+        x = rng.random((1, 19))
+        if _interior(x)[0]:
+            return ConfigRep.from_array(x[0])
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -667,12 +669,11 @@ def _draw_chunk(seed: int, indices: range) -> np.ndarray:
     The row of sample ``i`` is bitwise
     ``sample_interior_rep(_substream(seed, i)).to_array()``:
     the 19 doubles that sampler consumes come from :func:`_uniforms`, one
-    pass for the whole range, and are mapped as ``Generator.uniform`` maps
-    them, ``low + span * u``.  A spawn key of ``2**32`` or more takes two
+    pass for the whole range, and go through the sampler's map,
+    :func:`_interior`.  A spawn key of ``2**32`` or more takes two
     SeedSequence words, which the kernel does not mix, so such samples draw
     from :func:`_substream` itself; no feasible run reaches one.  A draw the
-    sampler would reject (a zero modulus, a norm at or below 1e-3, a value
-    on an interval's lower bound) is redone by the sampler itself.
+    map rejects is redone by the sampler itself.
     """
     x = np.empty((len(indices), 19))
     narrow = range(indices.start, min(indices.stop, 2**32), indices.step)
@@ -680,14 +681,7 @@ def _draw_chunk(seed: int, indices: range) -> np.ndarray:
         x[:len(narrow)] = _uniforms(seed, np.arange(narrow.start, narrow.stop, narrow.step))
     for row in range(len(narrow), len(indices)):
         _substream(seed, indices[row]).random(out=x[row])
-    x *= _SPAN
-    x += _LOW
-    # a 1-D np.linalg.norm is sqrt(dot(v, v)); vecdot gives each row those
-    # bits, which norm(axis=1) does not
-    norms = np.sqrt(np.vecdot(x[:, :4], x[:, :4]))
-    accepted = np.all(x > _LOW, axis=1) & (norms > 1e-3)
-    np.divide(x[:, :4], norms[:, None], out=x[:, :4], where=accepted[:, None])
-    for row in np.flatnonzero(~accepted):
+    for row in np.flatnonzero(~_interior(x)):
         x[row] = sample_interior_rep(_substream(seed, indices[row])).to_array()
     return core.check_reps(x)
 

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, UniverseState, assemble_hamiltonian
+from .core import Configuration, HamiltonianSpec, UniverseState, assemble_hamiltonian, check_states
+from .dynamics import _subsystem_index
 from .iel import COHERENCE_CUTOFF, RCUndefinedError
 
 __all__ = [
@@ -97,12 +98,8 @@ class ControlCaseState:
     psi_b: complex
 
     def __post_init__(self):
-        amps = np.array([self.psi0, self.psi_a, self.psi_b], dtype=complex)
-        if not (np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise ValueError(f"amplitudes not normalized: sum |psi|^2 = {norm_sq!r}")
+        # the embedded state (psi0, psi_b, psi_a, 0) is checked as any state is
+        check_states(np.array([self.psi0, self.psi_b, self.psi_a, 0.0], dtype=complex))
         object.__setattr__(self, "psi0", complex(self.psi0))
         object.__setattr__(self, "psi_a", complex(self.psi_a))
         object.__setattr__(self, "psi_b", complex(self.psi_b))
@@ -139,14 +136,12 @@ def control_rho_dot_analytic(
     """
     lam, delta = spec.lam, spec.delta
     p0, pa, pb = state.psi0, state.psi_a, state.psi_b
-    if subsystem == "A":
+    if _subsystem_index(subsystem) == 0:
         cdot = 1j * p0 * (np.conj(lam) * np.conj(pb) + (omega_a - 2.0 * delta) * np.conj(pa))
         p1dot = 2.0 * np.imag(lam * np.conj(pa) * pb)
-    elif subsystem == "B":
+    else:
         cdot = 1j * p0 * (lam * np.conj(pa) + (omega_b - 2.0 * delta) * np.conj(pb))
         p1dot = -2.0 * np.imag(lam * np.conj(pa) * pb)
-    else:
-        raise ValueError(f"unknown subsystem {subsystem!r}, expected 'A' or 'B'")
     return np.array([[-p1dot, cdot], [np.conj(cdot), p1dot]], dtype=complex)
 
 

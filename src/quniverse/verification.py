@@ -324,6 +324,26 @@ def _schmidt_identities(rng, n):
     return _dist(products / scales)
 
 
+# points of the box's closure that the deflated solve must hand to the SVD: a
+# product state without coupling (rank 10) and a Bell state (rank 9)
+_PRODUCT_STATE = np.concatenate([[0.5] * 4, [0.3] * 4, [0.4, 0.7], [0.0] * 9])
+_BELL_STATE = np.concatenate([[2**-0.5, 0.0, 0.0, 2**-0.5], [0.1, 0.2, 0.3, 0.4], [0.4, 0.7],
+                              np.linspace(-0.8, 0.8, 9)])
+
+
+@_check("locality", 25, ("deflated solve matches the SVD on sampled points", 1e-13),
+        ("degenerate points take the SVD's residuals bitwise", EXACT))
+def _deflated_solve(rng, n):
+    # residual gaps to the SVD: rounding on sampled points, none where the
+    # deflation cannot be certified
+    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)]
+                 + [_PRODUCT_STATE, _BELL_STATE])
+    matrices = locality.audit_jacobian(x)
+    _, deflated = locality._solve_deflated(matrices, x)
+    _, reference = locality._solve_stack(matrices, locality._energy_rhs(14))
+    return _dist(deflated[:n], reference[:n]), _dist(deflated[n:], reference[n:])
+
+
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:
     """``(label, error, tolerance)`` of each case of one check, which passes
     when ``error < tolerance``; ``n`` defaults to the count in ``verify``."""

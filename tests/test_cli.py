@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -378,7 +379,9 @@ def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
     (["sample"], {"n": True}, "n must be an integer, got True"),
     (["verify"], {"inject_fault": "rho-dot"}, "unknown fault 'rho-dot', available: rho-dot-sign"),
     (["sample", "--delta-e", "0"], None, "delta_e must be nonzero, got 0.0"),
-], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault", "delta-e-zero"])
+    (["verify", "--inject-fault", "rho-dot"], None, "unknown fault 'rho-dot', available: rho-dot-sign"),
+], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault", "delta-e-zero",
+        "fault-flag"])
 def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
@@ -401,6 +404,24 @@ def test_flag_rejected_by_argparse_is_one_line_usage_error(argv, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, keys, flags", [
+    ("sample", cli._SAMPLE_KEYS, "--n --seed --h-step --threshold --delta-e --per-sample --out"),
+    ("simulate", cli._SIMULATE_KEYS,
+     "--omega-a --omega-b --lambda-re --lambda-im --delta --alpha --t-max --n-steps --law --out"),
+    ("verify", cli._VERIFY_KEYS, "--suite --seed --inject-fault --out"),
+], ids=["sample", "simulate", "verify"])
+def test_help_lists_each_key_of_its_table_with_its_default(command, keys, flags, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).split("show this help message and exit ")[1]
+    # one entry per flag, from the flag to the next one
+    entries = {entry.split()[0]: entry for entry in re.split(r" (?=--[a-z])", options)}
+    assert list(entries) == ["--config"] + flags.split()
+    for key, (default, _, _) in keys.items():
+        assert entries["--" + key.replace("_", "-")].endswith(f"(default {json.dumps(default)})")
 
 
 def test_verify_all_suites_pass(tmp_path):

@@ -18,6 +18,7 @@ test_raw_route_ties_to_extended_state = shared_check("reduced_states", seed=21, 
 test_run_experiment_is_deterministic = shared_check("audit_and_chart", seed=77, n=5)
 test_exact_jacobian_matches_central_differences = shared_check("exact_jacobian", seed=24, n=10)
 test_schmidt_identities_annihilate_the_audit_matrix = shared_check("schmidt_identities", seed=25, n=25)
+test_deflated_solve_matches_the_svd = shared_check("deflated_solve", seed=26, n=25)
 
 
 def test_sampler_is_bitwise_deterministic():
@@ -87,16 +88,16 @@ def test_keys_of_two_words_draw_from_their_substreams(monkeypatch):
 
 
 class _ScriptedGenerator(np.random.Generator):
-    """Generator whose unit doubles come from a script, mapped as numpy maps them."""
+    """Generator whose unit doubles come from a script."""
 
     def __init__(self, script):
         super().__init__(np.random.PCG64(0))
         self._script = list(script)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
+    def random(self, size=None):
         count = int(np.prod(size))
         taken, self._script = self._script[:count], self._script[count:]
-        return low + (high - low) * np.array(taken).reshape(size)
+        return np.array(taken).reshape(size)
 
 
 def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
@@ -111,6 +112,11 @@ def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
     for index, row in enumerate(chunk):
         expected = locality.sample_interior_rep(_ScriptedGenerator(scripts[index])).to_array()
         assert row.tobytes() == expected.tobytes()
+    # a rejected draw is redone whole, from the next 19 doubles
+    for index in (1, 2, 3):
+        redraw = np.array([scripts[index][19:38]])
+        assert locality._interior(redraw)[0]
+        assert chunk[index].tobytes() == core.check_reps(redraw)[0].tobytes()
 
 
 def test_jacobian_calls_f_once_for_a_stack_and_for_a_point():
@@ -473,11 +479,7 @@ def test_deflated_solve_matches_lstsq_on_exact_matrices():
     assert np.max(np.abs(solutions - expected_solutions) / scale) < 1e-11
 
 
-# degenerate points of the box's closure: a product state without coupling
-# (rank 10) and a Bell state (rank 9)
-_PRODUCT_STATE = np.concatenate([[0.5] * 4, [0.3] * 4, [0.4, 0.7], [0.0] * 9])
-_BELL_STATE = np.concatenate([[2**-0.5, 0.0, 0.0, 2**-0.5], [0.1, 0.2, 0.3, 0.4], [0.4, 0.7],
-                              np.linspace(-0.8, 0.8, 9)])
+_PRODUCT_STATE, _BELL_STATE = verification._PRODUCT_STATE, verification._BELL_STATE
 
 
 def test_deflated_solve_hands_degenerate_points_to_the_svd(monkeypatch):
