@@ -135,11 +135,14 @@ _VERIFY_KEYS = {
 }
 
 CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
+#: cells left empty in a row where the law is undefined: all but t and mean_h
+_ENERGY_CELLS = np.array([False, True, True, True, False, True])
 
 #: trajectory rows per stacked law evaluation in ``simulate``; it bounds that
 #: evaluation's temporaries, the largest being the ``(chunk, 4, 4)`` density
 #: matrices of the ``bare`` law (``iel._bare_law``), since the ``rc`` law reads
-#: only the 8 entries per row that the records sum
+#: only the 8 entries per row that the records sum.  It also bounds the CSV
+#: text of one write, and the strings formatted for it, in ``_write_csv``
 SIMULATE_CHUNK = 512
 
 #: largest ``||H||_F t_max eps`` that ``simulate`` accepts.  It bounds the
@@ -219,23 +222,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = models.NumberConservingSpec(
         lam=complex(params["lambda_re"], params["lambda_im"]), delta=params["delta"]
     )
-    # finite parameters can still overflow (a huge alpha, gap, coupling or
-    # time); the state and energy checks then name what broke, and numpy's
+    # finite parameters can still overflow (a huge gap, coupling or time); the
+    # phase, state and energy checks then name what broke, and numpy's
     # MemoryError names a time grid too large to allocate
     try:
-        times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             hamiltonian = models.number_conserving_hamiltonian(
                 spec, params["omega_a"], params["omega_b"]
             )
+            # needs only H and t_max, so a refused run stops before it propagates;
+            # an overflowing ||H||_F is left to the mean-energy check, which names it
+            phase_rounding = hamiltonian.frobenius_norm * params["t_max"] * np.finfo(float).eps
+            if np.isfinite(hamiltonian.frobenius_norm) and phase_rounding > PHASE_ROUNDING_LIMIT:
+                raise ValueError(f"propagation phases rounded by up to ||H||_F t_max eps = "
+                                 f"{phase_rounding:.3g} rad, above {PHASE_ROUNDING_LIMIT:g}")
+            times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
             amplitudes = np.array([1.0, 1.0, 1.0, params["alpha"]], dtype=complex)
+            # scaled to a largest modulus of 1 first, so that the norm cannot
+            # overflow; for |alpha| <= 1 that divides by exactly 1.0
+            amplitudes /= np.abs(amplitudes).max()
             initial = UniverseState(amplitudes / np.linalg.norm(amplitudes))
             states = dynamics.trajectory(initial, hamiltonian, times)
             table = _energy_table(iel.LAWS[params["law"]], times, states, hamiltonian)
-        phase_rounding = hamiltonian.frobenius_norm * params["t_max"] * np.finfo(float).eps
-        if not phase_rounding <= PHASE_ROUNDING_LIMIT:
-            raise ValueError(f"propagation phases rounded by up to ||H||_F t_max eps = "
-                             f"{phase_rounding:.3g} rad, above {PHASE_ROUNDING_LIMIT:g}")
     except (ValueError, MemoryError) as exc:
         raise UsageError(f"cannot simulate these parameters: {exc}") from exc
     undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
@@ -249,10 +257,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     with _open_out(params["out"]) as handle:
-        handle.write(CSV_HEADER + "\n")
-        for start in range(0, len(times), SIMULATE_CHUNK):
-            rows = slice(start, start + SIMULATE_CHUNK)
-            handle.write("".join(map(_csv_line, table[rows].tolist(), undefined[rows].tolist())))
+        _write_csv(handle, table, undefined)
     print(f"wrote {len(times)} rows ({len(times) - n_undefined} with energies) -> {params['out']}")
     return 0
 
@@ -278,11 +283,23 @@ def _energy_table(law, times: np.ndarray, states: np.ndarray, hamiltonian) -> np
     return table
 
 
-def _csv_line(row: list, undefined: bool) -> str:
-    t, u_a, u_b, total, mean_h, defect = map(repr, row)
-    if undefined:
-        return f"{t},,,,{mean_h},\n"
-    return f"{t},{u_a},{u_b},{total},{mean_h},{defect}\n"
+def _write_csv(handle, table: np.ndarray, undefined: np.ndarray) -> None:
+    """Write the header and the ``(n, 6)`` table, :data:`SIMULATE_CHUNK` rows at a time.
+
+    Each cell is ``repr`` of its float, and each distinct float of a chunk is
+    formatted once: the memo is keyed on the bit pattern, so ``-0.0`` and
+    ``0.0``, or two NaN payloads, never share a string.  The four energy
+    cells of each ``undefined`` row are empty.
+    """
+    handle.write(CSV_HEADER + "\n")
+    for start in range(0, len(table), SIMULATE_CHUNK):
+        chunk = table[start:start + SIMULATE_CHUNK]
+        bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+        strings = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+        # the inverse's shape for a 2-D input has differed between numpy releases
+        cells = strings[inverse.reshape(chunk.shape)]
+        cells[undefined[start:start + SIMULATE_CHUNK, None] & _ENERGY_CELLS] = ""
+        handle.write("\n".join(map(",".join, cells.tolist())) + "\n")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

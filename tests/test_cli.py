@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -9,9 +10,12 @@ import subprocess
 import sys
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quniverse import cli, core, dynamics, iel, locality, models, verification
 from quniverse.cli import CSV_HEADER, main
@@ -257,6 +261,39 @@ def test_simulate_chunk_size_does_not_change_output(tmp_path, monkeypatch):
     chunked = tmp_path / "chunked.csv"
     assert main(argv + [str(chunked)]) == 0
     assert chunked.read_bytes() == default.read_bytes()
+
+
+def _float_of_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(float).item()
+
+
+# every column draws from a small pool, so values repeat within a chunk, and
+# the pool holds both zeros, both infinities and NaNs with distinct payloads
+_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 / 3.0, -2.5e-300, 5e-324, math.inf, -math.inf,
+                     _float_of_bits(0x7FF8000000000000), _float_of_bits(0xFFF8000000000000),
+                     _float_of_bits(0x7FF8000000000001), _float_of_bits(0x7FF4000000000000)]),
+    st.floats(),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rows=st.lists(st.tuples(*[_CELL] * 6), max_size=40), chunk=st.integers(1, 8))
+def test_csv_writer_formats_each_cell_as_its_repr(rows, chunk):
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    # rows where only u_b is NaN, so that either energy blanks the row
+    table[::5, 2] = math.nan
+    undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
+    handle = io.StringIO()
+    with mock.patch.object(cli, "SIMULATE_CHUNK", chunk):
+        cli._write_csv(handle, table, undefined)
+    expected = [CSV_HEADER]
+    for row in table.tolist():
+        cells = list(map(repr, row))
+        if math.isnan(row[1]) or math.isnan(row[2]):
+            cells[1] = cells[2] = cells[3] = cells[5] = ""
+        expected.append(",".join(cells))
+    assert handle.getvalue() == "\n".join(expected) + "\n"
 
 
 def test_simulate_summarizes_undefined_rows_in_one_line(tmp_path, capsys):
@@ -571,11 +608,10 @@ def test_unwritable_out_is_one_line_usage_error(argv, tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("argv", [
-    ["--alpha", "1e308"],
     ["--omega-a", "1e308", "--omega-b", "1e308"],
     ["--t-max", "1e308"],
     ["--lambda-re", "1e300"],
-], ids=["alpha", "gaps", "t-max", "lambda-re"])
+], ids=["gaps", "t-max", "lambda-re"])
 def test_simulate_overflowing_parameters_are_one_line_usage_errors(argv, tmp_path, capsys):
     out = tmp_path / "t.csv"
     with warnings.catch_warnings():
@@ -584,6 +620,36 @@ def test_simulate_overflowing_parameters_are_one_line_usage_errors(argv, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: cannot simulate these parameters: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e155", "-1e200", "1e200", "1e308"])
+def test_simulate_huge_alpha_is_the_double_excitation(alpha, tmp_path):
+    # the amplitudes are scaled to a largest modulus of 1 before they are
+    # normalized, so no alpha overflows the norm: every such run is the
+    # |11> run of alpha = 1e153, whose coherences vanish on every row
+    out, reference = tmp_path / "t.csv", tmp_path / "reference.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--alpha", alpha, "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert len(rows) == 1001
+    assert all(r["u_a"] == r["u_b"] == r["u_total"] == r["defect"] == "" for r in rows)
+    assert main(["simulate", "--alpha", "1e153", "--out", str(reference)]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_simulate_refuses_rounded_phases_before_propagating(monkeypatch, tmp_path, capsys):
+    def no_trajectory(*args, **kwargs):
+        raise AssertionError("the trajectory was propagated before the phase check")
+
+    monkeypatch.setattr(dynamics, "trajectory", no_trajectory)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--omega-a", "1e9", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot simulate these parameters: propagation phases rounded by up to "
+        "||H||_F t_max eps = 6.28e-06 rad, above 1e-06\n"
+    )
     assert not out.exists()
 
 
