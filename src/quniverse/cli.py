@@ -31,12 +31,7 @@ import sys
 import numpy as np
 
 from . import dynamics, iel, locality, models
-from .core import (
-    UniverseState,
-    check_states,
-    mean_energies,
-    mean_energy,  # noqa: F401  (perfbench traces cli.mean_energy by name)
-)
+from .core import UniverseState, check_states, mean_energies
 
 __all__ = ["main"]
 
@@ -139,10 +134,9 @@ CSV_HEADER = "t,u_a,u_b,u_total,mean_h,defect"
 _ENERGY_CELLS = np.array([False, True, True, True, False, True])
 
 #: trajectory rows per stacked law evaluation in ``simulate``; it bounds that
-#: evaluation's temporaries, the largest being the ``(chunk, 4, 4)`` density
-#: matrices of the ``bare`` law (``iel._bare_law``), since the ``rc`` law reads
-#: only the 8 entries per row that the records sum.  It also bounds the CSV
-#: text of one write, and the strings formatted for it, in ``_write_csv``
+#: evaluation's temporaries, at most 16 complex numbers a row, since both laws
+#: read only the 8 entries per row that the records sum.  It also bounds the
+#: CSV text of one write, and the strings formatted for it, in ``_write_csv``
 SIMULATE_CHUNK = 512
 
 #: largest ``||H||_F t_max eps`` that ``simulate`` accepts.  It bounds the

@@ -111,19 +111,10 @@ def partial_trace(state_or_rho, keep: str) -> np.ndarray:
     arr = np.asarray(state_or_rho, dtype=complex)
     if arr.shape not in ((4,), (4, 4)):
         raise ValueError(f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}")
-    return _reduced(_density(arr) if arr.shape == (4,) else arr, keep)
-
-
-def _reduced(m: np.ndarray, keep: str) -> np.ndarray:
-    """Partial trace of a ``(..., 4, 4)`` stack, as a sum of two 2x2 sub-blocks."""
+    m = arr[:, None] * arr.conj() if arr.shape == (4,) else arr
     if keep == "A":
-        return m[..., ::2, ::2] + m[..., 1::2, 1::2]
-    return m[..., :2, :2] + m[..., 2:, 2:]
-
-
-def _density(psi: np.ndarray) -> np.ndarray:
-    """``|psi><psi|`` of a ``(..., 4)`` stack of raw amplitudes."""
-    return psi[..., :, None] * psi[..., None, :].conj()
+        return m[::2, ::2] + m[1::2, 1::2]
+    return m[:2, :2] + m[2:, 2:]
 
 
 def _rates(hpsi: np.ndarray) -> np.ndarray:
@@ -191,6 +182,13 @@ def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     return _pack(_entries(rows, rows[0, :, 1:], rows[1, :, 1:]), psi.shape[:-1])
 
 
+def _record(config: Configuration, subsystem: str) -> list:
+    """One subsystem's six extended coordinates at a configuration, unvalidated."""
+    psi = config.state.psi
+    coords = pure_extended_coordinates(psi, _apply(config.hamiltonian.matrix, psi))
+    return coords[_subsystem_index(subsystem)].tolist()
+
+
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     """Time derivative of one reduced state, ``Tr_other(-i [H, rho])``.
 
@@ -198,9 +196,7 @@ def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     :func:`pure_extended_coordinates`: ``[[-p1dot, cdot], [conj(cdot),
     p1dot]]``, Hermitian and traceless exactly.
     """
-    psi = config.state.psi
-    coords = pure_extended_coordinates(psi, _apply(config.hamiltonian.matrix, psi))
-    *_, re_cdot, im_cdot, p1dot = coords[_subsystem_index(subsystem)].tolist()
+    *_, re_cdot, im_cdot, p1dot = _record(config, subsystem)
     cdot = complex(re_cdot, im_cdot)
     return np.array([[-p1dot, cdot], [cdot.conjugate(), p1dot]])
 
@@ -270,6 +266,4 @@ class ExtendedStateRep:
 
 def extended_state(config: Configuration, subsystem: str) -> ExtendedStateRep:
     """Pack the reduced state and its derivative into the six coordinates."""
-    psi = config.state.psi
-    coords = pure_extended_coordinates(psi, _apply(config.hamiltonian.matrix, psi))
-    return ExtendedStateRep(*coords[_subsystem_index(subsystem)].tolist())
+    return ExtendedStateRep(*_record(config, subsystem))

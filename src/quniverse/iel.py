@@ -31,12 +31,9 @@ from .core import Configuration, HamiltonianSpec, _apply, mean_energy
 from .dynamics import (
     SUBSYSTEMS,
     ExtendedStateRep,
-    _density,
-    _reduced,
+    _record,
     _subsystem_index,
     check_extended_coordinates,
-    extended_state,  # noqa: F401  (perfbench traces iel.extended_state by name)
-    partial_trace,
     pure_extended_coordinates,
 )
 
@@ -120,22 +117,22 @@ def rc_frequency(ext: ExtendedStateRep) -> float:
     return freq
 
 
+def _records(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> np.ndarray:
+    """``(..., 2, 6)`` extended coordinates of both subsystems; one ``H psi`` serves both."""
+    return pure_extended_coordinates(psi, _apply(hamiltonian.matrix, psi))
+
+
 def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
-    # only the excited populations enter, so rho alone suffices
-    rho = _density(psi)
-    gaps = (hamiltonian.omega_a, hamiltonian.omega_b)
-    return tuple(omega * _reduced(rho, s)[..., 1, 1].real for omega, s in zip(gaps, SUBSYSTEMS))
+    # only the excited populations enter, and they are left unvalidated
+    p1 = _records(psi, hamiltonian)[..., 2]
+    return hamiltonian.omega_a * p1[..., 0], hamiltonian.omega_b * p1[..., 1]
 
 
 def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
-    # one H psi serves both subsystems
-    coords = pure_extended_coordinates(psi, _apply(hamiltonian.matrix, psi))
-    values = []
-    for row in range(len(SUBSYSTEMS)):
-        ext = coords[..., row, :]
-        check_extended_coordinates(ext)
-        values.append(ext[..., 2] * _rotation_frequency(ext))
-    return tuple(values)
+    coords = _records(psi, hamiltonian)
+    check_extended_coordinates(coords)
+    energies = coords[..., 2] * _rotation_frequency(coords)
+    return energies[..., 0], energies[..., 1]
 
 
 #: a law maps a ``(..., 4)`` stack of states and the Hamiltonian to two
@@ -187,7 +184,8 @@ def effective_hamiltonian(law: str, config: Configuration, subsystem: str) -> np
     undefined when the excited population vanishes.
     """
     energy = evaluate_law(law, config).for_subsystem(subsystem)
-    p1 = float(partial_trace(config.state, subsystem)[1, 1].real)
+    # read unvalidated, as the bare law reads it
+    p1 = _record(config, subsystem)[2]
     if p1 < 1e-12:
         raise UndefinedObservableError(
             f"no effective observable for subsystem {subsystem}: "

@@ -829,6 +829,8 @@ def hyperspherical_forward(moduli):
     moduli = np.asarray(moduli, dtype=float)
     if moduli.shape != (4,):
         raise ValueError(f"expected 4 moduli, got shape {moduli.shape}")
+    if not np.all(np.isfinite(moduli)):
+        raise ValueError(f"moduli must be finite, got {moduli.tolist()}")
     radius = float(np.linalg.norm(moduli))
     if radius == 0.0:
         raise ValueError("zero moduli vector has no hyperspherical angles")
@@ -881,8 +883,10 @@ def transport_solution(dx, x0) -> np.ndarray:
     dx = np.asarray(dx, dtype=float)
     if dx.shape != (19,):
         raise ValueError(f"expected a 19-coordinate solution, got shape {dx.shape}")
+    if not np.all(np.isfinite(dx)):
+        raise ValueError("solution must be finite")
     radial = float(np.dot(x0[:4], dx[:4]))
-    if abs(radial) > TANGENCY_TOL:
+    if not abs(radial) <= TANGENCY_TOL:
         raise ValueError(
             f"solution is not tangent to the moduli sphere: |sum R_k dR_k| = {abs(radial):.3e}"
         )

@@ -35,14 +35,20 @@ EXACT = math.ulp(0.0)
 
 @dataclass(frozen=True)
 class SuiteResult:
-    """One suite's outcome: its case count, the labels that failed, ``(label,
-    worst, tolerance)`` of every case in run order, and each raised check's message."""
+    """One suite's outcome: ``(label, worst, tolerance)`` of every case in run
+    order, and each raised check's message; the counts are read off the cases."""
 
     name: str
-    cases: int
-    failures: tuple
     checks: tuple = ()
     errors: tuple = ()
+
+    @property
+    def cases(self) -> int:
+        return len(self.checks)
+
+    @property
+    def failures(self) -> tuple:
+        return tuple(label for label, error, tol in self.checks if not error < tol)
 
     @property
     def passed(self) -> bool:
@@ -362,8 +368,7 @@ def _run_suite(suite: str, seed: int) -> SuiteResult:
             # a broken check fails each of its cases unmeasured; the rest still run
             cases += [(label, math.nan, tol) for label, tol in CHECKS[name][3]]
             errors.append(f"{name}: {type(exc).__name__}: {exc}")
-    failures = tuple(label for label, error, tol in cases if not error < tol)
-    return SuiteResult(suite, len(cases), failures, tuple(cases), tuple(errors))
+    return SuiteResult(suite, tuple(cases), tuple(errors))
 
 
 #: suite name -> ``(seed) -> SuiteResult``, in the order of :data:`CHECKS`

@@ -510,7 +510,7 @@ def test_verify_summary_carries_each_worst_error_and_tolerance(tmp_path, fault):
 
 
 def test_verify_summary_writes_a_nonfinite_worst_as_null():
-    result = verification.SuiteResult("core", 2, ("b",), (("a", 0.0, 1e-12), ("b", math.inf, 1e-12)))
+    result = verification.SuiteResult("core", (("a", 0.0, 1e-12), ("b", math.inf, 1e-12)))
     summary = verification.summary_dict([result])
     json.dumps(summary, allow_nan=False)
     assert summary["suites"][0]["checks"] == [
@@ -571,7 +571,7 @@ def test_injected_fault_stays_in_its_own_thread(monkeypatch):
         thread = threading.Thread(target=lambda: errors.update(thread=_rho_dot_error()))
         thread.start()
         thread.join(timeout=30)
-        return verification.SuiteResult("core", 0, ())
+        return verification.SuiteResult("core")
 
     monkeypatch.setitem(verification.SUITES, "core", probe)
     verification.run_suites(["core"], fault="rho-dot-sign")

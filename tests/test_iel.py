@@ -118,6 +118,51 @@ def test_stacked_law_equals_pointwise_evaluation(law, parts, gaps, couplings):
             assert [repr(u) for u in stacked] == [repr(pair.u_a), repr(pair.u_b)]
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    parts=arrays(float, st.tuples(st.integers(1, 12), st.just(8)), elements=_unit),
+    gaps=st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
+    couplings=arrays(float, (3, 3), elements=_unit),
+)
+def test_bare_law_equals_gap_times_partial_trace_population(parts, gaps, couplings):
+    # float draws hit exact zeros often, so zero amplitudes are covered too
+    psi = parts[:, :4] + 1j * parts[:, 4:]
+    norms = np.linalg.norm(psi, axis=-1)
+    assume(np.all(norms > 1e-3))
+    psi /= norms[:, None]
+    ham = core.assemble_hamiltonian(gaps[0], gaps[1], couplings)
+    energies = iel.LAWS["bare"](psi, ham)
+    for omega, subsystem, stacked in zip(gaps, dynamics.SUBSYSTEMS, energies):
+        oracle = [omega * dynamics.partial_trace(row, subsystem)[1, 1].real for row in psi]
+        assert [repr(u) for u in stacked.tolist()] == [repr(float(u)) for u in oracle]
+
+
+@pytest.mark.parametrize("law", ["bare", "rc"])
+def test_effective_hamiltonian_population_is_the_partial_traces(law):
+    for row in locality._draw_chunk(21, range(50)):
+        config = core.rep_to_config(core.ConfigRep.from_array(row))
+        pair = iel.evaluate_law(law, config)
+        for subsystem in dynamics.SUBSYSTEMS:
+            p1 = float(dynamics.partial_trace(config.state, subsystem)[1, 1].real)
+            observable = iel.effective_hamiltonian(law, config, subsystem)
+            assert repr(float(observable[1, 1].real)) == repr(pair.for_subsystem(subsystem) / p1)
+
+
+def test_effective_hamiltonian_of_bare_law_reads_populations_unvalidated():
+    # within NORM_TOL of 1, yet with a pure reduced state |c|^2 exceeds
+    # p1 (1 - p1) by 2.5e-10, which the extended-state records refuse
+    psi = np.full(4, 0.5 * np.sqrt(1.0 + 5e-10), dtype=complex)
+    config = core.Configuration(
+        state=core.UniverseState(psi),
+        hamiltonian=core.assemble_hamiltonian(1.0, 0.85, np.zeros((3, 3))),
+    )
+    with pytest.raises(ValueError, match="positive 2x2"):
+        dynamics.extended_state(config, "A")
+    for subsystem, omega in zip(dynamics.SUBSYSTEMS, (1.0, 0.85)):
+        observable = iel.effective_hamiltonian("bare", config, subsystem)
+        assert np.array_equal(observable, np.diag([0.0, omega]))
+
+
 def test_effective_hamiltonian_of_bare_law_is_bare():
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -613,6 +613,12 @@ def test_hyperspherical_pathological_points_raise():
         locality.hyperspherical_forward([0.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hyperspherical_forward_rejects_nonfinite_moduli(value):
+    with pytest.raises(ValueError, match="finite"):
+        locality.hyperspherical_forward([0.5, value, 0.5, 0.5])
+
+
 def test_transport_of_zero_is_zero():
     rep = locality.sample_interior_rep(17)
     assert np.array_equal(locality.transport_solution(np.zeros(19), rep), np.zeros(18))
@@ -635,6 +641,17 @@ def test_transport_requires_tangency():
     dx = np.zeros(19)
     dx[0] = 1e-3
     with pytest.raises(ValueError, match="tangent"):
+        locality.transport_solution(dx, rep)
+
+
+@pytest.mark.parametrize("entry", [0, 4], ids=["modulus", "phase"])
+def test_transport_rejects_a_nonfinite_solution(entry):
+    # a NaN modulus increment makes the radial product NaN, which
+    # ``abs(radial) > TANGENCY_TOL`` lets through; a NaN phase never enters it
+    rep = locality.sample_interior_rep(20)
+    dx = np.zeros(19)
+    dx[entry] = np.nan
+    with pytest.raises(ValueError, match="finite"):
         locality.transport_solution(dx, rep)
 
 
