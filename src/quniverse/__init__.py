@@ -12,7 +12,6 @@ from .core import (
     Configuration,
     HamiltonianSpec,
     UniverseState,
-    assemble_hamiltonian,
     config_equal,
     config_to_rep,
     mean_energy,

@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -174,10 +175,10 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
     return merged
 
 
-def _open_out(path: str):
-    """Open an output file for writing; a path that cannot be written is a usage error."""
+def _open_out(path: str, mode: str):
+    """Open an output file in ``mode``; a path that cannot be written is a usage error."""
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, mode, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot write output file: {exc}") from exc
 
@@ -185,8 +186,9 @@ def _open_out(path: str):
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = _merge(args, _SAMPLE_KEYS)
     created = not os.path.exists(params["out"])
-    # opened first, so that an unwritable path fails before the audit runs
-    with _open_out(params["out"]) as handle:
+    # opened first, so that an unwritable path fails before the audit runs, and
+    # opened without truncating, so that a refused run leaves an existing report
+    with _open_out(params["out"], "a") as handle:
         try:
             report = locality.run_experiment(
                 n=params["n"],
@@ -203,6 +205,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 os.remove(params["out"])
             raise UsageError(str(exc)) from exc
         payload = report.to_json_dict(per_sample=params["per_sample"])
+        # in append mode every write lands at the end, which is 0 once truncated;
+        # a device or pipe (--out /dev/null, /dev/stdout) cannot be truncated
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(0)
         handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(
         f"solvable {report.n_solvable}/{report.n_samples} "
@@ -250,7 +256,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "emitting empty energy cells",
             file=sys.stderr,
         )
-    with _open_out(params["out"]) as handle:
+    with _open_out(params["out"], "w") as handle:
         _write_csv(handle, table, undefined)
     print(f"wrote {len(times)} rows ({len(times) - n_undefined} with energies) -> {params['out']}")
     return 0
@@ -307,7 +313,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = verification.summary_dict(results)
     text = json.dumps(summary, indent=2) + "\n"
     if params["out"]:
-        with _open_out(params["out"]) as handle:
+        with _open_out(params["out"], "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -26,7 +26,6 @@ __all__ = [
     "Configuration",
     "HamiltonianSpec",
     "UniverseState",
-    "assemble_hamiltonian",
     "check_reps",
     "check_states",
     "config_equal",
@@ -155,6 +154,8 @@ def check_reps(x) -> np.ndarray:
     couplings.  The first offending row raises the same ``ValueError``.
     """
     x = np.array(x, dtype=float)
+    if x.shape[-1:] != (19,):
+        raise ValueError(f"expected (..., 19) coordinates, got shape {x.shape}")
     r = x[..., 0:4]
     norm_sq = np.sum(r**2, axis=-1)
     valid = (
@@ -184,6 +185,8 @@ def check_states(psi: np.ndarray) -> None:
     row of a stack; the first offending row raises the same ``ValueError``.
     """
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape[-1:] != (4,):
+        raise ValueError(f"expected (..., 4) amplitudes, got shape {psi.shape}")
     # a non-finite amplitude makes the norm non-finite, so one test covers both
     moduli = np.abs(psi)
     norm_sq = np.vecdot(moduli, moduli)
@@ -239,11 +242,6 @@ class HamiltonianSpec:
         bare = omega_a * omega_a + omega_b * omega_b + (omega_a + omega_b) * (omega_a + omega_b)
         coupling = sum(v * v for v in h.ravel().tolist())
         object.__setattr__(self, "frobenius_norm", math.sqrt(bare + 4.0 * coupling))
-
-
-def assemble_hamiltonian(omega_a: float, omega_b: float, h) -> HamiltonianSpec:
-    """Validate the gaps and coupling table and assemble the 4x4 matrix."""
-    return HamiltonianSpec(omega_a, omega_b, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +310,7 @@ def rep_to_config(rep: ConfigRep) -> Configuration:
     psi = rep.r * np.exp(1j * rep.theta)
     return Configuration(
         state=UniverseState(psi),
-        hamiltonian=assemble_hamiltonian(rep.omega_a, rep.omega_b, rep.h),
+        hamiltonian=HamiltonianSpec(rep.omega_a, rep.omega_b, rep.h),
     )
 
 

@@ -69,30 +69,24 @@ def _as_psi(state) -> np.ndarray:
     return psi
 
 
-def _as_matrix(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, HamiltonianSpec):
-        return hamiltonian.matrix
-    mat = np.asarray(hamiltonian, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    return mat
-
-
-def trajectory(state, hamiltonian, times) -> np.ndarray:
+def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
     """Evolve through ``exp(-i H t)`` at every requested time.
 
     Returns an ``(len(times), 4)`` complex array.  A single
     eigendecomposition serves the whole grid, so long trajectories carry
-    no accumulated stepping error.
+    no accumulated stepping error.  ``hamiltonian`` must be a
+    :class:`HamiltonianSpec`, whose matrix is Hermitian exactly.
     """
+    if not isinstance(hamiltonian, HamiltonianSpec):
+        raise TypeError(f"hamiltonian must be a HamiltonianSpec, got {type(hamiltonian).__name__}")
     psi = _as_psi(state)
-    w, v = np.linalg.eigh(_as_matrix(hamiltonian))
+    w, v = np.linalg.eigh(hamiltonian.matrix)
     coeff = v.conj().T @ psi
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
     return (phases * coeff) @ v.T
 
 
-def propagate(state, hamiltonian, t: float) -> UniverseState:
+def propagate(state, hamiltonian: HamiltonianSpec, t: float) -> UniverseState:
     """State at time ``t`` under the constant Hamiltonian."""
     return UniverseState(trajectory(state, hamiltonian, [float(t)])[0])
 

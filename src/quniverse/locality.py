@@ -792,6 +792,8 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     residuals = np.full(n, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         # one buffer holds each block's matrices in turn, so the heap does not
@@ -873,18 +875,19 @@ def _forward_jacobian(radius, alpha, beta, gamma) -> np.ndarray:
 def transport_solution(dx, x0) -> np.ndarray:
     """Carry a 19-coordinate solution into the 18 intrinsic coordinates.
 
-    The moduli increments must be tangent to the sphere
-    (``|sum R_k dR_k| <= 1e-9``, enforced); they map to the three angle
+    The base point and the solution must be finite 19-vectors, and the
+    moduli increments tangent to the sphere (``|sum R_k dR_k| <= 1e-9``),
+    each enforced by ``ValueError``; they map to the three angle
     increments through the inverted chart Jacobian, in which case the
     radial increment vanishes identically.  The remaining 15 increments
     copy over unchanged.
     """
-    x0 = _as_coords(x0)
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (19,):
-        raise ValueError(f"expected a 19-coordinate solution, got shape {dx.shape}")
-    if not np.all(np.isfinite(dx)):
-        raise ValueError("solution must be finite")
+    x0, dx = _as_coords(x0), np.asarray(dx, dtype=float)
+    for what, coords in (("base point", x0), ("solution", dx)):
+        if coords.shape != (19,):
+            raise ValueError(f"expected a 19-coordinate {what}, got shape {coords.shape}")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError(f"{what} must be finite")
     radial = float(np.dot(x0[:4], dx[:4]))
     if not abs(radial) <= TANGENCY_TOL:
         raise ValueError(
@@ -917,15 +920,15 @@ def _exact_tangent_system(x0):
     return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), _energy_rhs(13)
 
 
-def build_tangent_system(x0, h_step: float = 1e-6):
+def build_tangent_system(x0):
     """13x18 audit system in the intrinsic chart at the same base point.
 
     Returns ``(matrix, rhs)``.  A transported solution of the
-    19-coordinate system must satisfy this one up to finite-difference
-    noise; that equivalence is what justifies auditing with the extra
-    norm row instead of intrinsic coordinates.
+    19-coordinate system must satisfy this one up to the noise of central
+    differences at step 1e-6; that equivalence is what justifies auditing
+    with the extra norm row instead of intrinsic coordinates.
     """
     x0 = _as_coords(x0)
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     y0 = np.concatenate([[alpha, beta, gamma], x0[4:]])
-    return numerical_jacobian(_tangent_observables, y0, h_step), _energy_rhs(13)
+    return numerical_jacobian(_tangent_observables, y0), _energy_rhs(13)

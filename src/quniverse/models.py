@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, UniverseState, assemble_hamiltonian, check_states
+from .core import Configuration, HamiltonianSpec, UniverseState, check_states
 from .dynamics import _subsystem_index
 from .iel import COHERENCE_CUTOFF, RCUndefinedError
 
@@ -77,7 +77,7 @@ def number_conserving_hamiltonian(
     spec: NumberConservingSpec, omega_a: float, omega_b: float
 ) -> HamiltonianSpec:
     """Total Hamiltonian with the excitation-conserving interaction."""
-    return assemble_hamiltonian(omega_a, omega_b, h_num(spec))
+    return HamiltonianSpec(omega_a, omega_b, h_num(spec))
 
 
 def number_operator() -> np.ndarray:

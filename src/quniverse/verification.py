@@ -64,14 +64,14 @@ def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> 
             return models.ControlCaseState(psi0=amps[0], psi_a=amps[1], psi_b=amps[2])
 
 
-def random_uncoupled_config(rng: np.random.Generator, min_coherence: float = 0.05) -> core.Configuration:
-    """Random interior configuration with ``h = 0`` and sizable local coherences."""
+def random_uncoupled_config(rng: np.random.Generator) -> core.Configuration:
+    """Random interior configuration with ``h = 0`` and both local coherences above 0.05."""
     while True:
         rep = locality.sample_interior_rep(rng)
         config = core.rep_to_config(replace(rep, h=np.zeros((3, 3))))
         coherences = [abs(complex(dynamics.partial_trace(config.state, s)[0, 1]))
                       for s in dynamics.SUBSYSTEMS]
-        if min(coherences) > min_coherence:
+        if min(coherences) > 0.05:
             return config
 
 
@@ -116,7 +116,7 @@ def _pauli(rng, n):
         ("interaction has traceless marginals", EXACT))
 def _hamiltonian(rng, n):
     reps = [locality.sample_interior_rep(rng) for _ in range(n)]
-    matrices = np.stack([core.assemble_hamiltonian(r.omega_a, r.omega_b, r.h).matrix for r in reps])
+    matrices = np.stack([core.HamiltonianSpec(r.omega_a, r.omega_b, r.h).matrix for r in reps])
     marginals = [dynamics.partial_trace(core.hamiltonian_matrix(0.0, 0.0, r.h), s)
                  for r in reps for s in dynamics.SUBSYSTEMS]
     return _dist(matrices, matrices.conj().swapaxes(-1, -2)), _dist(marginals)
@@ -348,6 +348,17 @@ def _deflated_solve(rng, n):
     _, deflated = locality._solve_deflated(matrices, x)
     _, reference = locality._solve_stack(matrices, locality._energy_rhs(14))
     return _dist(deflated[:n], reference[:n]), _dist(deflated[n:], reference[n:])
+
+
+@_check("locality", 10, ("chart Jacobian matches central differences", 1e-8))
+def _chart_jacobian(rng, n):
+    # the angle columns of the unit-radius chart, which carry solutions into the
+    # intrinsic system, against central differences of the backward map
+    angles = rng.uniform(0.1, np.pi / 2 - 0.1, (n, 3))
+    exact = [locality._forward_jacobian(1.0, *a)[:, 1:] for a in angles]
+    central = locality.numerical_jacobian(lambda y: locality.hyperspherical_backward(1.0, *y.T).T,
+                                          angles)
+    return _dist(exact, central)
 
 
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:

@@ -155,6 +155,33 @@ def test_sample_step_that_fails_the_oracle_is_one_line_usage_error(h_step, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "40", "--seed", "2", "--h-step", "1e100"],
+    ["--n", "1000000000000000"],
+], ids=["oracle", "unallocatable"])
+def test_refused_sample_leaves_an_existing_report_untouched(argv, tmp_path, capsys):
+    # the report is opened before the audit runs, so opening it must not truncate it
+    out = tmp_path / "keep.json"
+    out.write_text('{"kept": true}\n')
+    assert main(["sample", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert out.read_text() == '{"kept": true}\n'
+
+
+def test_sample_replaces_a_longer_existing_report(tmp_path):
+    fresh, out = tmp_path / "fresh.json", tmp_path / "old.json"
+    out.write_text("x" * 100_000)
+    assert main(["sample", "--n", "3", "--out", str(fresh)]) == 0
+    assert main(["sample", "--n", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_sample_writes_to_a_device(capsys):
+    # a device cannot be truncated, so only a regular file is
+    assert main(["sample", "--n", "3", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sample_output_is_byte_identical(tmp_path):
     one = tmp_path / "a.json"
     two = tmp_path / "b.json"

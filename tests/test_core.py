@@ -50,7 +50,7 @@ def test_pauli_unknown_axis():
 
 
 def test_bare_hamiltonian_is_diagonal():
-    ham = core.assemble_hamiltonian(1.0, 1.0, np.zeros((3, 3)))
+    ham = core.HamiltonianSpec(1.0, 1.0, np.zeros((3, 3)))
     assert np.array_equal(ham.matrix, np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex))
 
 
@@ -62,14 +62,14 @@ def test_dephasing_coupling_adds_parity_diagonal():
     expected = np.diag(
         [delta, omega_b - delta, omega_a - delta, omega_a + omega_b + delta]
     ).astype(complex)
-    assert np.array_equal(core.assemble_hamiltonian(omega_a, omega_b, h).matrix, expected)
+    assert np.array_equal(core.HamiltonianSpec(omega_a, omega_b, h).matrix, expected)
 
 
 def test_gap_validation():
     with pytest.raises(ValueError, match="omega_a"):
-        core.assemble_hamiltonian(0.0, 1.0, np.zeros((3, 3)))
+        core.HamiltonianSpec(0.0, 1.0, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="omega_b"):
-        core.assemble_hamiltonian(1.0, -0.2, np.zeros((3, 3)))
+        core.HamiltonianSpec(1.0, -0.2, np.zeros((3, 3)))
 
 
 def test_hamiltonian_matrix_broadcasts_bitwise():
@@ -154,6 +154,18 @@ def test_stacked_rep_check_raises_what_one_rep_raises(column, value):
     assert str(stacked.value) == str(one.value)
 
 
+def test_stacked_rep_check_requires_19_coordinates():
+    x = np.append(locality._draw_chunk(44, range(1))[0], 0.5)
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 19\) coordinates, got shape \(20,\)"):
+        core.check_reps(x)
+
+
+def test_stacked_state_check_requires_4_amplitudes():
+    psi = np.full(5, 5**-0.5, dtype=complex)
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 4\) amplitudes, got shape \(5,\)"):
+        core.check_states(psi)
+
+
 def test_stacked_rep_check_wraps_phases():
     x = locality._draw_chunk(43, range(3))
     shifted = x.copy()
@@ -202,7 +214,7 @@ def test_cached_frobenius_norm_is_the_norm_of_the_matrix():
         assert abs(ham.frobenius_norm - np.linalg.norm(ham.matrix)) <= 4e-16 * ham.frobenius_norm
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert core.assemble_hamiltonian(1e300, 1.0, np.zeros((3, 3))).frobenius_norm == np.inf
+        assert core.HamiltonianSpec(1e300, 1.0, np.zeros((3, 3))).frobenius_norm == np.inf
 
 
 def test_mean_energy_judges_with_the_cached_norm_as_without_it():
@@ -210,7 +222,7 @@ def test_mean_energy_judges_with_the_cached_norm_as_without_it():
     for config in configs:
         psi, matrix = config.state.psi, config.hamiltonian.matrix
         assert core.mean_energy(config) == float(core.mean_energies(psi, matrix))
-    huge = core.Configuration(configs[0].state, core.assemble_hamiltonian(1e300, 1.0, np.zeros((3, 3))))
+    huge = core.Configuration(configs[0].state, core.HamiltonianSpec(1e300, 1.0, np.zeros((3, 3))))
     with pytest.raises(ValueError, match="mean energy out of range"):
         core.mean_energy(huge)
 
@@ -229,7 +241,7 @@ def test_config_equal_rejects_gap_change():
 
 
 def test_config_equal_rejects_different_states():
-    ham = core.assemble_hamiltonian(1.0, 1.0, np.zeros((3, 3)))
+    ham = core.HamiltonianSpec(1.0, 1.0, np.zeros((3, 3)))
     bell = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 1]) / np.sqrt(2)), hamiltonian=ham
     )
@@ -242,7 +254,7 @@ def test_config_equal_rejects_different_states():
 def test_mean_energy_ground_state_zero():
     config = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 0], dtype=complex)),
-        hamiltonian=core.assemble_hamiltonian(1.0, 1.0, np.zeros((3, 3))),
+        hamiltonian=core.HamiltonianSpec(1.0, 1.0, np.zeros((3, 3))),
     )
     assert core.mean_energy(config) == 0.0
 
@@ -252,7 +264,7 @@ def test_mean_energy_ground_state_with_dephasing():
     h[2, 2] = 0.37
     config = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 0], dtype=complex)),
-        hamiltonian=core.assemble_hamiltonian(1.0, 1.0, h),
+        hamiltonian=core.HamiltonianSpec(1.0, 1.0, h),
     )
     assert abs(core.mean_energy(config) - 0.37) < 1e-15
 

@@ -57,6 +57,18 @@ def test_propagate_group_property():
         assert np.max(np.abs(two_steps.psi - one_step.psi)) < 1e-10
 
 
+@pytest.mark.parametrize("evolve", [
+    lambda psi, matrix: dynamics.trajectory(psi, matrix, [0.0]),
+    lambda psi, matrix: dynamics.propagate(psi, matrix, 0.0),
+], ids=["trajectory", "propagate"])
+def test_evolution_takes_only_a_hamiltonian_spec(evolve):
+    # eigh reads one triangle of a raw matrix, so a non-Hermitian one would be
+    # silently evolved as a different Hamiltonian
+    config = _random_config(4)
+    with pytest.raises(TypeError, match="hamiltonian must be a HamiltonianSpec, got ndarray"):
+        evolve(config.state.psi, np.eye(4))
+
+
 def test_partial_trace_ground_state():
     state = core.UniverseState(np.array([1, 0, 0, 0], dtype=complex))
     assert np.array_equal(
@@ -103,7 +115,7 @@ def test_rho_dot_uncoupled_rotates_coherence():
 def test_extended_state_of_stationary_ground_state_is_zero():
     config = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 0], dtype=complex)),
-        hamiltonian=core.assemble_hamiltonian(1.0, 1.0, np.zeros((3, 3))),
+        hamiltonian=core.HamiltonianSpec(1.0, 1.0, np.zeros((3, 3))),
     )
     for subsystem in dynamics.SUBSYSTEMS:
         ext = dynamics.extended_state(config, subsystem)
@@ -229,7 +241,7 @@ def test_trajectory_conserves_norm_and_energy(parts, gaps, h, t_max):
     psi = parts[0] + 1j * parts[1]
     norm = np.linalg.norm(psi)
     assume(norm > 1e-3)
-    spec = core.assemble_hamiltonian(gaps[0], gaps[1], h)
+    spec = core.HamiltonianSpec(gaps[0], gaps[1], h)
     states = dynamics.trajectory(psi / norm, spec, np.linspace(0.0, t_max, 64))
     assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-13
     energies = core.expectation(states, spec.matrix).real

@@ -58,7 +58,7 @@ def test_rc_control_case_frequency_formula():
 
 
 def test_rc_undefined_on_zero_coherence_state():
-    ham = core.assemble_hamiltonian(1.0, 0.85, np.zeros((3, 3)))
+    ham = core.HamiltonianSpec(1.0, 0.85, np.zeros((3, 3)))
     bell = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 1]) / np.sqrt(2)), hamiltonian=ham
     )
@@ -104,7 +104,7 @@ def test_stacked_law_equals_pointwise_evaluation(law, parts, gaps, couplings):
     norms = np.linalg.norm(psi, axis=-1)
     assume(np.all(norms > 1e-3))
     psi /= norms[:, None]
-    ham = core.assemble_hamiltonian(gaps[0], gaps[1], couplings)
+    ham = core.HamiltonianSpec(gaps[0], gaps[1], couplings)
     u_a, u_b = iel.LAWS[law](psi, ham)
     assert u_a.shape == u_b.shape == psi.shape[:1]
     for row, stacked in zip(psi, zip(u_a.tolist(), u_b.tolist())):
@@ -130,7 +130,7 @@ def test_bare_law_equals_gap_times_partial_trace_population(parts, gaps, couplin
     norms = np.linalg.norm(psi, axis=-1)
     assume(np.all(norms > 1e-3))
     psi /= norms[:, None]
-    ham = core.assemble_hamiltonian(gaps[0], gaps[1], couplings)
+    ham = core.HamiltonianSpec(gaps[0], gaps[1], couplings)
     energies = iel.LAWS["bare"](psi, ham)
     for omega, subsystem, stacked in zip(gaps, dynamics.SUBSYSTEMS, energies):
         oracle = [omega * dynamics.partial_trace(row, subsystem)[1, 1].real for row in psi]
@@ -154,7 +154,7 @@ def test_effective_hamiltonian_of_bare_law_reads_populations_unvalidated():
     psi = np.full(4, 0.5 * np.sqrt(1.0 + 5e-10), dtype=complex)
     config = core.Configuration(
         state=core.UniverseState(psi),
-        hamiltonian=core.assemble_hamiltonian(1.0, 0.85, np.zeros((3, 3))),
+        hamiltonian=core.HamiltonianSpec(1.0, 0.85, np.zeros((3, 3))),
     )
     with pytest.raises(ValueError, match="positive 2x2"):
         dynamics.extended_state(config, "A")
@@ -195,7 +195,7 @@ def test_effective_hamiltonian_rc_control_case():
 def test_effective_hamiltonian_undefined_at_zero_population():
     config = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 0], dtype=complex)),
-        hamiltonian=core.assemble_hamiltonian(1.0, 1.0, np.zeros((3, 3))),
+        hamiltonian=core.HamiltonianSpec(1.0, 1.0, np.zeros((3, 3))),
     )
     with pytest.raises(iel.UndefinedObservableError, match="population"):
         iel.effective_hamiltonian("bare", config, "A")
@@ -214,7 +214,7 @@ def test_laws_are_gauge_invariant(parts, gaps, couplings, angle):
     norms = np.linalg.norm(psi, axis=-1)
     assume(np.all(norms > 1e-3))
     psi /= norms[:, None]
-    ham = core.assemble_hamiltonian(gaps[0], gaps[1], couplings)
+    ham = core.HamiltonianSpec(gaps[0], gaps[1], couplings)
     records = dynamics.pure_extended_coordinates(psi, (ham.matrix @ psi[..., None])[..., 0])
     # Im(cdot / c) amplifies rounding by 1 / |c|, a conditioning of the rc
     # law and not a gauge dependence, so below |c| = 1e-2 its rows are held

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +19,7 @@ test_run_experiment_is_deterministic = shared_check("audit_and_chart", seed=77, 
 test_exact_jacobian_matches_central_differences = shared_check("exact_jacobian", seed=24, n=10)
 test_schmidt_identities_annihilate_the_audit_matrix = shared_check("schmidt_identities", seed=25, n=25)
 test_deflated_solve_matches_the_svd = shared_check("deflated_solve", seed=26, n=25)
+test_chart_jacobian_matches_central_differences = shared_check("chart_jacobian", seed=27, n=10)
 
 
 def test_sampler_is_bitwise_deterministic():
@@ -570,6 +571,13 @@ def test_run_experiment_rejects_empty_run():
         locality.run_experiment(n=0, seed=0)
 
 
+@pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "zero", "negative", "inf"])
+def test_run_experiment_rejects_a_threshold_that_is_not_positive_and_finite(threshold):
+    # nan, 0 and -1 would call every sample unsolvable, inf every sample solvable
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        locality.run_experiment(n=5, seed=0, threshold=threshold)
+
+
 def test_solvable_flag_tracks_threshold():
     report = locality.run_experiment(n=10, seed=12)
     assert report.n_solvable == np.count_nonzero(report.residuals < report.threshold) == 10
@@ -655,6 +663,20 @@ def test_transport_rejects_a_nonfinite_solution(entry):
         locality.transport_solution(dx, rep)
 
 
+def test_transport_rejects_a_nonfinite_base_point():
+    # checked before the tangency test, which would blame the solution for the NaN
+    x0 = locality.sample_interior_rep(21).to_array()
+    x0[0] = np.nan
+    with pytest.raises(ValueError, match="base point must be finite"):
+        locality.transport_solution(np.zeros(19), x0)
+
+
+def test_transport_rejects_a_short_base_point():
+    x0 = locality.sample_interior_rep(22).to_array()[:18]
+    with pytest.raises(ValueError, match="expected a 19-coordinate base point"):
+        locality.transport_solution(np.zeros(19), x0)
+
+
 # inside the sampler's box, moduli normalized as it normalizes them
 _BOX_COORDS = st.tuples(
     arrays(float, 4, elements=st.floats(0.05, 1.0)),
@@ -714,9 +736,11 @@ _RAW_COORDS = st.tuples(
 
 
 def _audit_scale(x):
-    # every row is at most quadratic in the amplitudes and linear in H
+    # every row is at most quadratic in the amplitudes and linear in H; floored
+    # at the smallest normal double, so that 1e-14 times it cannot underflow to 0
     matrix = core.hamiltonian_matrix(x[8], x[9], x[10:].reshape(3, 3))
-    return locality.rep_norm_sq(x) * max(1.0, np.linalg.norm(matrix, ord=2))
+    scale = locality.rep_norm_sq(x) * max(1.0, np.linalg.norm(matrix, ord=2))
+    return max(scale, np.finfo(float).tiny)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -736,6 +760,8 @@ def test_relabeling_swaps_the_two_extended_states(x):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(x=_RAW_COORDS, angle=st.floats(0.0, 2.0 * np.pi))
+# a subnormal scale: row 8 moves by one subnormal ulp, 5e-324
+@example(x=np.concatenate([[0.0, 1.08725376e-157], np.zeros(17)]), angle=2.0)
 def test_global_phase_leaves_every_audited_row_unchanged(x, angle):
     turned = x.copy()
     turned[4:8] += angle
