@@ -10,11 +10,16 @@ records read column 1 of each reduced matrix, which sums 8 entries of
 ``rho`` and of ``rho_dot``; :func:`pure_extended_coordinates` forms only
 those, and :func:`rho_dot_local` assembles a reduced derivative from them.
 Each state record is a quadratic form ``<psi|M|psi>`` with a constant local
-``M``, and its derivative ``<psi|i s [H, M]|psi>`` (``s`` the sign of
-``rho_dot``); ``quniverse.locality`` reads the ``M`` off this reader and
-differentiates the forms exactly.  The textbook route, :func:`partial_trace` of ``|psi><psi|`` and central
-differences through the propagator (:func:`finite_difference_rho_dot`),
-shares none of that algebra and is kept as the independent oracle.
+``M``, and its ``n``-th time derivative ``sum_j C(n, j) <phi_j|M|phi_{n -
+j}>`` with ``phi_j = (-i s H)^j psi`` (``s`` the sign of ``rho_dot``, which
+enters only through ``_rates``); ``quniverse.locality`` reads the ``M`` off
+this reader and differentiates that hierarchy exactly, at any order.  The
+textbook route, :func:`partial_trace` of ``|psi><psi|`` and differences in
+time through the propagator (:func:`finite_difference_rho_dot`, and the
+higher-order stencils of ``quniverse verify``), shares none of that algebra
+and is kept as the independent oracle.  :func:`trajectory` and
+:func:`propagate` check raw amplitudes as :class:`UniverseState` does before
+they evolve them.
 """
 
 from __future__ import annotations
@@ -61,12 +66,8 @@ def _subsystem_index(subsystem: str) -> int:
 
 
 def _as_psi(state) -> np.ndarray:
-    if isinstance(state, UniverseState):
-        return state.psi
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {psi.shape}")
-    return psi
+    """The amplitudes of a state, raw amplitudes checked as :class:`UniverseState` checks them."""
+    return (state if isinstance(state, UniverseState) else UniverseState(state)).psi
 
 
 def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
@@ -75,7 +76,9 @@ def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
     Returns an ``(len(times), 4)`` complex array.  A single
     eigendecomposition serves the whole grid, so long trajectories carry
     no accumulated stepping error.  ``hamiltonian`` must be a
-    :class:`HamiltonianSpec`, whose matrix is Hermitian exactly.
+    :class:`HamiltonianSpec`, whose matrix is Hermitian exactly, and
+    ``state`` a :class:`UniverseState` or four finite amplitudes of unit
+    norm, which it checks as :class:`UniverseState` does.
     """
     if not isinstance(hamiltonian, HamiltonianSpec):
         raise TypeError(f"hamiltonian must be a HamiltonianSpec, got {type(hamiltonian).__name__}")

@@ -12,8 +12,7 @@ the vector of their residual norms relative to any requested increment,
 ``report.residuals`` (NaN for a sample whose matrix turned non-finite),
 and every figure of the report is read off it.  It takes
 ``AUDIT_BLOCK`` samples at a time: their coordinates come from one
-``_uniforms`` pass, their exact Jacobians (``audit_jacobian``, which
-differentiates each row as the quadratic form ``<psi|Q|psi>`` it is) from
+``_uniforms`` pass, their exact Jacobians (``audit_jacobian``) from
 one call per ``AUDIT_CHUNK`` samples, and their least-squares
 solutions from one ``_solve_deflated`` call.  Once per run, on the first
 sample, the exact matrix is checked against the central-difference one
@@ -47,6 +46,16 @@ byte-identical to drawing each sample from its own ``Generator``.  The
 central-difference route (``numerical_jacobian``, one call for every
 displaced point, and ``build_system``) stays as the oracle.
 
+The exact Jacobian has one engine for every derivative order,
+``_hierarchy``: each record's ``n``-th time derivative is a quadratic form
+``<psi|Q|psi>`` built from ``phi_j = (-i s H)^j psi``, so one vector ``Q
+psi`` per row gives its value and its moduli and phase columns, and the
+derivatives of the ``phi_j`` along each gap and coupling give the rest.
+The order is only the bound of its loops; ``audit_jacobian`` is its order
+1.  Its orders 2 and 3 are checked against central differences of its own
+values and, independently, against time differences of the textbook
+partial traces along the propagated trajectory (``quniverse verify``).
+
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
 across and ``build_tangent_system`` rebuilds that system so the transport
@@ -55,6 +64,7 @@ can be checked.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -196,59 +206,113 @@ _FORM_ROWS.setflags(write=False)
 _UNIT_ROWS = _UNIT_HAMILTONIANS.reshape(44, 4)
 
 
-def audit_jacobian(x) -> np.ndarray:
-    """Exact Jacobian of :func:`rep_observables`: ``(..., 19)`` coordinates give ``(..., 14, 19)``.
+def _times(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``H v_r`` for each row ``v_r`` of a ``(n, k, 4)`` stack: one ``(4, 4) @ (4, k)`` product per point."""
+    return (matrix @ v.swapaxes(-1, -2)).swapaxes(-1, -2)
 
-    Every row is a quadratic form ``<psi|Q_m|psi>`` in the amplitudes: the
-    state half of each record has a constant ``Q_m = M_m``
-    (:func:`_state_forms`), its derivative half ``i s [H, M_m]`` (``s`` the
-    sign of ``rho_dot``), the norm row ``I`` and the energy row ``H``.  So
-    one vector ``w_m = Q_m psi`` per row gives its moduli and phase columns:
-    ``psi_k`` moves by ``t_k = e^{i theta_k}`` along ``R_k`` and by ``t_k =
-    i psi_k`` along ``theta_k``, and the column is ``2 Re(conj(w_mk)
-    t_k)``.  On a derivative row ``w_m = M_m phi - (-i s) H M_m psi`` with
-    ``phi = -i s H psi``, so the sign enters only through
-    :func:`quniverse.dynamics._rates`.  Along a gap or a coupling only ``H``
-    moves, by a constant unit Hamiltonian ``U``: a derivative row moves by
-    ``2 Re((M_m psi)^† (-i s U psi))``, the energy row by ``Re <psi|U
-    psi>``, the state and norm rows not at all.  The norm row is written
-    exactly, ``2 R`` and zeros.  No validation; each point's matrix is
-    computed from its own coordinates alone, and a non-finite coordinate
-    gives a non-finite matrix.
+
+def _hierarchy(x, order: int) -> np.ndarray:
+    """Exact Jacobian of the records and their time derivatives up to ``order``.
+
+    ``(..., 19)`` coordinates give ``(..., r, 19)``, ``r = 6 (order + 1) +
+    2``, and :func:`_row_values` reads the rows' values off it.  The rows
+    are A's records, then B's, each as orders ``0..order`` of ``(re c, im
+    c, p1)``, then the moduli norm and the mean energy; at order 1 that is
+    the row order of :func:`rep_observables`.
+
+    With ``phi_0 = psi`` and ``phi_j = -i s H phi_{j-1}`` (``s`` the sign
+    of ``rho_dot``, which enters only through
+    :func:`quniverse.dynamics._rates`), the order-``n`` record of a state
+    form ``M`` (:func:`_state_forms`) is ``sum_j C(n, j) <phi_j|M|phi_{n -
+    j}>``, a quadratic form ``<psi|Q|psi>`` in the amplitudes.  So one
+    vector per row, ``w = Q psi = sum_j C(n, j) (i s H)^{n - j} M phi_j``
+    (Horner's rule), gives its moduli and phase columns: ``psi_k`` moves by ``t_k = e^{i theta_k}`` along
+    ``R_k`` and by ``t_k = i psi_k`` along ``theta_k``, and the column is
+    ``2 Re(conj(w_k) t_k)``.  The norm row has ``w = psi`` and the energy
+    row ``w = H psi``.  Along a gap or a coupling only ``H`` moves, by a
+    constant unit Hamiltonian ``U``: ``phi_i`` moves by ``dphi_i = -i s (H
+    dphi_{i - 1} + U phi_{i - 1})`` from ``dphi_0 = 0``, an order-``n``
+    record by ``2 Re sum_j C(n, j) <M phi_j, dphi_{n - j}>``, the energy
+    row by ``Re <psi|U psi>``, and the norm row not at all.  The norm row's
+    columns are written exactly, ``2 R`` and zeros.  The order is only the
+    bound of these loops.  No validation; each point's rows are computed
+    from its own coordinates alone, and a non-finite coordinate gives
+    non-finite rows.
     """
     x = np.asarray(x, dtype=float)
     lead = x.shape[:-1]
     x = x.reshape(-1, 19)
-    n = len(x)
+    n, rows = len(x), 6 * (order + 1) + 2
     psi, matrix = _psi_and_matrix(x)
     hpsi = core._apply(matrix, psi)
-    # w[:, m] = Q_m psi; the record rows as [point, subsystem, half, k, amplitude].
+    phi = [psi, _rates(hpsi)]
+    while len(phi) <= order:
+        phi.append(_rates(core._apply(matrix, phi[-1])))
+    # forms[j][:, m] = M_m phi_j for the six state forms, A's then B's
+    forms = [core._apply(_FORM_ROWS, p).reshape(n, 6, 4) for p in phi[:order + 1]]
+    # w[:, r] = Q_r psi; the record rows as [point, subsystem, order, k, amplitude].
     # Each reshape written through below only splits an axis, so it is a view.
-    w = np.empty((n, 14, 4), dtype=complex)
-    records = w[:, :12].reshape(n, 2, 2, 3, 4)
-    forms = core._apply(_FORM_ROWS, psi).reshape(n, 6, 4)
-    records[:, :, 0] = forms.reshape(n, 2, 3, 4)
-    records[:, :, 1] = core._apply(_FORM_ROWS, _rates(hpsi)).reshape(n, 2, 3, 4)
-    # H times the matrix whose columns are the six M_m psi
-    records[:, :, 1] -= _rates(matrix @ forms.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(n, 2, 3, 4)
-    w[:, 12] = psi
-    w[:, 13] = hpsi
+    w = np.empty((n, rows, 4), dtype=complex)
+    records = w[:, :-2].reshape(n, 2, order + 1, 3, 4)
+    for m in range(order + 1):
+        horner = forms[0]
+        for j in range(1, m + 1):
+            # a complex product by 1 can flip the sign of a zero, so 1 is not applied
+            coefficient = math.comb(m, j)
+            term = forms[j] if coefficient == 1 else coefficient * forms[j]
+            # i s H v is minus the rate of H v
+            horner = term - _rates(_times(matrix, horner))
+        records[:, :, m] = horner.reshape(n, 2, 3, 4)
+    w[:, -2] = psi
+    w[:, -1] = hpsi
     # 2 conj(t), so that Re(w 2 conj(t)) = 2 Re(conj(w) t)
     tangents = np.empty((n, 1, 2, 4), dtype=complex)
     tangents[:, 0, 0] = 2.0 * np.exp(-1j * x[:, 4:8])
     tangents[:, 0, 1] = -2j * psi.conj()
-    jac = np.empty((n, 14, 19))
-    jac[:, :, :8].reshape(n, 14, 2, 4)[...] = (w[:, :, None] * tangents).real
-    jac[:, 12, :4] = 2.0 * x[:, :4]
-    jac[:, 12, 4:] = 0.0
+    jac = np.empty((n, rows, 19))
+    jac[:, :, :8].reshape(n, rows, 2, 4)[...] = (w[:, :, None] * tangents).real
+    jac[:, -2, :4] = 2.0 * x[:, :4]
+    jac[:, -2, 4:] = 0.0
     # Re(conj(a) b) of complex 4-vectors is the dot product of their (re, im) views
     unit = core._apply(_UNIT_ROWS, psi).reshape(n, 11, 4)
-    rates = _rates(unit).view(float)
-    gaps = jac[:, :12, 8:].reshape(n, 2, 2, 3, 11)
+    # dphi[i][:, h] = d phi_i / d(coordinate 8 + h); dphi_0 = 0 is never read
+    dphi = [None, _rates(unit)]
+    while len(dphi) <= order:
+        moved = core._apply(_UNIT_ROWS, phi[len(dphi) - 1]).reshape(n, 11, 4)
+        moved += _times(matrix, dphi[-1])
+        dphi.append(_rates(moved))
+    gaps = jac[:, :-2, 8:].reshape(n, 2, order + 1, 3, 11)
     gaps[:, :, 0] = 0.0
-    gaps[:, :, 1] = 2.0 * (forms.view(float) @ rates.swapaxes(-1, -2)).reshape(n, 2, 3, 11)
-    jac[:, 13, 8:] = (unit.view(float) @ psi.view(float)[:, :, None])[..., 0]
-    return jac.reshape(lead + (14, 19))
+    for m in range(1, order + 1):
+        products = [forms[j].view(float) @ dphi[m - j].view(float).swapaxes(-1, -2) for j in range(m)]
+        total = products[0]
+        for j in range(1, m):
+            total += math.comb(m, j) * products[j]
+        gaps[:, :, m] = 2.0 * total.reshape(n, 2, 3, 11)
+    jac[:, -1, 8:] = (unit.view(float) @ psi.view(float)[:, :, None])[..., 0]
+    return jac.reshape(lead + (rows, 19))
+
+
+def _row_values(matrices: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Values of the rows of exact Jacobians ``(..., r, 19)`` at their coordinates ``(..., 19)``.
+
+    Every row of :func:`_hierarchy` is quadratic in the moduli, so by
+    Euler's theorem its value is half its moduli gradient dotted with the
+    moduli, ``Re <psi, Q psi>``.
+    """
+    return 0.5 * (matrices[..., :4] @ coords[..., :4, None])[..., 0]
+
+
+def audit_jacobian(x) -> np.ndarray:
+    """Exact Jacobian of :func:`rep_observables`: ``(..., 19)`` coordinates give ``(..., 14, 19)``.
+
+    The order-1 read of :func:`_hierarchy`: rows 0-5 are A's records and
+    their first time derivatives, rows 6-11 B's, row 12 the moduli norm and
+    row 13 the mean energy.  Each point's matrix is computed from its own
+    coordinates alone, with no validation; a non-finite coordinate gives a
+    non-finite matrix.
+    """
+    return _hierarchy(x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +474,8 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
     It solves the unit energy request :func:`_energy_rhs`.  The two
     :func:`_schmidt_normals` ``n1``, ``n2`` annihilate every exact audit
     matrix; the row values they are built from are read off the matrix
-    itself (rows 0-12 are quadratic in the moduli, so each row's value is
-    half its moduli gradient dotted with the moduli, by Euler's theorem).  ``n1`` is zero on
-    the derivative rows, and ``n2`` on derivative row ``p + 3`` is ``n1`` on
+    itself (:func:`_row_values`).  ``n1`` is zero on the derivative rows,
+    and ``n2`` on derivative row ``p + 3`` is ``n1`` on
     state row ``p``, so with ``p`` the state row of largest ``|n1|`` the 2x2
     minor of ``[n1 n2]`` on rows ``(p, p + 3)`` is ``n1[p]^2``: those two
     rows are combinations of the other 12, with zero right-hand side, and
@@ -433,7 +496,7 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
     Every row is bitwise the one a 1-system stack gives.
     """
     rhs = _energy_rhs(14)
-    values = 0.5 * (matrices[:, :13, :4] @ coords[:, :4, None])[..., 0]
+    values = _row_values(matrices[:, :13], coords)
     first = _schmidt_normals(values)[:, _STATE_ROWS, 0]
     pivots = np.argmax(np.abs(first), axis=-1)
     samples = np.arange(len(matrices))

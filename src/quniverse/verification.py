@@ -312,10 +312,21 @@ def _audit_and_chart(rng, n):
     return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
 
-@_check("locality", 10, ("exact audit Jacobian matches central differences", locality.FD_ORACLE_TOL))
+@_check("locality", 10, ("exact audit Jacobian matches central differences", locality.FD_ORACLE_TOL),
+        ("exact order-2 Jacobian matches central differences", 1e-8),
+        ("exact order-3 Jacobian matches central differences", 1e-8))
 def _exact_jacobian(rng, n):
+    # orders 2 and 3 on every tenth point only, since their central differences
+    # cost about 30 times the order-1 ones; an order-m row scales as |H|^m, so
+    # each order's error is relative to the largest entry of its rows there
     x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
-    return _dist(locality.audit_jacobian(x), locality.build_system(x)[0])
+    few = x[::10]
+    exact = locality._hierarchy(few, 3)
+    central = locality.numerical_jacobian(lambda y: locality._row_values(locality._hierarchy(y, 3), y), few)
+    orders = [block[:, :-2].reshape(len(few), 2, 4, 3, 19) for block in (exact, central)]
+    relative = [np.max(np.abs(orders[0][:, :, m] - orders[1][:, :, m]), axis=(1, 2, 3))
+                / np.max(np.abs(orders[0][:, :, m]), axis=(1, 2, 3)) for m in (2, 3)]
+    return _dist(locality.audit_jacobian(x), locality.build_system(x)[0]), *map(_dist, relative)
 
 
 @_check("locality", 10, ("Schmidt identities annihilate the audit matrix", 1e-13))
@@ -359,6 +370,36 @@ def _chart_jacobian(rng, n):
     central = locality.numerical_jacobian(lambda y: locality.hyperspherical_backward(1.0, *y.T).T,
                                           angles)
     return _dist(exact, central)
+
+
+# a 3-point second difference at step 1e-4, then a 4-point third difference at
+# step 1e-3 on points -3/2, -1/2, 1/2 and 3/2 steps out: row 0 of _STENCIL
+# weighs the states at the 7 times for the second derivative, row 1 for the third
+_STENCIL_TIMES = np.array([-1e-4, 0.0, 1e-4, -1.5e-3, -0.5e-3, 0.5e-3, 1.5e-3])
+_STENCIL = np.array([[1e8, -2e8, 1e8, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1e9, 3e9, -3e9, 1e9]])
+
+
+@_check("locality", 6, ("order-2 records match second time differences of partial traces", 1e-6),
+        ("order-3 records match third time differences of partial traces", 1e-4))
+def _time_derivatives(rng, n):
+    # the textbook partial traces of the propagated states share no algebra with
+    # the hierarchy; being linear, each takes a stencil's sum of |psi><psi| at once.
+    # Time reversal (the rho-dot-sign fault) flips the odd orders, which no rank
+    # can show.  An order-m record scales as ||H||^m, so each error is relative
+    # to ||H||_F^m
+    reps = [locality.sample_interior_rep(rng) for _ in range(n)]
+    x = np.stack([rep.to_array() for rep in reps])
+    values = locality._row_values(locality._hierarchy(x, 3), x)
+    errors = []
+    for rep, exact in zip(reps, values[:, :-2].reshape(n, 2, 4, 3)):
+        config = core.rep_to_config(rep)
+        states = dynamics.trajectory(config.state, config.hamiltonian, _STENCIL_TIMES)
+        differences = _STENCIL @ (states[:, :, None] * states[:, None, :].conj()).reshape(7, 16)
+        for order, difference in zip((2, 3), differences.reshape(2, 4, 4)):
+            columns = [dynamics.partial_trace(difference, s)[:, 1] for s in dynamics.SUBSYSTEMS]
+            records = [[c.real, c.imag, p1.real] for c, p1 in columns]
+            errors.append(_dist(records, exact[:, order]) / config.hamiltonian.frobenius_norm**order)
+    return _dist(errors[0::2]), _dist(errors[1::2])
 
 
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:

@@ -69,6 +69,16 @@ def test_evolution_takes_only_a_hamiltonian_spec(evolve):
         evolve(config.state.psi, np.eye(4))
 
 
+@pytest.mark.parametrize("amplitudes, message", [
+    (np.ones(4), "state not normalized: sum \\|psi_k\\|\\^2 = 4.0"),
+    ([np.nan, 0.0, 0.0, 0.0], "state amplitudes must be finite"),
+], ids=["norm-2", "nan"])
+def test_trajectory_refuses_raw_amplitudes_that_are_not_a_state(amplitudes, message):
+    # raw amplitudes are checked as UniverseState checks them, before evolving
+    with pytest.raises(ValueError, match=message):
+        dynamics.trajectory(amplitudes, _random_config(5).hamiltonian, [0.0, 1.0])
+
+
 def test_partial_trace_ground_state():
     state = core.UniverseState(np.array([1, 0, 0, 0], dtype=complex))
     assert np.array_equal(

@@ -20,6 +20,8 @@ test_exact_jacobian_matches_central_differences = shared_check("exact_jacobian",
 test_schmidt_identities_annihilate_the_audit_matrix = shared_check("schmidt_identities", seed=25, n=25)
 test_deflated_solve_matches_the_svd = shared_check("deflated_solve", seed=26, n=25)
 test_chart_jacobian_matches_central_differences = shared_check("chart_jacobian", seed=27, n=10)
+test_higher_order_jacobians_match_central_differences = shared_check("exact_jacobian", seed=28, n=50)
+test_records_match_time_differences_of_partial_traces = shared_check("time_derivatives", seed=29, n=50)
 
 
 def test_sampler_is_bitwise_deterministic():
@@ -273,6 +275,47 @@ def test_state_forms_reproduce_the_state_records():
     quadratic = np.einsum("ni,skij,nj->nsk", psi.conj(), forms, psi).real
     records = dynamics.pure_extended_coordinates(psi, np.zeros_like(psi))[..., :3]
     assert np.max(np.abs(quadratic - records)) < 1e-15 * np.max(locality.rep_norm_sq(x))
+
+
+def _orders(rows, order):
+    """Rows of orders ``0..order`` of a hierarchy stack ``(n, 6 (K + 1) + 2, ...)``, in its layout."""
+    records = rows[:, :-2].reshape((len(rows), 2, -1, 3) + rows.shape[2:])[:, :, :order + 1]
+    return np.concatenate([records.reshape((len(rows), -1) + rows.shape[2:]), rows[:, -2:]], axis=1)
+
+
+def test_hierarchy_rows_do_not_depend_on_the_order_bound():
+    # the order only bounds the loops: every row is the same bits at any larger
+    # order, and the order-1 row values are rep_observables up to rounding
+    x = locality._draw_chunk(43, range(60))
+    jac = locality._hierarchy(x, 3)
+    for order in range(3):
+        lower = locality._hierarchy(x, order)
+        assert lower.shape == (60, 6 * (order + 1) + 2, 19)
+        assert lower.tobytes() == _orders(jac, order).tobytes()
+    values = locality._row_values(_orders(jac, 1), x)
+    assert np.max(np.abs(values - locality.rep_observables(x))) < 1e-15
+
+
+# rank pairs a -> b of the title claim: the records and the norm have rank a,
+# and with the energy row rank b, so b = a means the records fix <H> locally;
+# per order, with all 19 columns, with the gaps known (no columns 8-9) and
+# with H known (no columns 8-18)
+_RANK_PAIRS = {
+    0: [(6, 7), (6, 7), (6, 7)],
+    1: [(11, 12), (11, 12), (7, 7)],
+    2: [(16, 17), (16, 16), (7, 7)],
+    3: [(18, 18), (16, 16), (7, 7)],
+}
+_COLUMN_SETS = [np.arange(19), np.delete(np.arange(19), [8, 9]), np.arange(8)]
+
+
+@pytest.mark.parametrize("order", sorted(_RANK_PAIRS))
+def test_hierarchy_gives_the_rank_pairs_of_every_order(order):
+    jac = locality._hierarchy(locality._draw_chunk(0, range(40)), order)
+    for columns, pair in zip(_COLUMN_SETS, _RANK_PAIRS[order]):
+        matrices = jac[:, :, columns]
+        ranks = {(np.linalg.matrix_rank(a[:-1]), np.linalg.matrix_rank(a)) for a in matrices}
+        assert ranks == {pair}
 
 
 def _poison_engine(monkeypatch, targets):
