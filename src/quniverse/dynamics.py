@@ -78,14 +78,18 @@ def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
     no accumulated stepping error.  ``hamiltonian`` must be a
     :class:`HamiltonianSpec`, whose matrix is Hermitian exactly, and
     ``state`` a :class:`UniverseState` or four finite amplitudes of unit
-    norm, which it checks as :class:`UniverseState` does.
+    norm, which it checks as :class:`UniverseState` does.  A non-finite
+    time raises ``ValueError`` before anything is evolved.
     """
     if not isinstance(hamiltonian, HamiltonianSpec):
         raise TypeError(f"hamiltonian must be a HamiltonianSpec, got {type(hamiltonian).__name__}")
     psi = _as_psi(state)
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
     w, v = np.linalg.eigh(hamiltonian.matrix)
     coeff = v.conj().T @ psi
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
+    phases = np.exp(-1j * np.outer(times, w))
     return (phases * coeff) @ v.T
 
 

@@ -59,7 +59,10 @@ partial traces along the propagated trajectory (``quniverse verify``).
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates; ``transport_solution`` carries a solution
 across and ``build_tangent_system`` rebuilds that system so the transport
-can be checked.
+can be checked.  Both directions of the chart take stacks:
+``hyperspherical_forward`` maps ``(..., 4)`` moduli to four arrays of
+angles, each row bitwise the four floats of its own 4-vector, and
+``hyperspherical_backward`` broadcasts over its angles.
 """
 
 from __future__ import annotations
@@ -852,7 +855,10 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     first sample (skipped if that sample failed): if :func:`build_system`
     at that step misses the exact matrix by more than
     :data:`FD_ORACLE_TOL`, or turns non-finite, ``ValueError`` is raised.
+    ``n``, like ``seed``, is taken through ``operator.index``, so a float
+    raises ``TypeError`` before any work.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if not 0 < threshold < np.inf:
@@ -885,27 +891,39 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
 # ---------------------------------------------------------------------------
 
 def hyperspherical_forward(moduli):
-    """Angles ``(r, alpha, beta, gamma)`` of a moduli 4-vector.
+    """Angles ``(r, alpha, beta, gamma)`` of a moduli 4-vector, or of each row of a ``(..., 4)`` stack.
 
     Inverse of :func:`hyperspherical_backward`; undefined where a sine in
     the chain vanishes (any point with ``R0 = R2 = R3 = 0`` or
-    ``R0 = R3 = 0``), which the interior sampler never produces.
+    ``R0 = R3 = 0``), which the interior sampler never produces.  One
+    4-vector gives four floats; a stack gives four arrays of its leading
+    shape, each row bitwise its own 4-vector's angles, and raises the
+    ``ValueError`` that its first non-finite, zero or pathological row
+    would raise alone.
     """
     moduli = np.asarray(moduli, dtype=float)
-    if moduli.shape != (4,):
+    if moduli.shape[-1:] != (4,):
         raise ValueError(f"expected 4 moduli, got shape {moduli.shape}")
-    if not np.all(np.isfinite(moduli)):
-        raise ValueError(f"moduli must be finite, got {moduli.tolist()}")
-    radius = float(np.linalg.norm(moduli))
-    if radius == 0.0:
-        raise ValueError("zero moduli vector has no hyperspherical angles")
-    s1 = float(np.sqrt(moduli[0] ** 2 + moduli[2] ** 2 + moduli[3] ** 2))
-    s2 = float(np.hypot(moduli[0], moduli[3]))
-    if s1 < 1e-12 * radius or s2 < 1e-12 * radius:
+    m0, m1, m2, m3 = np.moveaxis(moduli, -1, 0)
+    # a 1-D np.linalg.norm is sqrt(dot(v, v)), which vecdot gives each row bitwise
+    radius = np.sqrt(np.vecdot(moduli, moduli))
+    # libm's pow(R, 2), which a scalar R**2 takes and which is not always
+    # R*R, the square that an array's ** takes
+    s1 = np.sqrt(np.float_power(m0, 2) + np.float_power(m2, 2) + np.float_power(m3, 2))
+    s2 = np.hypot(m0, m3)
+    finite = np.all(np.isfinite(moduli), axis=-1)
+    row = core._first_row(~finite | (radius == 0.0) | (s1 < 1e-12 * radius) | (s2 < 1e-12 * radius))
+    if row is not None:
+        if not finite[row]:
+            raise ValueError(f"moduli must be finite, got {moduli[row].tolist()}")
+        if radius[row] == 0.0:
+            raise ValueError("zero moduli vector has no hyperspherical angles")
         raise ValueError("pathological point: a sine in the angle chain vanishes")
-    alpha = float(np.arccos(np.clip(moduli[1] / radius, -1.0, 1.0)))
-    beta = float(np.arccos(np.clip(moduli[2] / s1, -1.0, 1.0)))
-    gamma = float(np.mod(np.arctan2(moduli[0], moduli[3]), 2.0 * np.pi))
+    alpha = np.arccos(np.clip(m1 / radius, -1.0, 1.0))
+    beta = np.arccos(np.clip(m2 / s1, -1.0, 1.0))
+    gamma = np.mod(np.arctan2(m0, m3), 2.0 * np.pi)
+    if moduli.ndim == 1:
+        return float(radius), float(alpha), float(beta), float(gamma)
     return radius, alpha, beta, gamma
 
 

@@ -81,6 +81,22 @@ def random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
     return models.NumberConservingSpec(lam=lam, delta=float(rng.uniform(-1, 1)))
 
 
+def _draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, 19)`` coordinates of ``n`` calls of ``locality.sample_interior_rep(rng)``, bit for bit.
+
+    One ``rng.random((n, 19))`` feeds the sampler's map and check for every
+    row at once.  If the map rejects a row, ``rng`` goes back to where it
+    was and the sampler itself draws the ``n`` rows, redrawing that one; so
+    ``rng`` ends where ``n`` sampler calls leave it either way.
+    """
+    state = rng.bit_generator.state
+    x = rng.random((n, 19))
+    if np.all(locality._interior(x)):
+        return core.check_reps(x)
+    rng.bit_generator.state = state
+    return np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+
+
 def _dist(a, b=0.0) -> float:
     """Largest entrywise ``|a - b|``; a NaN propagates, so it fails any tolerance."""
     return float(np.max(np.abs(np.subtract(a, b))))
@@ -115,10 +131,11 @@ def _pauli(rng, n):
 @_check("core", 25, ("hamiltonian exactly hermitian", EXACT),
         ("interaction has traceless marginals", EXACT))
 def _hamiltonian(rng, n):
-    reps = [locality.sample_interior_rep(rng) for _ in range(n)]
-    matrices = np.stack([core.HamiltonianSpec(r.omega_a, r.omega_b, r.h).matrix for r in reps])
-    marginals = [dynamics.partial_trace(core.hamiltonian_matrix(0.0, 0.0, r.h), s)
-                 for r in reps for s in dynamics.SUBSYSTEMS]
+    x = _draws(rng, n)
+    couplings = x[:, 10:].reshape(n, 3, 3)
+    matrices = np.stack([core.HamiltonianSpec(*gaps, h).matrix for gaps, h in zip(x[:, 8:10], couplings)])
+    marginals = [dynamics.partial_trace(interaction, s)
+                 for interaction in core.hamiltonian_matrix(0.0, 0.0, couplings) for s in dynamics.SUBSYSTEMS]
     return _dist(matrices, matrices.conj().swapaxes(-1, -2)), _dist(marginals)
 
 
@@ -155,9 +172,9 @@ def _conservation(rng, n):
         ("raw coordinate route ties to extended_state", 1e-12))
 def _reduced_states(rng, n):
     oracle, legal, tie = [], [], []
-    for _ in range(n):
-        rep = locality.sample_interior_rep(rng)
-        config = core.rep_to_config(rep)
+    x = _draws(rng, n)
+    for row, raw in zip(x, locality.rep_observables(x)):
+        config = core.rep_to_config(core.ConfigRep.from_array(row))
         for s in dynamics.SUBSYSTEMS:
             algebraic = dynamics.rho_dot_local(config, s)
             oracle.append(_dist(algebraic, dynamics.finite_difference_rho_dot(config, s)))
@@ -165,7 +182,6 @@ def _reduced_states(rng, n):
             legal += [abs(np.trace(algebraic)), _dist(algebraic, algebraic.conj().T),
                       _dist(reduced, reduced.conj().T), abs(np.trace(reduced) - 1.0),
                       _dist(np.minimum(np.linalg.eigvalsh(reduced), 0.0))]
-        raw = locality.rep_observables(rep.to_array())
         typed = [dynamics.extended_state(config, s).to_array() for s in dynamics.SUBSYSTEMS]
         tie += [_dist(raw[:12], np.concatenate(typed)), abs(raw[12] - 1.0),
                 abs(raw[13] - core.mean_energy(config))]
@@ -274,7 +290,7 @@ def _bare_defect(rng, n):
 
 @_check("locality", 10, ("norm-row jacobian matches the analytic gradient", 1e-10))
 def _norm_gradient(rng, n):
-    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    x = _draws(rng, n)
     # quadratic: truncation-free at any step, so a larger step only lowers
     # the rounding floor (~eps/h)
     jac = locality.numerical_jacobian(locality.rep_norm_sq, x, 1e-4)
@@ -302,7 +318,7 @@ def _audit_and_chart(rng, n):
     same = report.to_json_dict(per_sample=True) == repeat.to_json_dict(per_sample=True)
     moduli = rng.uniform(0.02, 1.0, (8 * n, 4))
     moduli /= np.linalg.norm(moduli, axis=1, keepdims=True)
-    trips = [locality.hyperspherical_backward(*locality.hyperspherical_forward(m)) for m in moduli]
+    trips = locality.hyperspherical_backward(*locality.hyperspherical_forward(moduli)).T
     transport = []
     for x in locality._draw_chunk(seed, range(3)):
         solution, _ = locality.solve_least_squares((locality.audit_jacobian(x), locality._energy_rhs(14)))
@@ -319,7 +335,7 @@ def _exact_jacobian(rng, n):
     # orders 2 and 3 on every tenth point only, since their central differences
     # cost about 30 times the order-1 ones; an order-m row scales as |H|^m, so
     # each order's error is relative to the largest entry of its rows there
-    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    x = _draws(rng, n)
     few = x[::10]
     exact = locality._hierarchy(few, 3)
     central = locality.numerical_jacobian(lambda y: locality._row_values(locality._hierarchy(y, 3), y), few)
@@ -333,7 +349,7 @@ def _exact_jacobian(rng, n):
 def _schmidt_identities(rng, n):
     # |n^T A| / (|n| |A|) for the gradients of det_A - det_B and of its time
     # derivative, built from the observables, not from the Jacobian
-    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    x = _draws(rng, n)
     matrices = locality.audit_jacobian(x)
     normals = locality._schmidt_normals(locality.rep_observables(x))
     products = np.linalg.norm(normals.swapaxes(-1, -2) @ matrices, axis=-1)
@@ -353,8 +369,7 @@ _BELL_STATE = np.concatenate([[2**-0.5, 0.0, 0.0, 2**-0.5], [0.1, 0.2, 0.3, 0.4]
 def _deflated_solve(rng, n):
     # residual gaps to the SVD: rounding on sampled points, none where the
     # deflation cannot be certified
-    x = np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)]
-                 + [_PRODUCT_STATE, _BELL_STATE])
+    x = np.concatenate([_draws(rng, n), [_PRODUCT_STATE, _BELL_STATE]])
     matrices = locality.audit_jacobian(x)
     _, deflated = locality._solve_deflated(matrices, x)
     _, reference = locality._solve_stack(matrices, locality._energy_rhs(14))
@@ -387,12 +402,11 @@ def _time_derivatives(rng, n):
     # Time reversal (the rho-dot-sign fault) flips the odd orders, which no rank
     # can show.  An order-m record scales as ||H||^m, so each error is relative
     # to ||H||_F^m
-    reps = [locality.sample_interior_rep(rng) for _ in range(n)]
-    x = np.stack([rep.to_array() for rep in reps])
+    x = _draws(rng, n)
     values = locality._row_values(locality._hierarchy(x, 3), x)
     errors = []
-    for rep, exact in zip(reps, values[:, :-2].reshape(n, 2, 4, 3)):
-        config = core.rep_to_config(rep)
+    for row, exact in zip(x, values[:, :-2].reshape(n, 2, 4, 3)):
+        config = core.rep_to_config(core.ConfigRep.from_array(row))
         states = dynamics.trajectory(config.state, config.hamiltonian, _STENCIL_TIMES)
         differences = _STENCIL @ (states[:, :, None] * states[:, None, :].conj()).reshape(7, 16)
         for order, difference in zip((2, 3), differences.reshape(2, 4, 4)):
@@ -437,6 +451,9 @@ def run_suites(names=None, seed: int = 2024, fault: str | None = None) -> list:
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}; available: {', '.join(SUITES)}")
+    repeated = [n for n in dict.fromkeys(names) if names.count(n) > 1]
+    if repeated:
+        raise ValueError(f"repeated suites: {', '.join(repeated)}")
     if fault is not None and fault not in dynamics.FAULTS:
         raise ValueError(f"unknown fault {fault!r}, available: {', '.join(dynamics.FAULTS)}")
     token = dynamics.RHO_DOT_SIGN.set(-1.0 if fault == "rho-dot-sign" else 1.0)

@@ -615,6 +615,16 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "unknown suites" in capsys.readouterr().err
 
 
+def test_verify_repeated_suite_is_usage_error(capsys):
+    # a suite named twice would run twice and count its cases twice
+    with pytest.raises(ValueError, match="repeated suites: core"):
+        verification.run_suites(["core", "core"])
+    assert main(["verify", "--suite", "locality,core,locality"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated suites: locality\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "3"],
     ["simulate"],

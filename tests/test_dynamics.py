@@ -1,5 +1,6 @@
 """Evolution, reduced states and their derivatives against independent routes."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,20 @@ def test_trajectory_refuses_raw_amplitudes_that_are_not_a_state(amplitudes, mess
     # raw amplitudes are checked as UniverseState checks them, before evolving
     with pytest.raises(ValueError, match=message):
         dynamics.trajectory(amplitudes, _random_config(5).hamiltonian, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_evolution_refuses_a_nonfinite_time(time, monkeypatch):
+    # refused before the eigendecomposition, so no numpy warning precedes it
+    spec = _random_config(6).hamiltonian
+    state = _random_config(7).state
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"times must be finite, got {time!r}"):
+            dynamics.trajectory(state, spec, [0.0, time])
+        with pytest.raises(ValueError, match=f"times must be finite, got {time!r}"):
+            dynamics.propagate(state, spec, time)
 
 
 def test_partial_trace_ground_state():

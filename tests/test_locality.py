@@ -122,6 +122,40 @@ def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
         assert chunk[index].tobytes() == core.check_reps(redraw)[0].tobytes()
 
 
+@pytest.mark.parametrize("rejects", ["none", "once", "always"])
+def test_verify_draws_are_the_sequential_samplers_draws(rejects, monkeypatch):
+    # verify's checks draw n samples from their generator in one stacked pass;
+    # a rejected row, in that pass alone ("once") or in every draw of it
+    # ("always", so the sampler redraws it), replays the sampler from the
+    # generator's saved state
+    n = 25
+    target = np.random.default_rng(35).random((8, 19))[7]
+    interior, stacked, rejected = locality._interior, [], []
+
+    def rejecting(u):
+        hit = np.all(u == target, axis=1)
+        accepted = interior(u)
+        if len(u) > 1:
+            stacked.append(bool(np.any(hit)))
+        if np.any(hit) and (rejects == "always" or (rejects == "once" and len(u) > 1)):
+            rejected.append(len(u))
+            accepted &= ~hit
+        return accepted
+
+    monkeypatch.setattr(locality, "_interior", rejecting)
+    reference = np.random.default_rng(35)
+    expected = np.stack([locality.sample_interior_rep(reference).to_array() for _ in range(n)])
+    rng = np.random.default_rng(35)
+    drawn = verification._draws(rng, n)
+    assert stacked == [True]
+    assert rejected == {"none": [], "once": [n], "always": [1, n, 1]}[rejects]
+    assert drawn.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    if rejects == "always":
+        # the rejected draw was redone, from the next 19 doubles
+        assert not np.any(np.all(expected[:, 10:] == 2.0 * target[10:] - 1.0, axis=1))
+
+
 def test_jacobian_calls_f_once_for_a_stack_and_for_a_point():
     calls = []
 
@@ -614,6 +648,13 @@ def test_run_experiment_rejects_empty_run():
         locality.run_experiment(n=0, seed=0)
 
 
+@pytest.mark.parametrize("n", [2.5, 5000.0, "3"])
+def test_run_experiment_takes_only_an_integer_count(n):
+    # as the seed is taken: through operator.index, before any work
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        locality.run_experiment(n=n, seed=0)
+
+
 @pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "zero", "negative", "inf"])
 def test_run_experiment_rejects_a_threshold_that_is_not_positive_and_finite(threshold):
     # nan, 0 and -1 would call every sample unsolvable, inf every sample solvable
@@ -668,6 +709,49 @@ def test_hyperspherical_pathological_points_raise():
 def test_hyperspherical_forward_rejects_nonfinite_moduli(value):
     with pytest.raises(ValueError, match="finite"):
         locality.hyperspherical_forward([0.5, value, 0.5, 0.5])
+
+
+def _scalar_forward(m):
+    # the one-vector chart as numpy scalars compute it, the reference for the stacked map
+    radius = float(np.linalg.norm(m))
+    s1 = float(np.sqrt(m[0] ** 2 + m[2] ** 2 + m[3] ** 2))
+    return (radius, float(np.arccos(np.clip(m[1] / radius, -1.0, 1.0))),
+            float(np.arccos(np.clip(m[2] / s1, -1.0, 1.0))),
+            float(np.mod(np.arctan2(m[0], m[3]), 2.0 * np.pi)))
+
+
+def test_hyperspherical_forward_of_a_stack_is_bitwise_each_row():
+    rng = np.random.default_rng(33)
+    moduli = rng.uniform(0.02, 1.0, (200, 4))
+    moduli[100:] /= np.linalg.norm(moduli[100:], axis=1, keepdims=True)
+    # a scalar R3**2 here is libm's pow, one bit away from the R3*R3 of an array's **2
+    moduli[7] = [0.3211751851250998, 0.4363730439804019, 0.5067530692014914, 0.6705418658085448]
+    stacked = np.array(locality.hyperspherical_forward(moduli))
+    rows = [locality.hyperspherical_forward(m) for m in moduli]
+    assert all(type(value) is float for row in rows for value in row)
+    assert rows == [_scalar_forward(m) for m in moduli]
+    assert stacked.shape == (4, 200)
+    assert stacked.tobytes() == np.array(rows).T.tobytes()
+    # leading axes of any shape
+    folded = np.array(locality.hyperspherical_forward(moduli.reshape(10, 20, 4)))
+    assert folded.tobytes() == stacked.reshape(4, 10, 20).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.5, np.nan, 0.5, 0.5], "moduli must be finite, got \\[0.5, nan, 0.5, 0.5\\]"),
+    ([0.0, 0.0, 0.0, 0.0], "zero moduli vector has no hyperspherical angles"),
+    ([0.0, 0.5, 0.5, 0.0], "pathological point: a sine in the angle chain vanishes"),
+], ids=["nonfinite", "zero", "pathological"])
+def test_hyperspherical_forward_of_a_stack_raises_its_bad_rows_own_message(bad, message):
+    moduli = np.random.default_rng(34).uniform(0.02, 1.0, (6, 4))
+    moduli[3] = bad
+    # a later row of another kind does not decide the message
+    moduli[5] = [0.0, 1.0, 0.0, 0.0] if "finite" in message else [np.inf, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError) as alone:
+        locality.hyperspherical_forward(moduli[3])
+    with pytest.raises(ValueError, match=f"^{message}$") as stacked:
+        locality.hyperspherical_forward(moduli)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_transport_of_zero_is_zero():
