@@ -276,7 +276,7 @@ def _energy_table(law, times: np.ndarray, states: np.ndarray, hamiltonian) -> np
         rows = slice(start, start + SIMULATE_CHUNK)
         psi = states[rows]
         check_states(psi)
-        table[rows, 4] = mean_energies(psi, hamiltonian.matrix, hamiltonian.frobenius_norm)
+        table[rows, 4] = mean_energies(psi, hamiltonian)
         table[rows, 1], table[rows, 2] = law(psi, hamiltonian)
     table[:, 3] = table[:, 1] + table[:, 2]
     table[:, 5] = table[:, 3] - table[:, 4]

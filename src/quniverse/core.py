@@ -218,11 +218,14 @@ class HamiltonianSpec:
 
     The assembled 4x4 matrix is cached at construction and is Hermitian
     exactly (entrywise equal to its conjugate transpose), and so is its
-    Frobenius norm ``frobenius_norm``, the scale :func:`mean_energies`
-    judges against.  The bare part and the nine Pauli products are
+    Frobenius norm ``frobenius_norm``, the one formula for ``||H||_F``: the
+    bound :func:`mean_energies` checks and the scale of the propagation's
+    phase rounding.  The bare part and the nine Pauli products are
     orthogonal under the trace inner product, so ``||H||_F^2 = omega_a^2 +
     omega_b^2 + (omega_a + omega_b)^2 + 4 sum h_jk^2``; in Python floats it
-    is ``inf``, without a warning, where that square overflows.
+    is ``inf``, without a warning, where that square overflows, and where it
+    underflows (parameters below about 1e-154) the norm is taken by
+    ``math.hypot`` of the same terms instead.
     """
 
     omega_a: float
@@ -239,9 +242,15 @@ class HamiltonianSpec:
         object.__setattr__(
             self, "matrix", _frozen_array(hamiltonian_matrix(omega_a, omega_b, h), complex)
         )
+        couplings = h.ravel().tolist()
         bare = omega_a * omega_a + omega_b * omega_b + (omega_a + omega_b) * (omega_a + omega_b)
-        coupling = sum(v * v for v in h.ravel().tolist())
-        object.__setattr__(self, "frobenius_norm", math.sqrt(bare + 4.0 * coupling))
+        norm_sq = bare + 4.0 * sum(v * v for v in couplings)
+        if norm_sq < np.finfo(float).tiny:
+            # the squares underflowed; hypot scales them, so the norm keeps its precision
+            norm = math.hypot(omega_a, omega_b, omega_a + omega_b, *(2.0 * v for v in couplings))
+        else:
+            norm = math.sqrt(norm_sq)
+        object.__setattr__(self, "frobenius_norm", norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,33 +366,23 @@ def expectation(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.vecdot(psi, _apply(matrix, psi))
 
 
-def mean_energies(psi: np.ndarray, matrix: np.ndarray, frobenius_norm=None) -> np.ndarray:
-    """Real :func:`expectation` values of a ``(..., 4)`` stack, as ``(...)`` floats.
+def mean_energies(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> np.ndarray:
+    """Real :func:`expectation` values of ``hamiltonian`` in a ``(..., 4)`` stack, as ``(...)`` floats.
 
-    Raises ``ValueError`` on the first row whose value has an imaginary
-    part above ``1e-12 ||M||_F |psi|^2``.  That product bounds the value, so
-    the test is relative: rounding alone stays near ``eps`` of it for a
-    Hermitian ``M``, at any scale of the parameters.  A row whose product
-    cannot be formed, because the squared entries of ``M`` overflow (entries
-    above about 1e154), cannot be judged and raises too.  ``frobenius_norm``
-    is ``||M||_F`` where the caller has it (a :class:`HamiltonianSpec`
-    caches it); otherwise it is formed here.
+    A spec's matrix is Hermitian exactly, so the imaginary part of each
+    value is rounding alone and is dropped.  ``||H||_F |psi|^2`` bounds each
+    value; ``ValueError`` is raised on the first row where that bound
+    overflows (a spec caches ``||H||_F = inf`` once its squared parameters
+    overflow, from about 1e154), since its value cannot be trusted.
     """
-    values = expectation(psi, matrix)
-    if frobenius_norm is None:
-        entries = matrix.reshape(matrix.shape[:-2] + (16,))
-        with np.errstate(over="ignore"):  # an overflowing scale is reported below
-            frobenius_norm = np.sqrt(np.vecdot(entries, entries).real)
-    scale = frobenius_norm * np.vecdot(psi, psi).real
-    row = _first_row(np.isinf(scale) | (np.abs(values.imag) > 1e-12 * scale))
-    if row is None:
-        return values.real
-    if np.isinf(np.broadcast_to(scale, values.shape)[row]):
+    values = expectation(psi, hamiltonian.matrix)
+    scale = hamiltonian.frobenius_norm * np.vecdot(psi, psi).real
+    row = _first_row(np.isinf(scale))
+    if row is not None:
         raise ValueError(f"mean energy out of range: ||H||_F |psi|^2 overflows at {complex(values[row])!r}")
-    raise ValueError(f"mean energy came out non-real: {complex(values[row])!r}")
+    return values.real
 
 
 def mean_energy(config: Configuration) -> float:
     """Expectation value of the total Hamiltonian in the global state."""
-    hamiltonian = config.hamiltonian
-    return float(mean_energies(config.state.psi, hamiltonian.matrix, hamiltonian.frobenius_norm))
+    return float(mean_energies(config.state.psi, config.hamiltonian))

@@ -342,8 +342,8 @@ def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     produced one.
     """
     x0 = _as_coords(x0)
-    if h_step <= 0:
-        raise ValueError(f"h_step must be positive, got {h_step!r}")
+    if not 0 < h_step < np.inf:
+        raise ValueError(f"h_step must be positive and finite, got {h_step!r}")
     size = x0.shape[-1]
     # points[0, j] is x0 with coordinate j raised by h_step, points[1, j] with it lowered
     points = np.empty((2, size) + x0.shape)
@@ -861,6 +861,8 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
+    if not 0 < h_step < np.inf:
+        raise ValueError(f"h_step must be positive and finite, got {h_step!r}")
     if not 0 < threshold < np.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     residuals = np.full(n, np.nan)
@@ -899,19 +901,30 @@ def hyperspherical_forward(moduli):
     4-vector gives four floats; a stack gives four arrays of its leading
     shape, each row bitwise its own 4-vector's angles, and raises the
     ``ValueError`` that its first non-finite, zero or pathological row
-    would raise alone.
+    would raise alone.  Finite moduli of any scale have angles: a row whose
+    squares overflow or underflow is taken at a largest modulus of 1.
     """
     moduli = np.asarray(moduli, dtype=float)
     if moduli.shape[-1:] != (4,):
         raise ValueError(f"expected 4 moduli, got shape {moduli.shape}")
+    finite = np.all(np.isfinite(moduli), axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        norm_sq = np.vecdot(moduli, moduli)
+    # a finite, nonzero row whose squares overflow or underflow is divided by its
+    # largest modulus first and its radius scaled back; every other row divides by 1
+    peak = 1.0
+    rescale = finite & ((norm_sq == np.inf) | (norm_sq < np.finfo(float).tiny)) & np.any(moduli != 0, axis=-1)
+    if np.any(rescale):
+        peak = np.where(rescale, np.max(np.abs(moduli), axis=-1), 1.0)
+        moduli = moduli / peak[..., None]
+        norm_sq = np.vecdot(moduli, moduli)
     m0, m1, m2, m3 = np.moveaxis(moduli, -1, 0)
     # a 1-D np.linalg.norm is sqrt(dot(v, v)), which vecdot gives each row bitwise
-    radius = np.sqrt(np.vecdot(moduli, moduli))
+    radius = np.sqrt(norm_sq)
     # libm's pow(R, 2), which a scalar R**2 takes and which is not always
     # R*R, the square that an array's ** takes
     s1 = np.sqrt(np.float_power(m0, 2) + np.float_power(m2, 2) + np.float_power(m3, 2))
     s2 = np.hypot(m0, m3)
-    finite = np.all(np.isfinite(moduli), axis=-1)
     row = core._first_row(~finite | (radius == 0.0) | (s1 < 1e-12 * radius) | (s2 < 1e-12 * radius))
     if row is not None:
         if not finite[row]:
@@ -922,6 +935,7 @@ def hyperspherical_forward(moduli):
     alpha = np.arccos(np.clip(m1 / radius, -1.0, 1.0))
     beta = np.arccos(np.clip(m2 / s1, -1.0, 1.0))
     gamma = np.mod(np.arctan2(m0, m3), 2.0 * np.pi)
+    radius = peak * radius
     if moduli.ndim == 1:
         return float(radius), float(alpha), float(beta), float(gamma)
     return radius, alpha, beta, gamma

@@ -446,7 +446,10 @@ def run_suites(names=None, seed: int = 2024, fault: str | None = None) -> list:
 
     ``fault``, one of ``dynamics.FAULTS``, is injected for the length of the run
     through a context variable, so other threads and tasks never see it.
+    ``names`` is an iterable of suite names; a bare string raises ``TypeError``.
     """
+    if isinstance(names, str):
+        raise TypeError(f"names must be an iterable of suite names, not the string {names!r}")
     names = list(SUITES) if names is None else list(names)
     unknown = [n for n in names if n not in SUITES]
     if unknown:

@@ -615,6 +615,12 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "unknown suites" in capsys.readouterr().err
 
 
+def test_run_suites_refuses_a_bare_suite_name():
+    # a string is an iterable of its characters, which would be taken as suite names
+    with pytest.raises(TypeError, match="not the string 'core'"):
+        verification.run_suites("core")
+
+
 def test_verify_repeated_suite_is_usage_error(capsys):
     # a suite named twice would run twice and count its cases twice
     with pytest.raises(ValueError, match="repeated suites: core"):

@@ -230,6 +230,14 @@ def test_jacobian_propagates_nonfinite_with_coordinate_name():
         locality.numerical_jacobian(bad, locality.sample_interior_rep(4), h_step=1e-6)
 
 
+@pytest.mark.parametrize("h_step", [np.nan, np.inf], ids=["nan", "inf"])
+def test_nonfinite_step_is_refused_before_any_coordinate_is_displaced(h_step):
+    with pytest.raises(ValueError, match=f"^h_step must be positive and finite, got {h_step!r}$"):
+        locality.numerical_jacobian(locality.rep_norm_sq, locality.sample_interior_rep(4), h_step)
+    with pytest.raises(ValueError, match=f"^h_step must be positive and finite, got {h_step!r}$"):
+        locality.run_experiment(n=3, seed=2, h_step=h_step)
+
+
 def test_raw_route_derivative_rows_match_propagator_oracle():
     # the propagator route shares no algebra with the commutator kernel
     rng = np.random.default_rng(22)
@@ -735,6 +743,20 @@ def test_hyperspherical_forward_of_a_stack_is_bitwise_each_row():
     # leading axes of any shape
     folded = np.array(locality.hyperspherical_forward(moduli.reshape(10, 20, 4)))
     assert folded.tobytes() == stacked.reshape(4, 10, 20).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_hyperspherical_forward_of_moduli_far_from_unit_scale(scale):
+    # the squares of these moduli overflow or underflow; their angles must not move
+    moduli = np.array([[3.0, 1.0, 2.0, 1.0], [1.0, 2.0, 3.0, 4.0], [0.3, 0.9, 0.1, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius, *angles = locality.hyperspherical_forward(scale * moduli)
+        one = locality.hyperspherical_forward(scale * moduli[1])
+    unit_radius, *unit_angles = locality.hyperspherical_forward(moduli)
+    assert np.max(np.abs(np.array(angles) - np.array(unit_angles))) <= 1e-15
+    assert np.allclose(radius / scale, unit_radius, rtol=1e-15, atol=0)
+    assert one == tuple(row[1] for row in [radius, *angles])
 
 
 @pytest.mark.parametrize("bad, message", [
