@@ -23,6 +23,7 @@ the A gap and times in its inverse; the defaults set ``omega_a = 1``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -147,14 +148,28 @@ SIMULATE_CHUNK = 512
 PHASE_ROUNDING_LIMIT = 1e-6
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a usage error, not its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise UsageError(f"config file repeats key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError("config file is nested deeper than the JSON decoder can follow") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a flat JSON object")
     return data
@@ -162,7 +177,7 @@ def _load_config(path: str) -> dict:
 
 def _merge(args: argparse.Namespace, keys: dict) -> dict:
     """Each key's flag value, else its config-file value, else its default, checked."""
-    config = _load_config(args.config) if args.config else {}
+    config = {} if args.config is None else _load_config(args.config)
     unknown = sorted(set(config) - set(keys))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -175,10 +190,18 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
     return merged
 
 
+@contextlib.contextmanager
 def _open_out(path: str, mode: str):
-    """Open an output file in ``mode``; a path that cannot be written is a usage error."""
+    """Open an output file in ``mode`` and close it on leaving; a path that
+    cannot be opened (a missing directory, an embedded NUL) or a write that
+    fails (``/dev/full``) is a usage error."""
     try:
-        return open(path, mode, encoding="utf-8", newline="\n")
+        handle = open(path, mode, encoding="utf-8", newline="\n")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot write output file: {exc}") from exc
+    try:
+        with handle:
+            yield handle
     except OSError as exc:
         raise UsageError(f"cannot write output file: {exc}") from exc
 

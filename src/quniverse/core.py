@@ -107,10 +107,11 @@ def hamiltonian_matrix(omega_a, omega_b, h) -> np.ndarray:
     return bare + coupling.reshape(lead + (4, 4))
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values`` made read-only in place, returned as a view, which refuses
+    ``setflags(write=True)`` as well as item assignment."""
+    values.setflags(write=False)
+    return values.view()
 
 
 def _hamiltonian_error(gaps, h):
@@ -121,21 +122,21 @@ def _hamiltonian_error(gaps, h):
     for name, gap in zip(("omega_a", "omega_b"), gaps):
         if not 0 < gap < np.inf:
             return f"{name} must be a positive real, got {float(gap)!r}"
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         return "coupling table must be finite"
     return None
 
 
 def _validated_hamiltonian_params(omega_a, omega_b, h):
-    """Gaps as positive finite floats and the coupling table as a frozen finite 3x3."""
+    """Gaps as positive finite floats and the coupling table as a frozen finite 3x3 copy."""
     gaps = (float(omega_a), float(omega_b))
-    h = np.asarray(h, dtype=float)
+    h = np.array(h, dtype=float)
     if h.shape != (3, 3):
         raise ValueError(f"coupling table must be 3x3, got shape {h.shape}")
     error = _hamiltonian_error(gaps, h)
     if error is not None:
         raise ValueError(error)
-    return gaps[0], gaps[1], _frozen_array(h, float)
+    return gaps[0], gaps[1], _frozen(h)
 
 
 def _first_row(mask: np.ndarray):
@@ -157,19 +158,19 @@ def check_reps(x) -> np.ndarray:
     if x.shape[-1:] != (19,):
         raise ValueError(f"expected (..., 19) coordinates, got shape {x.shape}")
     r = x[..., 0:4]
-    norm_sq = np.sum(r**2, axis=-1)
+    norm_sq = (r**2).sum(axis=-1)
     valid = (
-        np.all(np.isfinite(x), axis=-1)
-        & np.all(r >= 0, axis=-1)
+        np.isfinite(x).all(axis=-1)
+        & (r >= 0).all(axis=-1)
         & (np.abs(norm_sq - 1.0) <= NORM_TOL)
-        & np.all(x[..., 8:10] > 0, axis=-1)
+        & (x[..., 8:10] > 0).all(axis=-1)
     )
     row = _first_row(~valid)
     if row is not None:
         bad = x[row]
-        if not np.all(np.isfinite(bad[0:8])):
+        if not np.isfinite(bad[0:8]).all():
             raise ValueError("moduli and phases must be finite")
-        if np.any(bad[0:4] < 0):
+        if (bad[0:4] < 0).any():
             raise ValueError("moduli must be non-negative")
         if not abs(norm_sq[row] - 1.0) <= NORM_TOL:
             raise ValueError(f"moduli not normalized: sum R_k^2 = {float(norm_sq[row])!r}")
@@ -205,11 +206,12 @@ class UniverseState:
     psi: np.ndarray
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex)
+        # the one copy of the caller's amplitudes, frozen once checked
+        psi = np.array(self.psi, dtype=complex)
         if psi.shape != (4,):
             raise ValueError(f"state must hold 4 amplitudes, got shape {psi.shape}")
         check_states(psi)
-        object.__setattr__(self, "psi", _frozen_array(psi, complex))
+        object.__setattr__(self, "psi", _frozen(psi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +241,7 @@ class HamiltonianSpec:
         object.__setattr__(self, "omega_a", omega_a)
         object.__setattr__(self, "omega_b", omega_b)
         object.__setattr__(self, "h", h)
-        object.__setattr__(
-            self, "matrix", _frozen_array(hamiltonian_matrix(omega_a, omega_b, h), complex)
-        )
+        object.__setattr__(self, "matrix", _frozen(hamiltonian_matrix(omega_a, omega_b, h)))
         couplings = h.ravel().tolist()
         bare = omega_a * omega_a + omega_b * omega_b + (omega_a + omega_b) * (omega_a + omega_b)
         norm_sq = bare + 4.0 * sum(v * v for v in couplings)
@@ -279,12 +279,13 @@ class ConfigRep:
         if h.shape != (3, 3):
             raise ValueError(f"coupling table must be 3x3, got shape {h.shape}")
         gaps = [float(self.omega_a), float(self.omega_b)]
-        x = check_reps(np.concatenate([r, theta, gaps, h.ravel()]))
-        object.__setattr__(self, "r", _frozen_array(x[0:4], float))
-        object.__setattr__(self, "theta", _frozen_array(x[4:8], float))
+        # check_reps returns a copy, whose slices are the fields
+        x = _frozen(check_reps(np.concatenate([r, theta, gaps, h.ravel()])))
+        object.__setattr__(self, "r", x[0:4])
+        object.__setattr__(self, "theta", x[4:8])
         object.__setattr__(self, "omega_a", float(x[8]))
         object.__setattr__(self, "omega_b", float(x[9]))
-        object.__setattr__(self, "h", _frozen_array(x[10:19].reshape(3, 3), float))
+        object.__setattr__(self, "h", x[10:19].reshape(3, 3))
 
     def to_array(self) -> np.ndarray:
         """Flat 19-vector in the :data:`COORD_NAMES` order."""

@@ -85,7 +85,7 @@ def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
         raise TypeError(f"hamiltonian must be a HamiltonianSpec, got {type(hamiltonian).__name__}")
     psi = _as_psi(state)
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
     w, v = np.linalg.eigh(hamiltonian.matrix)
     coeff = v.conj().T @ psi

@@ -564,7 +564,7 @@ def _interior(u: np.ndarray) -> np.ndarray:
     # a 1-D np.linalg.norm is sqrt(dot(v, v)); vecdot gives each row those
     # bits, which norm(axis=1) does not
     norms = np.sqrt(np.vecdot(u[:, :4], u[:, :4]))
-    accepted = np.all(u > _LOW, axis=1) & (norms > 1e-3)
+    accepted = (u > _LOW).all(axis=1) & (norms > 1e-3)
     np.divide(u[:, :4], norms[:, None], out=u[:, :4], where=accepted[:, None])
     return accepted
 

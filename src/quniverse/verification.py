@@ -60,7 +60,7 @@ def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> 
     while True:
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
         amps /= np.linalg.norm(amps)
-        if np.all(np.abs(amps) > min_modulus):
+        if (np.abs(amps) > min_modulus).all():
             return models.ControlCaseState(psi0=amps[0], psi_a=amps[1], psi_b=amps[2])
 
 
@@ -99,7 +99,7 @@ def _draws(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _dist(a, b=0.0) -> float:
     """Largest entrywise ``|a - b|``; a NaN propagates, so it fails any tolerance."""
-    return float(np.max(np.abs(np.subtract(a, b))))
+    return float(np.abs(np.subtract(a, b)).max())
 
 
 def _miss(ok: bool) -> float:

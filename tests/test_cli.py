@@ -444,11 +444,17 @@ def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
     (["verify"], {"inject_fault": "rho-dot"}, "unknown fault 'rho-dot', available: rho-dot-sign"),
     (["sample", "--delta-e", "0"], None, "delta_e must be nonzero, got 0.0"),
     (["verify", "--inject-fault", "rho-dot"], None, "unknown fault 'rho-dot', available: rho-dot-sign"),
+    (["verify"], b"\xff", "config file is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                         "invalid start byte"),
+    (["simulate"], b"[" * 100_000, "config file is nested deeper than the JSON decoder can follow"),
+    (["sample"], b'{"n": 3, "n": 4}', "config file repeats key 'n'"),
 ], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault", "delta-e-zero",
-        "fault-flag"])
+        "fault-flag", "config-not-utf8", "config-too-deep", "config-repeated-key"])
 def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
     if config is not None:
-        (tmp_path / "run.json").write_text(json.dumps(config))
+        # bytes are the config file itself; anything else is written as JSON
+        text = config if isinstance(config, bytes) else json.dumps(config).encode()
+        (tmp_path / "run.json").write_bytes(text)
         argv = argv + ["--config", str(tmp_path / "run.json")]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
@@ -648,6 +654,44 @@ def test_unwritable_out_is_one_line_usage_error(argv, tmp_path, capsys, monkeypa
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+def test_empty_config_path_is_unreadable(tmp_path, capsys, monkeypatch):
+    # the empty path names no file; it must not select the defaults
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--n", "2", "--config", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot read config file: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3"],
+    ["simulate", "--n-steps", "10"],
+    ["verify", "--suite", "core"],
+], ids=["sample", "simulate", "verify"])
+def test_out_with_an_embedded_nul_is_one_line_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"out": "report\u0000.json"}))
+    assert main(argv + ["--config", "run.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write output file: embedded null byte\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose writes fail")
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3"],
+    ["simulate", "--n-steps", "10"],
+    ["verify", "--suite", "core"],
+], ids=["sample", "simulate", "verify"])
+def test_failed_write_is_one_line_usage_error(argv, capsys):
+    assert main(argv + ["--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write output file: [Errno 28] No space left on device\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

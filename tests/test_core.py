@@ -296,3 +296,27 @@ def test_values_are_frozen():
         config.state.psi[0] = 0.0
     with pytest.raises(ValueError):
         config.hamiltonian.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("owner, field", [
+    ("rep", "r"), ("rep", "theta"), ("rep", "h"), ("state", "psi"), ("spec", "h"), ("spec", "matrix"),
+])
+def test_fields_are_frozen_copies_of_the_callers_arrays(owner, field):
+    x = locality.sample_interior_rep(1).to_array()
+    h = x[10:19].reshape(3, 3)
+    psi = x[0:4] * np.exp(1j * x[4:8])
+    built = {
+        "rep": core.ConfigRep(r=x[0:4], theta=x[4:8], omega_a=x[8], omega_b=x[9], h=h),
+        "state": core.UniverseState(psi),
+        "spec": core.HamiltonianSpec(x[8], x[9], h),
+    }[owner]
+    value = getattr(built, field)
+    before = value.copy()
+    x[:] = 0.5
+    psi[:] = 0.5
+    assert np.array_equal(value, before)
+    with pytest.raises(ValueError):
+        value[(0,) * value.ndim] = 0.0
+    with pytest.raises(ValueError):
+        value.setflags(write=True)
+    assert np.array_equal(value, before)
