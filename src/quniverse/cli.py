@@ -170,6 +170,9 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise UsageError("config file is nested deeper than the JSON decoder can follow") from exc
+    except ValueError as exc:
+        # an integer literal past Python's limit on digits for int() (4300 by default)
+        raise UsageError(f"config file holds a number too long to read: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a flat JSON object")
     return data
@@ -191,96 +194,96 @@ def _merge(args: argparse.Namespace, keys: dict) -> dict:
 
 
 @contextlib.contextmanager
-def _open_out(path: str, mode: str):
-    """Open an output file in ``mode`` and close it on leaving; a path that
-    cannot be opened (a missing directory, an embedded NUL) or a write that
-    fails (``/dev/full``) is a usage error."""
+def _output(path: str | None):
+    """Claim a run's output before its work: stdout if ``path`` is None, else the
+    file, opened at once without truncating, so that a path that cannot be opened
+    (a missing directory, a NUL, ``""``) fails first and a refused run leaves an
+    existing file byte for byte and removes one it created.  Yields ``replace()``,
+    called once the run has succeeded: it empties a regular file (not a device
+    or pipe) and returns the handle.  A failed open or write is a usage error."""
+    if path is None:
+        yield lambda: sys.stdout
+        return
+    created = not os.path.exists(path)
     try:
-        handle = open(path, mode, encoding="utf-8", newline="\n")
+        handle = open(path, "a", encoding="utf-8", newline="\n")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot write output file: {exc}") from exc
+
+    def replace():
+        # in append mode every write lands at the end, which is 0 once truncated
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(0)
+        return handle
+
     try:
         with handle:
-            yield handle
-    except OSError as exc:
-        raise UsageError(f"cannot write output file: {exc}") from exc
+            yield replace
+    except BaseException as exc:
+        if created:
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write output file: {exc}") from exc
+        raise
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = _merge(args, _SAMPLE_KEYS)
-    created = not os.path.exists(params["out"])
-    # opened first, so that an unwritable path fails before the audit runs, and
-    # opened without truncating, so that a refused run leaves an existing report
-    with _open_out(params["out"], "a") as handle:
+    with _output(params["out"]) as replace:
         try:
-            report = locality.run_experiment(
-                n=params["n"],
-                seed=params["seed"],
-                h_step=params["h_step"],
-                threshold=params["threshold"],
-            )
+            report = locality.run_experiment(n=params["n"], seed=params["seed"],
+                                             h_step=params["h_step"], threshold=params["threshold"])
         except (ValueError, MemoryError) as exc:
             # an --h-step that fails the central-difference oracle, or an --n
-            # whose residual vector cannot be allocated; the empty report goes
-            # if this run created it
-            handle.close()
-            if created:
-                os.remove(params["out"])
+            # whose residual vector cannot be allocated
             raise UsageError(str(exc)) from exc
         payload = report.to_json_dict(per_sample=params["per_sample"])
-        # in append mode every write lands at the end, which is 0 once truncated;
-        # a device or pipe (--out /dev/null, /dev/stdout) cannot be truncated
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            handle.truncate(0)
-        handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    print(
-        f"solvable {report.n_solvable}/{report.n_samples} "
-        f"at threshold {report.threshold:g} -> {params['out']}"
-    )
+        replace().write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    print(f"solvable {report.n_solvable}/{report.n_samples} "
+          f"at threshold {report.threshold:g} -> {params['out']}")
     return 0 if report.n_solvable == report.n_samples else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _merge(args, _SIMULATE_KEYS)
-    spec = models.NumberConservingSpec(
-        lam=complex(params["lambda_re"], params["lambda_im"]), delta=params["delta"]
-    )
-    # finite parameters can still overflow (a huge gap, coupling or time); the
-    # phase, state and energy checks then name what broke, and numpy's
-    # MemoryError names a time grid too large to allocate
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            hamiltonian = models.number_conserving_hamiltonian(
-                spec, params["omega_a"], params["omega_b"]
+    spec = models.NumberConservingSpec(lam=complex(params["lambda_re"], params["lambda_im"]),
+                                       delta=params["delta"])
+    with _output(params["out"]) as replace:
+        # finite parameters can still overflow (a huge gap, coupling or time); the
+        # phase, state and energy checks then name what broke, and numpy's
+        # MemoryError names a time grid too large to allocate
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                hamiltonian = models.number_conserving_hamiltonian(
+                    spec, params["omega_a"], params["omega_b"]
+                )
+                # needs only H and t_max, so a refused run stops before it propagates;
+                # an overflowing ||H||_F is left to the mean-energy check, which names it
+                phase_rounding = hamiltonian.frobenius_norm * params["t_max"] * np.finfo(float).eps
+                if np.isfinite(hamiltonian.frobenius_norm) and phase_rounding > PHASE_ROUNDING_LIMIT:
+                    raise ValueError(f"propagation phases rounded by up to ||H||_F t_max eps = "
+                                     f"{phase_rounding:.3g} rad, above {PHASE_ROUNDING_LIMIT:g}")
+                times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
+                amplitudes = np.array([1.0, 1.0, 1.0, params["alpha"]], dtype=complex)
+                # scaled to a largest modulus of 1 first, so that the norm cannot
+                # overflow; for |alpha| <= 1 that divides by exactly 1.0
+                amplitudes /= np.abs(amplitudes).max()
+                initial = UniverseState(amplitudes / np.linalg.norm(amplitudes))
+                states = dynamics.trajectory(initial, hamiltonian, times)
+                table = _energy_table(iel.LAWS[params["law"]], times, states, hamiltonian)
+        except (ValueError, MemoryError) as exc:
+            raise UsageError(f"cannot simulate these parameters: {exc}") from exc
+        undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
+        n_undefined = int(undefined.sum())
+        if n_undefined:
+            t_undefined = times[undefined]
+            print(
+                f"rotating-coherence law undefined at {n_undefined} of {len(times)} rows, "
+                f"t={float(t_undefined[0])!r} to t={float(t_undefined[-1])!r}; "
+                "emitting empty energy cells",
+                file=sys.stderr,
             )
-            # needs only H and t_max, so a refused run stops before it propagates;
-            # an overflowing ||H||_F is left to the mean-energy check, which names it
-            phase_rounding = hamiltonian.frobenius_norm * params["t_max"] * np.finfo(float).eps
-            if np.isfinite(hamiltonian.frobenius_norm) and phase_rounding > PHASE_ROUNDING_LIMIT:
-                raise ValueError(f"propagation phases rounded by up to ||H||_F t_max eps = "
-                                 f"{phase_rounding:.3g} rad, above {PHASE_ROUNDING_LIMIT:g}")
-            times = np.linspace(0.0, params["t_max"], params["n_steps"] + 1)
-            amplitudes = np.array([1.0, 1.0, 1.0, params["alpha"]], dtype=complex)
-            # scaled to a largest modulus of 1 first, so that the norm cannot
-            # overflow; for |alpha| <= 1 that divides by exactly 1.0
-            amplitudes /= np.abs(amplitudes).max()
-            initial = UniverseState(amplitudes / np.linalg.norm(amplitudes))
-            states = dynamics.trajectory(initial, hamiltonian, times)
-            table = _energy_table(iel.LAWS[params["law"]], times, states, hamiltonian)
-    except (ValueError, MemoryError) as exc:
-        raise UsageError(f"cannot simulate these parameters: {exc}") from exc
-    undefined = np.isnan(table[:, 1]) | np.isnan(table[:, 2])
-    n_undefined = int(undefined.sum())
-    if n_undefined:
-        t_undefined = times[undefined]
-        print(
-            f"rotating-coherence law undefined at {n_undefined} of {len(times)} rows, "
-            f"t={float(t_undefined[0])!r} to t={float(t_undefined[-1])!r}; "
-            "emitting empty energy cells",
-            file=sys.stderr,
-        )
-    with _open_out(params["out"], "w") as handle:
-        _write_csv(handle, table, undefined)
+        _write_csv(replace(), table, undefined)
     print(f"wrote {len(times)} rows ({len(times) - n_undefined} with energies) -> {params['out']}")
     return 0
 
@@ -329,17 +332,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
 
     params = _merge(args, _VERIFY_KEYS)
-    try:
-        results = verification.run_suites(params["suite"], params["seed"], params["inject_fault"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    summary = verification.summary_dict(results)
-    text = json.dumps(summary, indent=2) + "\n"
-    if params["out"]:
-        with _open_out(params["out"], "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(params["out"]) as replace:
+        try:
+            results = verification.run_suites(params["suite"], params["seed"], params["inject_fault"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        summary = verification.summary_dict(results)
+        replace().write(json.dumps(summary, indent=2) + "\n")
     return 0 if summary["all_passed"] else 1
 
 

@@ -31,6 +31,15 @@ def _column(rows, name):
     return np.array([float(r[name]) for r in rows if r[name] != ""])
 
 
+def _int_error(digits: str) -> str:
+    """What ``int`` says of a literal past Python's limit on digits (4300 by default)."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    return "no error: this Python sets no limit"
+
+
 def test_sample_writes_report_and_succeeds(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["sample", "--n", "25", "--seed", "9", "--out", str(out)])
@@ -156,15 +165,19 @@ def test_sample_step_that_fails_the_oracle_is_one_line_usage_error(h_step, tmp_p
 
 
 @pytest.mark.parametrize("argv", [
-    ["--n", "40", "--seed", "2", "--h-step", "1e100"],
-    ["--n", "1000000000000000"],
-], ids=["oracle", "unallocatable"])
-def test_refused_sample_leaves_an_existing_report_untouched(argv, tmp_path, capsys):
-    # the report is opened before the audit runs, so opening it must not truncate it
+    ["sample", "--n", "40", "--seed", "2", "--h-step", "1e100"],
+    ["sample", "--n", "1000000000000000"],
+    ["simulate", "--omega-a", "1e9"],
+    ["verify", "--suite", "core,core"],
+], ids=["sample-oracle", "sample-unallocatable", "simulate-rounded", "verify-repeated-suite"])
+def test_refused_run_leaves_an_existing_output_untouched(argv, tmp_path, capsys):
+    # the output is opened before the work runs, so opening it must not truncate it
     out = tmp_path / "keep.json"
     out.write_text('{"kept": true}\n')
-    assert main(["sample", *argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
     assert out.read_text() == '{"kept": true}\n'
 
 
@@ -379,6 +392,8 @@ def test_simulate_rejects_unknown_law(tmp_path, capsys):
 def test_simulate_output_is_byte_identical(tmp_path):
     one = tmp_path / "a.csv"
     two = tmp_path / "b.csv"
+    # a rerun replaces whatever the path held, a longer file included
+    two.write_text("x" * 100_000)
     main(["simulate", "--n-steps", "30", "--delta", "0.2", "--out", str(one)])
     main(["simulate", "--n-steps", "30", "--delta", "0.2", "--out", str(two)])
     assert one.read_bytes() == two.read_bytes()
@@ -448,8 +463,10 @@ def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
                          "invalid start byte"),
     (["simulate"], b"[" * 100_000, "config file is nested deeper than the JSON decoder can follow"),
     (["sample"], b'{"n": 3, "n": 4}', "config file repeats key 'n'"),
+    (["sample"], b'{"n": 1' + b"0" * 5000 + b"}",
+     f"config file holds a number too long to read: {_int_error('1' + '0' * 5000)}"),
 ], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault", "delta-e-zero",
-        "fault-flag", "config-not-utf8", "config-too-deep", "config-repeated-key"])
+        "fault-flag", "config-not-utf8", "config-too-deep", "config-repeated-key", "config-long-integer"])
 def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
     if config is not None:
         # bytes are the config file itself; anything else is written as JSON
@@ -496,6 +513,7 @@ def test_help_lists_each_key_of_its_table_with_its_default(command, keys, flags,
 
 def test_verify_all_suites_pass(tmp_path):
     out = tmp_path / "verify.json"
+    out.write_text("x" * 100_000)
     assert main(["verify", "--out", str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["all_passed"] is True
@@ -643,10 +661,12 @@ def test_verify_repeated_suite_is_usage_error(capsys):
     ["verify", "--suite", "core"],
 ], ids=["sample", "simulate", "verify"])
 def test_unwritable_out_is_one_line_usage_error(argv, tmp_path, capsys, monkeypatch):
-    def no_audit(*args, **kwargs):
-        raise AssertionError("the audit ran before the output path was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
 
-    monkeypatch.setattr(locality, "run_experiment", no_audit)
+    monkeypatch.setattr(locality, "run_experiment", no_work)
+    monkeypatch.setattr(dynamics, "trajectory", no_work)
+    monkeypatch.setattr(verification, "run_suites", no_work)
     out = tmp_path / "missing" / "out"
     assert main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -654,6 +674,21 @@ def test_unwritable_out_is_one_line_usage_error(argv, tmp_path, capsys, monkeypa
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "3"],
+    ["simulate", "--n-steps", "10"],
+    ["verify", "--suite", "core"],
+], ids=["sample", "simulate", "verify"])
+def test_empty_out_path_is_unwritable(argv, tmp_path, capsys, monkeypatch):
+    # the empty path names no file; only null selects stdout, and only for verify
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write output file: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_config_path_is_unreadable(tmp_path, capsys, monkeypatch):
