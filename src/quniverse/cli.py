@@ -105,7 +105,7 @@ _SAMPLE_KEYS = {
     "h_step": (1e-6, _POSITIVE, "step of the central-difference oracle"),
     "threshold": (1e-12, _POSITIVE, "residual threshold"),
     "delta_e": (1.0, _kind(_NUMBER, lambda v: v != 0, "nonzero"),
-                "requested energy increment; the report does not depend on it"),
+                "requested energy increment; checked but unused, since the audit solves the unit request"),
     "per_sample": (False, _kind(bool), "include per-sample residuals in the report"),
     "out": ("solvability_report.json", _kind(str), "report path"),
 }
@@ -200,12 +200,15 @@ def _output(path: str | None):
     (a missing directory, a NUL, ``""``) fails first and a refused run leaves an
     existing file byte for byte and removes one it created.  Yields ``replace()``,
     called once the run has succeeded: it empties a regular file (not a device
-    or pipe) and returns the handle.  A failed open or write is a usage error."""
+    or pipe) and returns the handle.  A failed open or write is a usage error.
+    A symlink is followed: "created" and the removal refer to its target, so a
+    link to a missing file survives a refused run."""
     if path is None:
         yield lambda: sys.stdout
         return
-    created = not os.path.exists(path)
     try:
+        target = os.path.realpath(path)
+        created = not os.path.exists(target)
         handle = open(path, "a", encoding="utf-8", newline="\n")
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot write output file: {exc}") from exc
@@ -221,7 +224,7 @@ def _output(path: str | None):
             yield replace
     except BaseException as exc:
         if created:
-            os.remove(path)
+            os.remove(target)
         if isinstance(exc, OSError):
             raise UsageError(f"cannot write output file: {exc}") from exc
         raise

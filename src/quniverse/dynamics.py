@@ -78,13 +78,16 @@ def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
     no accumulated stepping error.  ``hamiltonian`` must be a
     :class:`HamiltonianSpec`, whose matrix is Hermitian exactly, and
     ``state`` a :class:`UniverseState` or four finite amplitudes of unit
-    norm, which it checks as :class:`UniverseState` does.  A non-finite
-    time raises ``ValueError`` before anything is evolved.
+    norm, which it checks as :class:`UniverseState` does.  ``times`` that
+    are not a 1-D grid, or hold a non-finite time, raise ``ValueError``
+    before anything is evolved.
     """
     if not isinstance(hamiltonian, HamiltonianSpec):
         raise TypeError(f"hamiltonian must be a HamiltonianSpec, got {type(hamiltonian).__name__}")
     psi = _as_psi(state)
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
     w, v = np.linalg.eigh(hamiltonian.matrix)
@@ -183,11 +186,14 @@ def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     return _pack(_entries(rows, rows[0, :, 1:], rows[1, :, 1:]), psi.shape[:-1])
 
 
+def _records(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> np.ndarray:
+    """``(..., 2, 6)`` records of both subsystems of ``(..., 4)`` states; one ``H psi`` serves both."""
+    return pure_extended_coordinates(psi, _apply(hamiltonian.matrix, psi))
+
+
 def _record(config: Configuration, subsystem: str) -> list:
     """One subsystem's six extended coordinates at a configuration, unvalidated."""
-    psi = config.state.psi
-    coords = pure_extended_coordinates(psi, _apply(config.hamiltonian.matrix, psi))
-    return coords[_subsystem_index(subsystem)].tolist()
+    return _records(config.state.psi, config.hamiltonian)[_subsystem_index(subsystem)].tolist()
 
 
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:

@@ -27,14 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, _apply, mean_energy
+from .core import Configuration, HamiltonianSpec, mean_energy
 from .dynamics import (
     SUBSYSTEMS,
     ExtendedStateRep,
     _record,
+    _records,
     _subsystem_index,
     check_extended_coordinates,
-    pure_extended_coordinates,
 )
 
 __all__ = [
@@ -115,11 +115,6 @@ def rc_frequency(ext: ExtendedStateRep) -> float:
     if math.isnan(freq):
         raise RCUndefinedError()
     return freq
-
-
-def _records(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> np.ndarray:
-    """``(..., 2, 6)`` extended coordinates of both subsystems; one ``H psi`` serves both."""
-    return pure_extended_coordinates(psi, _apply(hamiltonian.matrix, psi))
 
 
 def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):

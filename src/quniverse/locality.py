@@ -360,38 +360,31 @@ def numerical_jacobian(f: Callable, x0, h_step: float = 1e-6) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis((values[0] - values[1]) / (2.0 * h_step), 0, -1))
 
 
-def _energy_rhs(rows: int) -> np.ndarray:
-    """Right-hand side asking for a unit increment in the last row, zero elsewhere."""
-    rhs = np.zeros(rows)
-    rhs[-1] = 1.0
-    return rhs
+def build_system(x0, h_step: float = 1e-6) -> np.ndarray:
+    """Central-difference matrix of the 14x19 audit system at one representation.
 
+    One Jacobian pass over :func:`rep_observables` yields the rows in
+    order: extended state of A, extended state of B, moduli norm, mean
+    energy.  The audit asks of it one request, a unit energy increment
+    with everything else pinned, which the solvers here take as given; by
+    linearity it answers every request.
 
-def build_system(x0, h_step: float = 1e-6):
-    """Assemble the 14x19 audit system at one representation.
-
-    Returns ``(matrix, rhs)``.  One Jacobian pass over
-    :func:`rep_observables` yields the rows in order: extended state of
-    A, extended state of B, moduli norm, mean energy.  The right-hand
-    side requests a unit energy increment while pinning everything else
-    to zero; by linearity it answers every request.
-
-    ``x0`` may also be an ``(m, 19)`` stack; then ``matrix`` is the
-    ``(m, 14, 19)`` stack of the systems, each bitwise the matrix built
-    from its own representation, and the one ``rhs`` serves them all.
+    ``x0`` may also be an ``(m, 19)`` stack; then the result is the
+    ``(m, 14, 19)`` stack of the matrices, each bitwise the matrix built
+    from its own representation.
     """
-    return numerical_jacobian(rep_observables, x0, h_step), _energy_rhs(14)
+    return numerical_jacobian(rep_observables, x0, h_step)
 
 
-def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
+def _solve_stack(matrices: np.ndarray):
     """Minimum-norm least-squares solutions of a ``(m, k, d)`` stack and their residual norms.
 
-    One SVD of the whole stack; ``rhs`` is one ``(k,)`` vector shared by
-    every system.  Returns ``(m, d)`` solutions and ``(m,)`` residual norms,
-    each residual re-evaluated from its solution, not taken from the
-    factorization.  Every row is bitwise the one a 1-system stack gives.
-    The reference for :func:`_solve_deflated`, which hands it the samples
-    its 12-row solve does not certify.
+    One SVD of the whole stack; every system is asked for the unit request
+    in its last row, zero elsewhere.  Returns ``(m, d)`` solutions and
+    ``(m,)`` residual norms (:func:`_residual_norms`).  Every row is
+    bitwise the one a 1-system stack gives.  The reference for
+    :func:`_solve_deflated`, which hands it the samples its 12-row solve
+    does not certify.
     """
     matrices = np.ascontiguousarray(matrices, dtype=float)
     u, s, vt = np.linalg.svd(matrices, full_matrices=False)
@@ -399,31 +392,27 @@ def _solve_stack(matrices: np.ndarray, rhs: np.ndarray):
     # is required here: two exact identities among the reduced-state rows (a
     # pure global state forces det rho_A = det rho_B, and likewise for the
     # time derivative) leave the true matrix with rank 12, so a coarser
-    # cutoff truncates noise-scale directions that the right-hand side still
+    # cutoff truncates noise-scale directions that the request still
     # overlaps and inflates residuals above 1e-13.
     kept = s > np.finfo(float).eps * max(matrices.shape[-2:]) * s[..., :1]
-    coefficients = np.divide(rhs @ u, s, out=np.zeros_like(s), where=kept)
+    # the request's components along U's columns are U's last row
+    coefficients = np.divide(u[..., -1, :], s, out=np.zeros_like(s), where=kept)
     solutions = (coefficients[..., None, :] @ vt)[..., 0, :]
-    misfit = (matrices @ solutions[..., None])[..., 0] - rhs
-    return solutions, _residual_norms(misfit)
+    return solutions, _residual_norms(matrices, solutions)
 
 
-def _residual_norms(misfit: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a ``(m, k)`` stack, ``sqrt(vecdot(misfit, misfit))``.
+def _residual_norms(matrices: np.ndarray, solutions: np.ndarray) -> np.ndarray:
+    """``|A x - e|`` for each system ``A`` of a ``(..., k, d)`` stack and its solution ``x``.
 
-    A finite row whose sum of squares overflows (entries of about 1e154 or
-    more) is recomputed divided by its largest entry, so it gets a finite
-    norm and every other row keeps the bits of the plain formula.
+    ``e`` is the unit request in the last row; one ``(k, d)`` system and
+    its ``(d,)`` solution give a scalar.  Re-evaluated from the
+    solution, not taken from a factorization.  The least-squares misfit is
+    at most 1 (``x = 0`` achieves 1) up to rounding, so its squares cannot
+    overflow.
     """
-    with np.errstate(over="ignore"):
-        squares = np.vecdot(misfit, misfit)
-        overflowed = np.isinf(squares) & np.all(np.isfinite(misfit), axis=-1)
-        norms = np.sqrt(squares)
-        if np.any(overflowed):
-            scale = np.max(np.abs(misfit[overflowed]), axis=-1)
-            scaled = misfit[overflowed] / scale[:, None]
-            norms[overflowed] = scale * np.sqrt(np.vecdot(scaled, scaled))
-    return norms
+    misfit = (matrices @ solutions[..., None])[..., 0]
+    misfit[..., -1] -= 1.0
+    return np.sqrt(np.vecdot(misfit, misfit))
 
 
 def _schmidt_normals(values: np.ndarray) -> np.ndarray:
@@ -474,7 +463,7 @@ _KEPT_ROWS = np.array([np.delete(np.arange(14), [p, p + 3]) for p in _STATE_ROWS
 def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
     """:func:`_solve_stack` for a ``(m, 14, 19)`` stack of exact audit matrices at ``coords``.
 
-    It solves the unit energy request :func:`_energy_rhs`.  The two
+    It solves the unit energy request ``e_13``.  The two
     :func:`_schmidt_normals` ``n1``, ``n2`` annihilate every exact audit
     matrix; the row values they are built from are read off the matrix
     itself (:func:`_row_values`).  ``n1`` is zero on the derivative rows,
@@ -498,7 +487,6 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
     test; a product state without coupling (rank 10) fails the second.
     Every row is bitwise the one a 1-system stack gives.
     """
-    rhs = _energy_rhs(14)
     values = _row_values(matrices[:, :13], coords)
     first = _schmidt_normals(values)[:, _STATE_ROWS, 0]
     pivots = np.argmax(np.abs(first), axis=-1)
@@ -518,26 +506,26 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
         step = tau[:, j] * (solutions[:, j] + np.vecdot(v, solutions[:, j + 1:]))
         solutions[:, j] -= step
         solutions[:, j + 1:] -= step[:, None] * v
-    residuals = _residual_norms((matrices @ solutions[..., None])[..., 0] - rhs)
+    residuals = _residual_norms(matrices, solutions)
     certified &= np.all(np.isfinite(solutions), axis=-1)
     if not np.all(certified):
-        solutions[~certified], residuals[~certified] = _solve_stack(matrices[~certified], rhs)
+        solutions[~certified], residuals[~certified] = _solve_stack(matrices[~certified])
     return solutions, residuals
 
 
-def solve_least_squares(system):
-    """Minimum-norm least-squares solution and its achieved residual norm.
+def solve_least_squares(matrix):
+    """Minimum-norm least-squares solution of the unit energy request and its residual norm.
 
-    ``system`` is one ``(matrix, rhs)`` pair; returns ``(solution, float)``.
-    The residual is re-evaluated from the returned solution, not taken from
-    the factorization.  This is the SVD that :func:`run_experiment` falls
-    back on, bitwise its residual for a sample that :func:`_solve_deflated`
-    does not certify; a certified sample's residual comes from the 12 rows
-    that solve keeps, re-evaluated against all 14, and agrees with this one
-    to rounding, not bitwise.
+    ``matrix`` is one ``(k, d)`` system, such as :func:`build_system`'s,
+    asked for a unit increment in its last row and zero elsewhere; returns
+    ``(solution, float)``.  The residual is re-evaluated from the returned
+    solution, not taken from the factorization.  This is the SVD that
+    :func:`run_experiment` falls back on, bitwise its residual for a sample
+    that :func:`_solve_deflated` does not certify; a certified sample's
+    residual comes from the 12 rows that solve keeps, re-evaluated against
+    all 14, and agrees with this one to rounding, not bitwise.
     """
-    matrix, rhs = (np.asarray(a, dtype=float) for a in system)
-    solutions, residuals = _solve_stack(matrix[None], rhs)
+    solutions, residuals = _solve_stack(np.asarray(matrix, dtype=float)[None])
     return solutions[0], float(residuals[0])
 
 
@@ -820,7 +808,7 @@ def _check_oracle(x0: np.ndarray, exact: np.ndarray, h_step: float) -> None:
     :data:`FD_ORACLE_TOL` of the exact audit matrix ``exact`` at ``x0``."""
     failed = f"h_step {h_step:g} fails the central-difference oracle"
     try:
-        oracle = build_system(x0, h_step)[0]
+        oracle = build_system(x0, h_step)
     except JacobianEvaluationError as exc:
         raise ValueError(f"{failed}: {exc}") from None
     difference = float(np.max(np.abs(oracle - exact)))
@@ -1002,7 +990,7 @@ def _tangent_observables(y: np.ndarray) -> np.ndarray:
 
 
 def _exact_tangent_system(x0):
-    """Exact counterpart of :func:`build_tangent_system`, with no step.
+    """Exact counterpart of :func:`build_tangent_system`'s matrix, with no step.
 
     The moduli columns of :func:`audit_jacobian` times the unit-radius
     chart's derivatives along ``(alpha, beta, gamma)``, then its other 15
@@ -1012,13 +1000,14 @@ def _exact_tangent_system(x0):
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     rows = np.delete(audit_jacobian(x0), 12, axis=0)
     chart = _forward_jacobian(1.0, alpha, beta, gamma)[:, 1:]
-    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), _energy_rhs(13)
+    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1)
 
 
 def build_tangent_system(x0):
     """13x18 audit system in the intrinsic chart at the same base point.
 
-    Returns ``(matrix, rhs)``.  A transported solution of the
+    Returns ``(matrix, rhs)``, ``rhs`` the unit energy request in the last
+    row.  A transported solution of the
     19-coordinate system must satisfy this one up to the noise of central
     differences at step 1e-6; that equivalence is what justifies auditing
     with the extra norm row instead of intrinsic coordinates.
@@ -1026,4 +1015,4 @@ def build_tangent_system(x0):
     x0 = _as_coords(x0)
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     y0 = np.concatenate([[alpha, beta, gamma], x0[4:]])
-    return numerical_jacobian(_tangent_observables, y0), _energy_rhs(13)
+    return numerical_jacobian(_tangent_observables, y0), np.eye(13)[-1]

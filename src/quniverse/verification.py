@@ -321,10 +321,9 @@ def _audit_and_chart(rng, n):
     trips = locality.hyperspherical_backward(*locality.hyperspherical_forward(moduli)).T
     transport = []
     for x in locality._draw_chunk(seed, range(3)):
-        solution, _ = locality.solve_least_squares((locality.audit_jacobian(x), locality._energy_rhs(14)))
-        tangent_matrix, tangent_rhs = locality._exact_tangent_system(x)
+        solution, _ = locality.solve_least_squares(locality.audit_jacobian(x))
         dy = locality.transport_solution(solution, x)
-        transport.append(float(np.linalg.norm(tangent_matrix @ dy - tangent_rhs)))
+        transport.append(float(locality._residual_norms(locality._exact_tangent_system(x), dy)))
     return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
 
@@ -342,7 +341,7 @@ def _exact_jacobian(rng, n):
     orders = [block[:, :-2].reshape(len(few), 2, 4, 3, 19) for block in (exact, central)]
     relative = [np.max(np.abs(orders[0][:, :, m] - orders[1][:, :, m]), axis=(1, 2, 3))
                 / np.max(np.abs(orders[0][:, :, m]), axis=(1, 2, 3)) for m in (2, 3)]
-    return _dist(locality.audit_jacobian(x), locality.build_system(x)[0]), *map(_dist, relative)
+    return _dist(locality.audit_jacobian(x), locality.build_system(x)), *map(_dist, relative)
 
 
 @_check("locality", 10, ("Schmidt identities annihilate the audit matrix", 1e-13))
@@ -372,7 +371,7 @@ def _deflated_solve(rng, n):
     x = np.concatenate([_draws(rng, n), [_PRODUCT_STATE, _BELL_STATE]])
     matrices = locality.audit_jacobian(x)
     _, deflated = locality._solve_deflated(matrices, x)
-    _, reference = locality._solve_stack(matrices, locality._energy_rhs(14))
+    _, reference = locality._solve_stack(matrices)
     return _dist(deflated[:n], reference[:n]), _dist(deflated[n:], reference[n:])
 
 

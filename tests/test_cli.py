@@ -164,21 +164,31 @@ def test_sample_step_that_fails_the_oracle_is_one_line_usage_error(h_step, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--n", "40", "--seed", "2", "--h-step", "1e100"],
-    ["sample", "--n", "1000000000000000"],
-    ["simulate", "--omega-a", "1e9"],
-    ["verify", "--suite", "core,core"],
-], ids=["sample-oracle", "sample-unallocatable", "simulate-rounded", "verify-repeated-suite"])
-def test_refused_run_leaves_an_existing_output_untouched(argv, tmp_path, capsys):
-    # the output is opened before the work runs, so opening it must not truncate it
-    out = tmp_path / "keep.json"
-    out.write_text('{"kept": true}\n')
+@pytest.mark.parametrize("argv, dangling", [
+    (["sample", "--n", "40", "--seed", "2", "--h-step", "1e100"], False),
+    (["sample", "--n", "1000000000000000"], False),
+    (["simulate", "--omega-a", "1e9"], False),
+    (["verify", "--suite", "core,core"], False),
+    (["sample", "--n", "40", "--seed", "2", "--h-step", "1e100"], True),
+], ids=["sample-oracle", "sample-unallocatable", "simulate-rounded", "verify-repeated-suite",
+        "sample-dangling-symlink"])
+def test_refused_run_leaves_an_existing_output_untouched(argv, dangling, tmp_path, capsys):
+    # the output is opened before the work runs, so opening it must not truncate
+    # it; a symlink to a missing file is opened through, creating its target,
+    # and only that target may go
+    out, target = tmp_path / "keep.json", tmp_path / "target.json"
+    if dangling:
+        out.symlink_to(target)
+    else:
+        out.write_text('{"kept": true}\n')
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1
     assert captured.out == ""
-    assert out.read_text() == '{"kept": true}\n'
+    if dangling:
+        assert out.is_symlink() and not target.exists()
+    else:
+        assert out.read_text() == '{"kept": true}\n'
 
 
 def test_sample_replaces_a_longer_existing_report(tmp_path):

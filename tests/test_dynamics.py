@@ -1,5 +1,6 @@
 """Evolution, reduced states and their derivatives against independent routes."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -92,6 +93,14 @@ def test_evolution_refuses_a_nonfinite_time(time, monkeypatch):
             dynamics.trajectory(state, spec, [0.0, time])
         with pytest.raises(ValueError, match=f"times must be finite, got {time!r}"):
             dynamics.propagate(state, spec, time)
+
+
+@pytest.mark.parametrize("times", [np.zeros((2, 3)), 0.0], ids=["2-d", "scalar"])
+def test_trajectory_refuses_times_that_are_not_a_grid(times, monkeypatch):
+    # a 2-D array used to be flattened into one row per entry
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    with pytest.raises(ValueError, match=re.escape(f"times must be a 1-D grid, got shape {np.shape(times)}")):
+        dynamics.trajectory(_random_config(7).state, _random_config(6).hamiltonian, times)
 
 
 def test_partial_trace_ground_state():

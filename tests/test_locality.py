@@ -258,7 +258,7 @@ def test_stacked_evaluation_matches_points_bitwise():
     x[::2] += rng.normal(0.0, 1e-3, x[::2].shape)
     observables = locality.rep_observables(x)
     norms = locality.numerical_jacobian(locality.rep_norm_sq, x, h_step=1e-4)
-    systems, rhs = locality.build_system(x)
+    systems = locality.build_system(x)
     assert observables.shape == (40, 14)
     assert norms.shape == (40, 1, 19)
     assert systems.shape == (40, 14, 19) and systems.flags["C_CONTIGUOUS"]
@@ -266,14 +266,12 @@ def test_stacked_evaluation_matches_points_bitwise():
         assert observables[i].tobytes() == locality.rep_observables(x[i]).tobytes()
         point_norm = locality.numerical_jacobian(locality.rep_norm_sq, x[i], h_step=1e-4)
         assert norms[i].tobytes() == point_norm.tobytes()
-        matrix, point_rhs = locality.build_system(x[i])
-        assert systems[i].tobytes() == matrix.tobytes()
-        assert np.array_equal(rhs, point_rhs)
+        assert systems[i].tobytes() == locality.build_system(x[i]).tobytes()
 
 
 def test_stacked_jacobian_matches_exact_oracle():
     x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
-    matrices, _ = locality.build_system(x)
+    matrices = locality.build_system(x)
     assert np.max(np.abs(matrices - locality.audit_jacobian(x))) < 1e-8
 
 
@@ -450,19 +448,21 @@ def test_per_sample_pairs_name_their_own_sample(monkeypatch):
 
 
 def test_build_system_shape_and_rhs():
-    matrix, rhs = locality.build_system(locality.sample_interior_rep(5))
-    assert matrix.shape == (14, 19)
-    assert rhs.shape == (14,)
-    assert rhs[13] == 1.0
-    assert np.all(rhs[:13] == 0.0)
+    # the request is implicit, a unit increment in the last row and zero
+    # elsewhere: a zero matrix misses it by exactly 1, and a matrix that
+    # reaches only its last row meets it
+    assert locality.build_system(locality.sample_interior_rep(5)).shape == (14, 19)
+    _, missed = locality.solve_least_squares(np.zeros((14, 19)))
+    last_only = np.zeros((14, 19))
+    last_only[13, 2] = 4.0
+    solution, met = locality.solve_least_squares(last_only)
+    assert missed == 1.0
+    assert met < 1e-15 and np.max(np.abs(solution - 0.25 * np.eye(19)[2])) < 1e-15
 
 
 def test_build_system_is_bitwise_deterministic():
     rep = locality.sample_interior_rep(6)
-    one = locality.build_system(rep)
-    two = locality.build_system(rep)
-    assert np.array_equal(one[0], two[0])
-    assert np.array_equal(one[1], two[1])
+    assert locality.build_system(rep).tobytes() == locality.build_system(rep).tobytes()
 
 
 def test_build_system_gap_column_uncoupled():
@@ -471,7 +471,7 @@ def test_build_system_gap_column_uncoupled():
     rep = locality.sample_interior_rep(7)
     x = rep.to_array()
     x[10:] = 0.0
-    matrix, _ = locality.build_system(x)
+    matrix = locality.build_system(x)
     config = core.rep_to_config(core.ConfigRep.from_array(x))
     ext = dynamics.extended_state(config, "A")
     assert abs(matrix[3, 8] - (-ext.im_c)) < 1e-9
@@ -480,49 +480,27 @@ def test_build_system_gap_column_uncoupled():
 
 
 def test_least_squares_consistent_underdetermined_system():
-    matrix = np.hstack([np.eye(3), np.zeros((3, 2))])
-    rhs = np.array([1.0, -2.0, 0.5])
-    solution, residual = locality.solve_least_squares((matrix, rhs))
+    # x2 + x3 = 1 with x0 = x1 = 0: the minimum-norm solution splits the unit
+    # request evenly between x2 and x3 and leaves the free x4 at 0
+    matrix = np.array([[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0], [0, 0, 1.0, 1.0, 0]])
+    solution, residual = locality.solve_least_squares(matrix)
     assert residual < 1e-14
-    assert np.max(np.abs(matrix @ solution - rhs)) < 1e-14
+    assert np.max(np.abs(solution - [0.0, 0.0, 0.5, 0.5, 0.0])) < 1e-14
 
 
 def test_least_squares_duplicated_row_is_inconsistent():
-    # two copies of one unit row with targets 0 and 1: best split is 1/2
-    # each, so the residual is exactly 1/sqrt(2)
+    # two copies of one unit row, the unit request asking 0 of the first and
+    # 1 of the second: best split is 1/2 each, so the residual is exactly 1/sqrt(2)
     row = np.zeros(19)
     row[0] = 1.0
-    matrix = np.vstack([row, row])
-    rhs = np.array([0.0, 1.0])
-    _, residual = locality.solve_least_squares((matrix, rhs))
+    _, residual = locality.solve_least_squares(np.vstack([row, row]))
     assert abs(residual - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
-@pytest.mark.parametrize("delta_e", [1e160, 1e200, -1e300])
-def test_least_squares_residual_of_a_huge_request_is_finite(delta_e):
-    # the squared misfit of a request above about 1e154 overflows; such a row
-    # is rescaled, and its relative residual stays at the rounding level
-    x = locality.sample_interior_rep(0).to_array()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        matrix, rhs = locality.build_system(x)
-        _, residual = locality.solve_least_squares((matrix, delta_e * rhs))
-    assert np.isfinite(residual) and residual / abs(delta_e) < 1e-13
-
-
-def test_residual_norms_rescale_only_the_rows_that_overflow():
-    misfit = np.random.default_rng(5).normal(size=(6, 14))
-    misfit[[1, 4]] *= [[1e200], [-1e300]]
-    misfit[5, 3] = np.inf
-    norms = locality._residual_norms(misfit)
-    plain = np.sqrt(np.vecdot(misfit[[0, 2, 3]], misfit[[0, 2, 3]]))
-    assert norms[[0, 2, 3]].tobytes() == plain.tobytes()
-    assert np.allclose(norms[[1, 4]], [1e200, 1e300] * np.linalg.norm(misfit[[1, 4]] / [[1e200], [-1e300]], axis=1))
-    assert norms[5] == np.inf
-
-
-def _lstsq_reference(matrices, rhs):
-    """Per-system ``np.linalg.lstsq(rcond=None)``: solutions, residual norms and ranks."""
+def _lstsq_reference(matrices):
+    """Per-system ``np.linalg.lstsq(rcond=None)`` of the unit request in the last
+    row: solutions, residual norms and ranks."""
+    rhs = np.eye(matrices.shape[-2])[-1]
     results = [np.linalg.lstsq(a, rhs, rcond=None) for a in matrices]
     solutions = np.array([r[0] for r in results])
     residuals = np.array([np.linalg.norm(a @ x - rhs) for a, x in zip(matrices, solutions)])
@@ -533,9 +511,9 @@ def test_stacked_solve_matches_lstsq_on_audit_matrices():
     # finite-difference noise lifts the two vanishing singular values to
     # about 1e-13 of the largest, above lstsq's cutoff: rank 14.  A coarser
     # cutoff would drop them and move the residuals by more than 1e-14.
-    matrices, rhs = locality.build_system(locality._draw_chunk(12, range(64)))
-    solutions, residuals = locality._solve_stack(matrices, rhs)
-    _, expected, ranks = _lstsq_reference(matrices, rhs)
+    matrices = locality.build_system(locality._draw_chunk(12, range(64)))
+    solutions, residuals = locality._solve_stack(matrices)
+    _, expected, ranks = _lstsq_reference(matrices)
     assert solutions.shape == (64, 19) and residuals.shape == (64,)
     assert ranks == [14] * 64
     assert np.max(np.abs(residuals - expected)) < 1e-14
@@ -546,9 +524,9 @@ def test_stacked_solve_cuts_the_exact_jacobian_at_rank_12():
     # far below lstsq's cutoff, so both solvers must drop them, and then
     # the solutions agree to rounding
     x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
-    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14)
-    solutions, residuals = locality._solve_stack(matrices, rhs)
-    expected_solutions, expected, ranks = _lstsq_reference(matrices, rhs)
+    matrices = locality.audit_jacobian(x)
+    solutions, residuals = locality._solve_stack(matrices)
+    expected_solutions, expected, ranks = _lstsq_reference(matrices)
     assert ranks == [12] * 200
     assert np.max(np.abs(residuals - expected)) < 1e-14
     scale = np.max(np.abs(expected_solutions), axis=1, keepdims=True)
@@ -557,9 +535,9 @@ def test_stacked_solve_cuts_the_exact_jacobian_at_rank_12():
 
 def test_deflated_solve_matches_lstsq_on_exact_matrices():
     x = np.stack([locality.sample_interior_rep(s).to_array() for s in range(200)])
-    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14)
+    matrices = locality.audit_jacobian(x)
     solutions, residuals = locality._solve_deflated(matrices, x)
-    expected_solutions, expected, _ = _lstsq_reference(matrices, rhs)
+    expected_solutions, expected, _ = _lstsq_reference(matrices)
     assert np.max(np.abs(residuals - expected)) < 1e-14
     scale = np.max(np.abs(expected_solutions), axis=1, keepdims=True)
     assert np.max(np.abs(solutions - expected_solutions) / scale) < 1e-11
@@ -572,13 +550,13 @@ def test_deflated_solve_hands_degenerate_points_to_the_svd(monkeypatch):
     degenerate = np.stack([_PRODUCT_STATE, _BELL_STATE])
     assert [np.linalg.matrix_rank(a) for a in locality.audit_jacobian(degenerate)] == [10, 9]
     x = np.concatenate([locality._draw_chunk(3, range(5)), degenerate, locality._draw_chunk(4, range(3))])
-    matrices, rhs = locality.audit_jacobian(x), locality._energy_rhs(14)
+    matrices = locality.audit_jacobian(x)
     handed, verdicts = [], []
     original, original_certified = locality._solve_stack, locality._certified
 
-    def spy(stack, vector):
+    def spy(stack):
         handed.append(stack.copy())
-        return original(stack, vector)
+        return original(stack)
 
     def certified_spy(r, rcond):
         verdicts.append(original_certified(r, rcond))
@@ -588,7 +566,7 @@ def test_deflated_solve_hands_degenerate_points_to_the_svd(monkeypatch):
     monkeypatch.setattr(locality, "_certified", certified_spy)
     solutions, residuals = locality._solve_deflated(matrices, x)
     assert len(handed) == 1 and handed[0].tobytes() == matrices[5:7].tobytes()
-    expected_solutions, expected = original(matrices[5:7], rhs)
+    expected_solutions, expected = original(matrices[5:7])
     assert residuals[5:7].tobytes() == expected.tobytes()
     assert solutions[5:7].tobytes() == expected_solutions.tobytes()
     # R's diagonal sends the product state; the Bell state fails it too, but
@@ -613,13 +591,13 @@ def test_deflated_solve_rows_equal_one_system_stacks_bitwise():
 
 
 def test_stacked_solve_rows_equal_one_system_stacks_bitwise():
-    matrices, rhs = locality.build_system(locality._draw_chunk(13, range(64)))
-    solutions, residuals = locality._solve_stack(matrices, rhs)
+    matrices = locality.build_system(locality._draw_chunk(13, range(64)))
+    solutions, residuals = locality._solve_stack(matrices)
     for i, matrix in enumerate(matrices):
-        one_solution, one_residual = locality._solve_stack(matrices[i:i + 1], rhs)
+        one_solution, one_residual = locality._solve_stack(matrices[i:i + 1])
         assert one_residual.tobytes() == residuals[i:i + 1].tobytes()
         assert one_solution.tobytes() == solutions[i:i + 1].tobytes()
-        solution, residual = locality.solve_least_squares((matrix, rhs))
+        solution, residual = locality.solve_least_squares(matrix)
         assert type(residual) is float and residual == residuals[i]
         assert solution.tobytes() == solutions[i].tobytes()
 
@@ -627,19 +605,9 @@ def test_stacked_solve_rows_equal_one_system_stacks_bitwise():
 def test_sampled_systems_are_solvable():
     rng = np.random.default_rng(8)
     for _ in range(5):
-        system = locality.build_system(locality.sample_interior_rep(rng))
-        _, residual = locality.solve_least_squares(system)
+        matrix = locality.build_system(locality.sample_interior_rep(rng))
+        _, residual = locality.solve_least_squares(matrix)
         assert residual < 1e-12
-
-
-def test_residual_not_below_homogeneous_subsystem():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        matrix, rhs = locality.build_system(locality.sample_interior_rep(rng))
-        _, full = locality.solve_least_squares((matrix, rhs))
-        _, homogeneous = locality.solve_least_squares((matrix[:13], np.zeros(13)))
-        assert homogeneous <= full + 1e-15
-        assert homogeneous < 1e-14
 
 
 def test_solutions_are_tangent_to_the_moduli_sphere():
@@ -839,7 +807,7 @@ _BOX_COORDS = st.tuples(
 @given(x=_BOX_COORDS)
 def test_exact_jacobian_matches_central_differences_in_the_sampler_box(x):
     exact = locality.audit_jacobian(x)
-    assert np.max(np.abs(exact - locality.build_system(x)[0])) < locality.FD_ORACLE_TOL
+    assert np.max(np.abs(exact - locality.build_system(x))) < locality.FD_ORACLE_TOL
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
