@@ -57,9 +57,10 @@ values and, independently, against time differences of the textbook
 partial traces along the propagated trajectory (``quniverse verify``).
 
 A hyperspherical chart of the moduli sphere gives an equivalent 13x18
-system in intrinsic coordinates; ``transport_solution`` carries a solution
-across and ``build_tangent_system`` rebuilds that system so the transport
-can be checked.  Both directions of the chart take stacks:
+system in intrinsic coordinates, ``build_tangent_system``: the exact
+pullback of ``audit_jacobian`` through the chart, without the norm row.
+``transport_solution`` carries a solution across, where it meets that
+system to rounding.  Both directions of the chart take stacks:
 ``hyperspherical_forward`` maps ``(..., 4)`` moduli to four arrays of
 angles, each row bitwise the four floats of its own 4-vector, and
 ``hyperspherical_backward`` broadcasts over its angles.
@@ -843,12 +844,16 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     first sample (skipped if that sample failed): if :func:`build_system`
     at that step misses the exact matrix by more than
     :data:`FD_ORACLE_TOL`, or turns non-finite, ``ValueError`` is raised.
-    ``n``, like ``seed``, is taken through ``operator.index``, so a float
-    raises ``TypeError`` before any work.
+    ``n`` and ``seed`` are taken through ``operator.index`` before any work,
+    so a float raises ``TypeError``; a negative ``seed`` raises
+    ``ValueError``.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 < h_step < np.inf:
         raise ValueError(f"h_step must be positive and finite, got {h_step!r}")
     if not 0 < threshold < np.inf:
@@ -873,7 +878,7 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
             residuals[indices.start:indices.stop][solvable] = solved
     residuals.setflags(write=False)
     return SolvabilityReport(residuals=residuals, h_step=float(h_step), threshold=float(threshold),
-                             seed=int(seed))
+                             seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -981,38 +986,19 @@ def transport_solution(dx, x0) -> np.ndarray:
     return np.concatenate([d_angles, dx[4:]])
 
 
-def _tangent_observables(y: np.ndarray) -> np.ndarray:
-    x = np.empty((len(y), 19))
-    x[:, :4] = hyperspherical_backward(1.0, *y[:, :3].T).T
-    x[:, 4:] = y[:, 3:]
-    # y is an (n, 18) stack of chart points; the norm row is identically 1 on the sphere chart
-    return np.delete(rep_observables(x), 12, axis=-1)
+def build_tangent_system(x0):
+    """13x18 audit system in the intrinsic chart at a point ``x0`` of the moduli sphere.
 
-
-def _exact_tangent_system(x0):
-    """Exact counterpart of :func:`build_tangent_system`'s matrix, with no step.
-
-    The moduli columns of :func:`audit_jacobian` times the unit-radius
-    chart's derivatives along ``(alpha, beta, gamma)``, then its other 15
-    columns, all without the norm row.
+    The exact pullback of :func:`audit_jacobian` without its norm row: the
+    moduli columns times the unit-radius chart's derivatives along
+    ``(alpha, beta, gamma)``, then the other 15 columns.  Returns ``(matrix,
+    rhs)``, ``rhs`` the unit energy request in the last row.  A transported
+    solution of the 19-coordinate system satisfies this one to rounding;
+    that equivalence is what justifies auditing with the extra norm row
+    instead of intrinsic coordinates.
     """
     x0 = _as_coords(x0)
     _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
     rows = np.delete(audit_jacobian(x0), 12, axis=0)
     chart = _forward_jacobian(1.0, alpha, beta, gamma)[:, 1:]
-    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1)
-
-
-def build_tangent_system(x0):
-    """13x18 audit system in the intrinsic chart at the same base point.
-
-    Returns ``(matrix, rhs)``, ``rhs`` the unit energy request in the last
-    row.  A transported solution of the
-    19-coordinate system must satisfy this one up to the noise of central
-    differences at step 1e-6; that equivalence is what justifies auditing
-    with the extra norm row instead of intrinsic coordinates.
-    """
-    x0 = _as_coords(x0)
-    _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
-    y0 = np.concatenate([[alpha, beta, gamma], x0[4:]])
-    return numerical_jacobian(_tangent_observables, y0), np.eye(13)[-1]
+    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), np.eye(13)[-1]

@@ -323,7 +323,7 @@ def _audit_and_chart(rng, n):
     for x in locality._draw_chunk(seed, range(3)):
         solution, _ = locality.solve_least_squares(locality.audit_jacobian(x))
         dy = locality.transport_solution(solution, x)
-        transport.append(float(locality._residual_norms(locality._exact_tangent_system(x), dy)))
+        transport.append(float(locality._residual_norms(locality.build_tangent_system(x)[0], dy)))
     return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
 

@@ -475,8 +475,12 @@ def test_nonfinite_config_value_is_usage_error(tmp_path, capsys):
     (["sample"], b'{"n": 3, "n": 4}', "config file repeats key 'n'"),
     (["sample"], b'{"n": 1' + b"0" * 5000 + b"}",
      f"config file holds a number too long to read: {_int_error('1' + '0' * 5000)}"),
+    (["simulate"], b"{", "config file is not valid JSON: Expecting property name enclosed in double quotes: "
+                         "line 1 column 2 (char 1)"),
+    (["sample"], b"[1, 2]", "config file must hold a flat JSON object"),
 ], ids=["sample-seed", "verify-seed", "per-sample-string", "n-fraction", "n-bool", "fault", "delta-e-zero",
-        "fault-flag", "config-not-utf8", "config-too-deep", "config-repeated-key", "config-long-integer"])
+        "fault-flag", "config-not-utf8", "config-too-deep", "config-repeated-key", "config-long-integer",
+        "config-not-json", "config-not-an-object"])
 def test_bad_value_is_usage_error(argv, config, message, tmp_path, capsys):
     if config is not None:
         # bytes are the config file itself; anything else is written as JSON
@@ -653,6 +657,12 @@ def test_run_suites_refuses_a_bare_suite_name():
     # a string is an iterable of its characters, which would be taken as suite names
     with pytest.raises(TypeError, match="not the string 'core'"):
         verification.run_suites("core")
+
+
+def test_run_suites_refuses_an_unknown_fault():
+    # checked before any suite runs
+    with pytest.raises(ValueError, match="unknown fault 'nope', available: rho-dot-sign"):
+        verification.run_suites(fault="nope")
 
 
 def test_verify_repeated_suite_is_usage_error(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quniverse import core, locality
+from quniverse import core, locality, models
 from shared_checks import shared_check
 
 test_pauli_z_assigns_positive_to_excited = shared_check("pauli", seed=0, n=0)
@@ -320,3 +320,20 @@ def test_fields_are_frozen_copies_of_the_callers_arrays(owner, field):
     with pytest.raises(ValueError):
         value.setflags(write=True)
     assert np.array_equal(value, before)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: core.UniverseState(np.full(3, 3**-0.5)), r"state must hold 4 amplitudes, got shape \(3,\)"),
+    (lambda: core.HamiltonianSpec(1.0, 1.0, np.zeros((2, 3))), r"coupling table must be 3x3, got shape \(2, 3\)"),
+    (lambda: core.ConfigRep(np.full(3, 3**-0.5), np.zeros(4), 1.0, 1.0, np.zeros((3, 3))),
+     "moduli and phases must each hold 4 values"),
+    (lambda: core.ConfigRep(np.full(4, 0.5), np.zeros(4), 1.0, 1.0, np.zeros((2, 2))),
+     r"coupling table must be 3x3, got shape \(2, 2\)"),
+    (lambda: core.ConfigRep.from_array(np.zeros(18)), r"expected 19 coordinates, got shape \(18,\)"),
+    (lambda: locality.hyperspherical_forward(np.full(3, 3**-0.5)), r"expected 4 moduli, got shape \(3,\)"),
+    (lambda: models.NumberConservingSpec(lam=complex(np.nan, 0.0), delta=0.4), "interaction parameters must be finite"),
+], ids=["state-3-amplitudes", "spec-2x3-h", "rep-3-moduli", "rep-2x2-h", "rep-18-coordinates", "chart-3-moduli",
+        "family-nan-lam"])
+def test_values_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -61,8 +61,14 @@ _WORDS = st.integers(1, 5).flatmap(lambda n: st.integers(0, 2 ** (32 * n) - 1))
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(seed=_WORDS, keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+@example(seed=2**96, keys=[7])
+@example(seed=2**128 - 1, keys=[7])
+@example(seed=2**128, keys=[7])
+@example(seed=2**200 + 12345, keys=[7])
+@example(seed=2**288 - 1, keys=[7])
 def test_kernel_rows_equal_their_substreams(seed, keys):
-    # seeds of one to five uint32 words, keys at both ends of one word
+    # seeds of one to five uint32 words, and wider ones (up to nine words) whose
+    # words past the fourth are mixed in after the pool, keys at both ends of one word
     keys = [0, 2**32 - 1] + keys
     rows = locality._uniforms(seed, keys)
     assert rows.shape == (len(keys), 19)
@@ -629,6 +635,18 @@ def test_run_experiment_takes_only_an_integer_count(n):
     # as the seed is taken: through operator.index, before any work
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         locality.run_experiment(n=n, seed=0)
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (-1, ValueError, "seed must be a non-negative integer, got -1"),
+    (1.5, TypeError, "cannot be interpreted as an integer"),
+    ("7", TypeError, "cannot be interpreted as an integer"),
+], ids=["negative", "fraction", "string"])
+def test_run_experiment_checks_the_seed_before_any_work(seed, error, message):
+    # the residuals of 10**15 samples would need petabytes, so an allocation
+    # ahead of the check would raise MemoryError instead
+    with pytest.raises(error, match=message):
+        locality.run_experiment(n=10**15, seed=seed)
 
 
 @pytest.mark.parametrize("threshold", [np.nan, 0.0, -1.0, np.inf], ids=["nan", "zero", "negative", "inf"])
