@@ -222,21 +222,29 @@ def finite_difference_rho_dot(
 
 
 def check_extended_coordinates(coords: np.ndarray) -> None:
-    """Require a ``(..., 6)`` stack of extended coordinates of positive 2x2 states.
+    """Require a ``(..., 6)`` stack of finite extended coordinates of positive 2x2 states.
 
-    The excited population must lie in ``[0, 1]`` and the coherence must obey
-    ``|c|^2 <= p1 (1 - p1)``, each up to 1e-12.  These are the checks
-    :class:`ExtendedStateRep` applies to one record, applied to every row of
-    a stack; the first offending row raises the same ``ValueError``.
+    Every coordinate must be finite, the excited population must lie in
+    ``[0, 1]`` and the coherence must obey ``|c|^2 <= p1 (1 - p1)``, each up
+    to 1e-12.  These are the checks :class:`ExtendedStateRep` applies to one
+    record, applied to every row of a stack; the first offending row raises
+    the same ``ValueError``.
     """
     # unpacking the transpose hands one record over as cheap numpy scalars;
     # each result is transposed back before rows are located
     re_c, im_c, p1 = coords.T[:3]
     off_range = ~((-1e-12 <= p1) & (p1 <= 1.0 + 1e-12))
     coh_sq = re_c * re_c + im_c * im_c
-    row = _first_row((off_range | (coh_sq > p1 * (1.0 - p1) + 1e-12)).T)
+    bad = (off_range | (coh_sq > p1 * (1.0 - p1) + 1e-12)).T
+    finite = np.isfinite(coords)
+    # the whole-stack test keeps the per-row finiteness mask off the common path
+    if not finite.all():
+        bad = bad | ~finite.all(axis=-1)
+    row = _first_row(bad)
     if row is None:
         return
+    if not finite[row].all():
+        raise ValueError(f"extended coordinates must be finite, got {coords[row].tolist()}")
     if off_range.T[row]:
         raise ValueError(f"excited population out of range: {float(p1.T[row])!r}")
     raise ValueError(

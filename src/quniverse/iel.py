@@ -153,19 +153,24 @@ def register_law(name: str, evaluator: _Law) -> None:
     LAWS[name] = evaluator
 
 
-def evaluate_law(law: str, config: Configuration) -> EnergyPair:
-    """Apply a registered law to a configuration.
-
-    Raises :class:`RCUndefinedError` naming the first subsystem whose
-    energy is undefined (NaN).
-    """
+def _energies(law: str, config: Configuration) -> list:
+    """``[u_a, u_b]`` of a registered law at a configuration, NaN where undefined."""
     try:
         evaluator = LAWS[law]
     except KeyError:
         raise ValueError(
             f"unknown law {law!r}, registered: {sorted(LAWS)}"
         ) from None
-    values = [float(u) for u in evaluator(config.state.psi, config.hamiltonian)]
+    return [float(u) for u in evaluator(config.state.psi, config.hamiltonian)]
+
+
+def evaluate_law(law: str, config: Configuration) -> EnergyPair:
+    """Apply a registered law to a configuration.
+
+    Raises :class:`RCUndefinedError` naming the first subsystem whose
+    energy is undefined (NaN).
+    """
+    values = _energies(law, config)
     for subsystem, value in zip(SUBSYSTEMS, values):
         if math.isnan(value):
             raise RCUndefinedError(subsystem)
@@ -176,9 +181,13 @@ def effective_hamiltonian(law: str, config: Configuration, subsystem: str) -> np
     """2x2 observable whose average under the reduced state gives the energy.
 
     Rescales the bare ``omega * |1><1|`` so that ``tr(rho H_eff) = u_j``;
-    undefined when the excited population vanishes.
+    undefined when the excited population vanishes.  Only the requested
+    subsystem's energy is read: :class:`RCUndefinedError` names it when
+    that energy is NaN, whatever the other subsystem's.
     """
-    energy = evaluate_law(law, config).for_subsystem(subsystem)
+    energy = _energies(law, config)[_subsystem_index(subsystem)]
+    if math.isnan(energy):
+        raise RCUndefinedError(subsystem)
     # read unvalidated, as the bare law reads it
     p1 = _record(config, subsystem)[2]
     if p1 < 1e-12:

@@ -60,9 +60,11 @@ A hyperspherical chart of the moduli sphere gives an equivalent 13x18
 system in intrinsic coordinates, ``build_tangent_system``: the exact
 pullback of ``audit_jacobian`` through the chart, without the norm row.
 ``transport_solution`` carries a solution across, where it meets that
-system to rounding.  Both directions of the chart take stacks:
-``hyperspherical_forward`` maps ``(..., 4)`` moduli to four arrays of
-angles, each row bitwise the four floats of its own 4-vector, and
+system to rounding at any moduli radius: both read the chart Jacobian at
+``x0``'s own radius and refuse the same malformed base points.  Both
+directions of the chart take stacks: ``hyperspherical_forward`` maps
+``(..., 4)`` moduli to four arrays of angles, each row bitwise the four
+floats of its own 4-vector, by one ``hypot`` path at every scale, and
 ``hyperspherical_backward`` broadcasts over its angles.
 """
 
@@ -894,30 +896,18 @@ def hyperspherical_forward(moduli):
     4-vector gives four floats; a stack gives four arrays of its leading
     shape, each row bitwise its own 4-vector's angles, and raises the
     ``ValueError`` that its first non-finite, zero or pathological row
-    would raise alone.  Finite moduli of any scale have angles: a row whose
-    squares overflow or underflow is taken at a largest modulus of 1.
+    would raise alone.  Finite moduli of any scale have angles: the norms
+    are chains of ``hypot``, which neither overflows nor underflows.
     """
     moduli = np.asarray(moduli, dtype=float)
     if moduli.shape[-1:] != (4,):
         raise ValueError(f"expected 4 moduli, got shape {moduli.shape}")
     finite = np.all(np.isfinite(moduli), axis=-1)
-    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
-        norm_sq = np.vecdot(moduli, moduli)
-    # a finite, nonzero row whose squares overflow or underflow is divided by its
-    # largest modulus first and its radius scaled back; every other row divides by 1
-    peak = 1.0
-    rescale = finite & ((norm_sq == np.inf) | (norm_sq < np.finfo(float).tiny)) & np.any(moduli != 0, axis=-1)
-    if np.any(rescale):
-        peak = np.where(rescale, np.max(np.abs(moduli), axis=-1), 1.0)
-        moduli = moduli / peak[..., None]
-        norm_sq = np.vecdot(moduli, moduli)
     m0, m1, m2, m3 = np.moveaxis(moduli, -1, 0)
-    # a 1-D np.linalg.norm is sqrt(dot(v, v)), which vecdot gives each row bitwise
-    radius = np.sqrt(norm_sq)
-    # libm's pow(R, 2), which a scalar R**2 takes and which is not always
-    # R*R, the square that an array's ** takes
-    s1 = np.sqrt(np.float_power(m0, 2) + np.float_power(m2, 2) + np.float_power(m3, 2))
+    # hypot neither overflows nor underflows, so finite moduli of any scale take this one path
     s2 = np.hypot(m0, m3)
+    s1 = np.hypot(m2, s2)
+    radius = np.hypot(m1, s1)
     row = core._first_row(~finite | (radius == 0.0) | (s1 < 1e-12 * radius) | (s2 < 1e-12 * radius))
     if row is not None:
         if not finite[row]:
@@ -928,7 +918,6 @@ def hyperspherical_forward(moduli):
     alpha = np.arccos(np.clip(m1 / radius, -1.0, 1.0))
     beta = np.arccos(np.clip(m2 / s1, -1.0, 1.0))
     gamma = np.mod(np.arctan2(m0, m3), 2.0 * np.pi)
-    radius = peak * radius
     if moduli.ndim == 1:
         return float(radius), float(alpha), float(beta), float(gamma)
     return radius, alpha, beta, gamma
@@ -960,6 +949,15 @@ def _forward_jacobian(radius, alpha, beta, gamma) -> np.ndarray:
     )
 
 
+def _chart_coords(coords, what: str) -> np.ndarray:
+    """``coords`` as a finite 19-vector, else the ``ValueError`` naming ``what``."""
+    if coords.shape != (19,):
+        raise ValueError(f"expected a 19-coordinate {what}, got shape {coords.shape}")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError(f"{what} must be finite")
+    return coords
+
+
 def transport_solution(dx, x0) -> np.ndarray:
     """Carry a 19-coordinate solution into the 18 intrinsic coordinates.
 
@@ -970,12 +968,8 @@ def transport_solution(dx, x0) -> np.ndarray:
     radial increment vanishes identically.  The remaining 15 increments
     copy over unchanged.
     """
-    x0, dx = _as_coords(x0), np.asarray(dx, dtype=float)
-    for what, coords in (("base point", x0), ("solution", dx)):
-        if coords.shape != (19,):
-            raise ValueError(f"expected a 19-coordinate {what}, got shape {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError(f"{what} must be finite")
+    x0 = _chart_coords(_as_coords(x0), "base point")
+    dx = _chart_coords(np.asarray(dx, dtype=float), "solution")
     radial = float(np.dot(x0[:4], dx[:4]))
     if not abs(radial) <= TANGENCY_TOL:
         raise ValueError(
@@ -987,18 +981,19 @@ def transport_solution(dx, x0) -> np.ndarray:
 
 
 def build_tangent_system(x0):
-    """13x18 audit system in the intrinsic chart at a point ``x0`` of the moduli sphere.
+    """13x18 audit system in the intrinsic chart at a point ``x0``.
 
     The exact pullback of :func:`audit_jacobian` without its norm row: the
-    moduli columns times the unit-radius chart's derivatives along
-    ``(alpha, beta, gamma)``, then the other 15 columns.  Returns ``(matrix,
-    rhs)``, ``rhs`` the unit energy request in the last row.  A transported
-    solution of the 19-coordinate system satisfies this one to rounding;
-    that equivalence is what justifies auditing with the extra norm row
-    instead of intrinsic coordinates.
+    moduli columns times the chart's derivatives along ``(alpha, beta,
+    gamma)`` at ``x0``'s own radius, the Jacobian that
+    :func:`transport_solution` inverts, then the other 15 columns.  The
+    base point is checked as :func:`transport_solution` checks it.  Returns
+    ``(matrix, rhs)``, ``rhs`` the unit energy request in the last row.  A
+    transported solution of the 19-coordinate system satisfies this one to
+    rounding at any radius; that equivalence is what justifies auditing
+    with the extra norm row instead of intrinsic coordinates.
     """
-    x0 = _as_coords(x0)
-    _, alpha, beta, gamma = hyperspherical_forward(x0[:4])
+    x0 = _chart_coords(_as_coords(x0), "base point")
     rows = np.delete(audit_jacobian(x0), 12, axis=0)
-    chart = _forward_jacobian(1.0, alpha, beta, gamma)[:, 1:]
+    chart = _forward_jacobian(*hyperspherical_forward(x0[:4]))[:, 1:]
     return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), np.eye(13)[-1]

@@ -187,8 +187,9 @@ def test_extended_state_rejects_illegal_population():
 
 @pytest.mark.parametrize(
     "bad_row",
-    [(0.0, 0.0, 1.5, 0.0, 0.0, 0.0), (0.9, 0.0, 0.5, 0.0, 0.0, 0.0)],
-    ids=["population", "coherence"],
+    [(0.0, 0.0, 1.5, 0.0, 0.0, 0.0), (0.9, 0.0, 0.5, 0.0, 0.0, 0.0),
+     (np.nan, 0.0, 0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.5, 0.0, 0.0, np.inf)],
+    ids=["population", "coherence", "nan-coherence", "infinite-derivative"],
 )
 def test_stacked_extended_check_raises_what_one_record_raises(bad_row):
     configs = [_random_config(seed) for seed in range(8)]

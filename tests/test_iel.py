@@ -192,6 +192,23 @@ def test_effective_hamiltonian_rc_control_case():
     assert np.max(np.abs(observable - np.diag([0.0, iel.rc_frequency(ext)]))) < 1e-12
 
 
+def test_effective_hamiltonian_reads_only_its_own_subsystem():
+    # A carries a coherence, B sits in |0> and has none: the rc law is
+    # defined for A alone, and A's observable must not depend on B
+    config = core.Configuration(
+        state=core.UniverseState(np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)),
+        hamiltonian=core.HamiltonianSpec(1.0, 0.85, np.zeros((3, 3))),
+    )
+    assert iel.rc_frequency(dynamics.extended_state(config, "A")) == 1.0
+    observable = iel.effective_hamiltonian("rc", config, "A")
+    assert np.max(np.abs(observable - np.diag([0.0, 1.0]))) < 1e-12
+    with pytest.raises(iel.RCUndefinedError, match="subsystem B") as refused:
+        iel.effective_hamiltonian("rc", config, "B")
+    assert refused.value.subsystem == "B"
+    with pytest.raises(iel.RCUndefinedError, match="subsystem B"):
+        iel.evaluate_law("rc", config)
+
+
 def test_effective_hamiltonian_undefined_at_zero_population():
     config = core.Configuration(
         state=core.UniverseState(np.array([1, 0, 0, 0], dtype=complex)),

@@ -707,8 +707,8 @@ def test_hyperspherical_forward_rejects_nonfinite_moduli(value):
 
 def _scalar_forward(m):
     # the one-vector chart as numpy scalars compute it, the reference for the stacked map
-    radius = float(np.linalg.norm(m))
-    s1 = float(np.sqrt(m[0] ** 2 + m[2] ** 2 + m[3] ** 2))
+    s1 = float(np.hypot(m[2], np.hypot(m[0], m[3])))
+    radius = float(np.hypot(m[1], s1))
     return (radius, float(np.arccos(np.clip(m[1] / radius, -1.0, 1.0))),
             float(np.arccos(np.clip(m[2] / s1, -1.0, 1.0))),
             float(np.mod(np.arctan2(m[0], m[3]), 2.0 * np.pi)))
@@ -718,8 +718,6 @@ def test_hyperspherical_forward_of_a_stack_is_bitwise_each_row():
     rng = np.random.default_rng(33)
     moduli = rng.uniform(0.02, 1.0, (200, 4))
     moduli[100:] /= np.linalg.norm(moduli[100:], axis=1, keepdims=True)
-    # a scalar R3**2 here is libm's pow, one bit away from the R3*R3 of an array's **2
-    moduli[7] = [0.3211751851250998, 0.4363730439804019, 0.5067530692014914, 0.6705418658085448]
     stacked = np.array(locality.hyperspherical_forward(moduli))
     rows = [locality.hyperspherical_forward(m) for m in moduli]
     assert all(type(value) is float for row in rows for value in row)
@@ -798,18 +796,39 @@ def test_transport_rejects_a_nonfinite_solution(entry):
         locality.transport_solution(dx, rep)
 
 
-def test_transport_rejects_a_nonfinite_base_point():
-    # checked before the tangency test, which would blame the solution for the NaN
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_transported_solutions_satisfy_the_tangent_system_off_the_unit_sphere(scale):
+    # both entries read the chart at the base point's own radius
+    for x0 in locality._draw_chunk(0, range(5)):
+        x0[:4] *= scale
+        solution, _ = locality.solve_least_squares(locality.audit_jacobian(x0))
+        dy = locality.transport_solution(solution, x0)
+        matrix, rhs = locality.build_tangent_system(x0)
+        assert np.linalg.norm(matrix @ dy - rhs) <= 1e-12
+
+
+# the two entries that take a base point on the chart
+_CHART_ENTRIES = {
+    "transport": lambda x0: locality.transport_solution(np.zeros(19), x0),
+    "tangent-system": locality.build_tangent_system,
+}
+
+
+@pytest.mark.parametrize("entry", _CHART_ENTRIES.values(), ids=_CHART_ENTRIES)
+def test_transport_rejects_a_nonfinite_base_point(entry):
+    # checked before the tangency test, which would blame the solution for the NaN;
+    # a NaN phase would otherwise give a NaN tangent system without a word
     x0 = locality.sample_interior_rep(21).to_array()
-    x0[0] = np.nan
+    x0[4] = np.nan
     with pytest.raises(ValueError, match="base point must be finite"):
-        locality.transport_solution(np.zeros(19), x0)
+        entry(x0)
 
 
-def test_transport_rejects_a_short_base_point():
+@pytest.mark.parametrize("entry", _CHART_ENTRIES.values(), ids=_CHART_ENTRIES)
+def test_transport_rejects_a_short_base_point(entry):
     x0 = locality.sample_interior_rep(22).to_array()[:18]
-    with pytest.raises(ValueError, match="expected a 19-coordinate base point"):
-        locality.transport_solution(np.zeros(19), x0)
+    with pytest.raises(ValueError, match=r"^expected a 19-coordinate base point, got shape \(18,\)$"):
+        entry(x0)
 
 
 # inside the sampler's box, moduli normalized as it normalizes them
