@@ -1,6 +1,9 @@
 """Sampling, finite-difference Jacobians, the audit system and its chart."""
 
 import json
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -390,10 +393,13 @@ def _count_calls(monkeypatch, **names):
     """Replace each ``locality`` function named by a value with a counting
     wrapper; returns the counts, keyed as the keywords are."""
     calls = dict.fromkeys(names, 0)
+    # the audit's worker threads call the wrapped functions concurrently
+    lock = threading.Lock()
 
     def counted(key, original):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            with lock:
+                calls[key] += 1
             return original(*args, **kwargs)
         return wrapper
 
@@ -423,6 +429,139 @@ def test_run_experiment_rejects_a_step_that_fails_the_oracle(h_step):
     # and 1e-9 carry truncation and rounding errors above the bound
     with pytest.raises(ValueError, match="central-difference oracle"):
         locality.run_experiment(n=3, seed=2, h_step=h_step)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda width: f"{width}-workers")
+def workers(request, monkeypatch):
+    """Run the audit on 1, 2 or 3 workers, whatever the machine has."""
+    monkeypatch.setattr(locality, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("n", [3 * locality.AUDIT_BLOCK + 17, locality.AUDIT_BLOCK],
+                         ids=["four-blocks", "one-block"])
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, n):
+    reports = []
+    for width in (1, 2, 3):
+        monkeypatch.setattr(locality, "_usable_cpus", lambda width=width: width)
+        report = locality.run_experiment(n=n, seed=41)
+        reports.append((report.residuals.tobytes(), json.dumps(report.to_json_dict(per_sample=True))))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_more_workers_than_cores_under_a_short_switch_interval(monkeypatch):
+    # every worker writes its own slices of the residuals and the counter
+    # takes a lock: a lost write or a lost count would show here
+    width = locality._usable_cpus() + 1
+    n = 2 * width * locality.AUDIT_BLOCK + 3
+    serial = locality.run_experiment(n=n, seed=53)
+    monkeypatch.setattr(locality, "_usable_cpus", lambda: width)
+    calls = _count_calls(monkeypatch, engine="audit_jacobian", solve="_solve_deflated")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = locality.run_experiment(n=n, seed=53)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.residuals.tobytes() == serial.residuals.tobytes()
+    blocks = 2 * width + 1
+    assert calls == {"engine": blocks * -(-locality.AUDIT_BLOCK // locality.AUDIT_CHUNK) - 1, "solve": blocks}
+
+
+def test_workers_run_in_the_callers_context(monkeypatch):
+    # the flipped sign leaves every residual bitwise as it was, so only a spy
+    # in the engine shows whether the worker threads saw the caller's fault
+    n = 4 * locality.AUDIT_BLOCK
+    clean = locality.run_experiment(n=n, seed=43)
+    monkeypatch.setattr(locality, "_usable_cpus", lambda: 2)
+    seen, engine = [], locality.audit_jacobian
+
+    def spy(x):
+        seen.append((dynamics.RHO_DOT_SIGN.get(), threading.get_ident()))
+        return engine(x)
+
+    monkeypatch.setattr(locality, "audit_jacobian", spy)
+    token = dynamics.RHO_DOT_SIGN.set(-1.0)
+    try:
+        faulty = locality.run_experiment(n=n, seed=43)
+    finally:
+        dynamics.RHO_DOT_SIGN.reset(token)
+    assert {sign for sign, _ in seen} == {-1.0}
+    assert len({thread for _, thread in seen}) >= 2
+    assert faulty.residuals.tobytes() == clean.residuals.tobytes()
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+def test_a_failing_block_fails_the_run_and_leaves_no_thread(monkeypatch, workers):
+    # block 1 belongs to worker 1 on two or three workers, to this thread on one
+    n, seed = 4 * locality.AUDIT_BLOCK, 47
+    first_of_block_1 = locality._draw_chunk(seed, range(locality.AUDIT_BLOCK, locality.AUDIT_BLOCK + 1))[0]
+    solve = locality._solve_deflated
+
+    def failing(matrices, coords):
+        if np.array_equal(coords[0], first_of_block_1):
+            raise _BlockFailure("block 1")
+        return solve(matrices, coords)
+
+    monkeypatch.setattr(locality, "_solve_deflated", failing)
+    before = threading.active_count()
+    with pytest.raises(_BlockFailure, match="block 1"):
+        locality.run_experiment(n=n, seed=seed)
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_of_the_caller_stops_every_worker(monkeypatch, workers):
+    # a worker that starts a block holds it until this thread is interrupted,
+    # and must then stop after that block instead of auditing its other nine
+    n = 20 * locality.AUDIT_BLOCK
+    engine, interrupting = locality.audit_jacobian, threading.Event()
+    worker_calls = []
+
+    def interrupted(x):
+        if threading.current_thread() is threading.main_thread():
+            interrupting.set()
+            raise KeyboardInterrupt
+        interrupting.wait(timeout=60)
+        worker_calls.append(threading.get_ident())
+        return engine(x)
+
+    monkeypatch.setattr(locality, "audit_jacobian", interrupted)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        locality.run_experiment(n=n, seed=47)
+    assert threading.active_count() == before
+    chunks_per_block = -(-locality.AUDIT_BLOCK // locality.AUDIT_CHUNK)
+    assert len(worker_calls) <= 2 * chunks_per_block * (workers - 1)
+
+
+def test_a_multi_block_run_raises_the_oracles_error(workers):
+    with pytest.raises(ValueError) as one_block:
+        locality.run_experiment(n=3, seed=2, h_step=1e100)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as four_blocks:
+        locality.run_experiment(n=4 * locality.AUDIT_BLOCK, seed=2, h_step=1e100)
+    assert str(four_blocks.value) == str(one_block.value)
+    assert "central-difference oracle" in str(one_block.value)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n, cpus", [(1, 3), (locality.AUDIT_BLOCK, 3), (3 * locality.AUDIT_BLOCK + 17, 1)],
+                         ids=["one-sample", "one-block", "one-cpu"])
+def test_one_block_or_one_cpu_starts_no_thread(monkeypatch, n, cpus):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit started a thread")
+
+    monkeypatch.setattr(locality, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    assert locality.run_experiment(n=n, seed=5).n_solvable == n
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert locality._usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_failure_stays_with_its_sample_inside_a_chunk(monkeypatch):
