@@ -111,22 +111,28 @@ SAMPLER_ID = "moduli:u01-normalized(reject |R|<1e-3); theta:u(0,2pi); omega:u(0,
 TANGENCY_TOL = 1e-9
 
 #: samples per exact Jacobian evaluation in :func:`run_experiment`.  The
-#: report does not depend on it.  ``run_experiment(5000, seed)``, run in
-#: process at AUDIT_BLOCK = 256, took a median 0.15 s of CPU at 16, 0.14 s at
-#: 32, 0.12 s at 64, 0.11 s at 128 and 0.15 s at 256, with peak RSS 34.6,
-#: 34.6, 34.5, 34.6 and 35.0 MB (median over 5 processes of the median of
-#: 7 runs each, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4).  Merged into
-#: AUDIT_BLOCK (no buffer), ``sample`` fell from 66.0k-72.4k to 57.8k-65.5k
-#: samples/s (5 of 5 pairs) and peaked 0.3-0.5 MB higher; 20% slower at 128.
-AUDIT_CHUNK = 128
+#: report does not depend on it.  In process, ``run_experiment(5000, s)``
+#: at AUDIT_BLOCK = 512 ran x1.15-1.18, x1.24-1.28 and x1.22-1.27 faster
+#: than at (chunk, block) = (128, 256) with chunks of 128, 256 and 512 on
+#: two workers, and x1.06-1.14, x1.06-1.12 and x1.06-1.12 under ``taskset
+#: -c 0`` (pair-ratio medians of 40 interleaved runs in each of 4
+#: processes, one BLAS thread, 2-vCPU Xeon VM, numpy 2.4; BENCH_42.json).
+#: The Jacobian's transients (tracemalloc) are 1.05 MB at 128 samples,
+#: 1.85 MB at 256 and 3.53 MB at 512, where the chunk is the whole block.
+AUDIT_CHUNK = 256
 
 #: samples drawn, mapped, checked and solved at a time in
 #: :func:`run_experiment`: one :func:`_uniforms` pass, one
 #: :func:`_solve_deflated` call, and :data:`AUDIT_CHUNK`-sample Jacobian
 #: calls in between, so memory does not grow with ``n``.  The report does
-#: not depend on it.  Measured as for AUDIT_CHUNK, at 128: 0.17 s at 128,
-#: 0.11 s at 256, 512 and 1024, with peak RSS 33.8, 34.6, 35.9 and 39.8 MB.
-AUDIT_BLOCK = 256
+#: not depend on it.  Measured as for AUDIT_CHUNK, at chunks of 256: blocks
+#: of 256, 384, 512, 768 and 1024 ran x1.05-1.08, x1.13-1.14, x1.24-1.28,
+#: x1.25-1.30 and x1.18-1.30 on two workers, x0.98-1.03, x1.02-1.07,
+#: x1.06-1.12, x1.07-1.15 and x1.06-1.11 on one core, and eight ``sample``
+#: runs in one process peaked at 37.7, 38.5, 39.4, 42.4 and 46.3 MB of RSS
+#: (36.4 MB at (128, 256)).  Past 512 a block buys no clear speed for 3 MB
+#: or more; a 512-sample solve holds 1.91 MB of transients, 0.96 MB at 256.
+AUDIT_BLOCK = 512
 
 #: largest entrywise difference :func:`run_experiment` allows between the
 #: exact audit matrix and its central-difference oracle at ``h_step``; the
@@ -247,9 +253,11 @@ def _hierarchy(x, order: int) -> np.ndarray:
     columns are written exactly, ``2 R`` and zeros.  The order is only the
     bound of these loops.  No validation; each point's rows are computed
     from its own coordinates alone, and a non-finite coordinate gives
-    non-finite rows.
+    non-finite rows.  A stack of any memory layout gives the bits of its
+    C-ordered copy.
     """
-    x = np.asarray(x, dtype=float)
+    # the (re, im) views below need the layout of a C-ordered x, which they inherit
+    x = np.ascontiguousarray(x, dtype=float)
     lead = x.shape[:-1]
     x = x.reshape(-1, 19)
     n, rows = len(x), 6 * (order + 1) + 2
@@ -895,10 +903,10 @@ def run_experiment(n: int, seed: int, h_step: float = 1e-6, threshold: float = 1
     def audit_blocks(worker: int) -> None:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                # one buffer per worker holds its blocks' matrices in turn, so the
-                # heap does not cycle a block-sized array per block (0.45 MB of
-                # peak RSS); the audit benchmark peaks at 42.4 MB on two workers,
-                # 40.7 MB on one
+                # one buffer per worker (1.04 MB at 512 samples) holds its blocks'
+                # matrices in turn, so the heap does not cycle a block-sized array
+                # per block; the audit benchmark peaks at 45.6 MB on two workers,
+                # 42.3 MB on one
                 buffer = np.empty((min(n, AUDIT_BLOCK), 14, 19))
                 for block_start in starts[worker::width]:
                     if stop.is_set():

@@ -389,6 +389,19 @@ def test_exact_jacobian_rows_equal_their_own_points_bitwise():
         assert locality.audit_jacobian(x[i]).tobytes() == stacked[i].tobytes()
 
 
+@pytest.mark.parametrize("layout", [
+    np.asfortranarray,
+    lambda x: np.repeat(x, 2, axis=0)[::2],
+    lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+], ids=["fortran", "row-strided", "column-strided"])
+def test_exact_jacobian_of_any_layout_is_the_c_ordered_bits(layout):
+    x = locality._draw_chunk(0, range(5))
+    other = layout(x)
+    assert other.tobytes() == x.tobytes() and not other.flags.c_contiguous
+    assert locality.audit_jacobian(other).tobytes() == locality.audit_jacobian(x).tobytes()
+    assert locality._hierarchy(other, 3).tobytes() == locality._hierarchy(x, 3).tobytes()
+
+
 def _count_calls(monkeypatch, **names):
     """Replace each ``locality`` function named by a value with a counting
     wrapper; returns the counts, keyed as the keywords are."""
