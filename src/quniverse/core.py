@@ -315,9 +315,28 @@ class Configuration:
     hamiltonian: HamiltonianSpec
 
 
+def _psi_and_matrix(x: np.ndarray):
+    """Amplitudes ``psi_k = R_k exp(i theta_k)`` and raw Hamiltonians of ``(..., 19)`` coordinates.
+
+    The one realization of the coordinates, without validation, so it
+    serves displaced points as well: ``(..., 4)`` amplitudes and ``(..., 4,
+    4)`` matrices, each row bitwise the one realized from its own point.
+    """
+    psi = x[..., :4] * np.exp(1j * x[..., 4:8])
+    matrix = hamiltonian_matrix(
+        x[..., 8], x[..., 9], x[..., 10:19].reshape(x.shape[:-1] + (3, 3))
+    )
+    return psi, matrix
+
+
+def _polar(psi: np.ndarray):
+    """Moduli and phases in ``[0, 2 pi)`` of ``(..., 4)`` amplitudes; a vanishing amplitude gets phase 0."""
+    return np.abs(psi), np.mod(np.angle(psi), TWO_PI)
+
+
 def rep_to_config(rep: ConfigRep) -> Configuration:
     """Realize a representation: ``psi_k = R_k exp(i theta_k)`` plus the Hamiltonian."""
-    psi = rep.r * np.exp(1j * rep.theta)
+    psi, _ = _psi_and_matrix(rep.to_array())
     return Configuration(
         state=UniverseState(psi),
         hamiltonian=HamiltonianSpec(rep.omega_a, rep.omega_b, rep.h),
@@ -330,23 +349,31 @@ def config_to_rep(config: Configuration) -> ConfigRep:
     One representative of the gauge family is returned; amplitudes that
     vanish get phase 0.
     """
-    psi = config.state.psi
+    r, theta = _polar(config.state.psi)
     ham = config.hamiltonian
-    return ConfigRep(
-        r=np.abs(psi),
-        theta=np.mod(np.angle(psi), TWO_PI),
-        omega_a=ham.omega_a,
-        omega_b=ham.omega_b,
-        h=ham.h,
-    )
+    return ConfigRep(r=r, theta=theta, omega_a=ham.omega_a, omega_b=ham.omega_b, h=ham.h)
+
+
+def _modulus(z) -> np.ndarray:
+    """``|z|`` of a complex stack, each entry bitwise ``abs`` of that entry alone.
+
+    ``np.abs`` of a complex array can take a vectorized path whose last bit
+    differs from the scalar ``hypot``.
+    """
+    return np.hypot(z.real, z.imag)
+
+
+def _equal_up_to_phase(psi_a, matrix_a, psi_b, matrix_b, tol: float) -> np.ndarray:
+    """:func:`config_equal` of ``(..., 4)`` amplitude and ``(..., 4, 4)`` matrix stacks, as ``(...)`` bools."""
+    same_hamiltonian = np.abs(matrix_a - matrix_b).max(axis=(-2, -1)) <= tol
+    overlap = _modulus(np.vecdot(psi_a, psi_b))
+    return same_hamiltonian & (np.abs(overlap - 1.0) <= tol)
 
 
 def config_equal(a: Configuration, b: Configuration, tol: float = 1e-9) -> bool:
     """Same Hamiltonian entrywise and same state up to one global phase."""
-    if float(np.max(np.abs(a.hamiltonian.matrix - b.hamiltonian.matrix))) > tol:
-        return False
-    overlap = abs(complex(np.vdot(a.state.psi, b.state.psi)))
-    return abs(overlap - 1.0) <= tol
+    return bool(_equal_up_to_phase(a.state.psi, a.hamiltonian.matrix,
+                                   b.state.psi, b.hamiltonian.matrix, tol))
 
 
 def _apply(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -186,26 +186,43 @@ def pure_extended_coordinates(psi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     return _pack(_entries(rows, rows[0, :, 1:], rows[1, :, 1:]), psi.shape[:-1])
 
 
-def _records(psi: np.ndarray, hamiltonian: HamiltonianSpec) -> np.ndarray:
-    """``(..., 2, 6)`` records of both subsystems of ``(..., 4)`` states; one ``H psi`` serves both."""
-    return pure_extended_coordinates(psi, _apply(hamiltonian.matrix, psi))
+def _records(psi: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``(..., 2, 6)`` records of both subsystems of ``(..., 4)`` states; one ``H psi`` serves both.
+
+    ``matrix`` is one Hamiltonian for every state or a ``(..., 4, 4)`` stack, one per state.
+    """
+    return pure_extended_coordinates(psi, _apply(matrix, psi))
 
 
 def _record(config: Configuration, subsystem: str) -> list:
     """One subsystem's six extended coordinates at a configuration, unvalidated."""
-    return _records(config.state.psi, config.hamiltonian)[_subsystem_index(subsystem)].tolist()
+    return _records(config.state.psi, config.hamiltonian.matrix)[_subsystem_index(subsystem)].tolist()
+
+
+def _rho_dot_matrices(coords: np.ndarray) -> np.ndarray:
+    """Reduced derivatives ``[[-p1dot, cdot], [conj(cdot), p1dot]]`` of ``(..., 6)`` records.
+
+    Returns ``(..., 2, 2)``, Hermitian and traceless exactly; the diagonal's
+    imaginary parts are ``+0.0``.
+    """
+    re_cdot, im_cdot, p1dot = np.moveaxis(coords[..., 3:], -1, 0)
+    out = np.zeros(coords.shape[:-1] + (2, 2), dtype=complex)
+    out.real[..., 0, 0] = -p1dot
+    out.real[..., 1, 1] = p1dot
+    out.real[..., 0, 1] = out.real[..., 1, 0] = re_cdot
+    out.imag[..., 0, 1] = im_cdot
+    out.imag[..., 1, 0] = -im_cdot
+    return out
 
 
 def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     """Time derivative of one reduced state, ``Tr_other(-i [H, rho])``.
 
-    Assembled from the subsystem's record in
-    :func:`pure_extended_coordinates`: ``[[-p1dot, cdot], [conj(cdot),
-    p1dot]]``, Hermitian and traceless exactly.
+    Assembled by :func:`_rho_dot_matrices` from the subsystem's record in
+    :func:`pure_extended_coordinates`, Hermitian and traceless exactly.
     """
-    *_, re_cdot, im_cdot, p1dot = _record(config, subsystem)
-    cdot = complex(re_cdot, im_cdot)
-    return np.array([[-p1dot, cdot], [cdot.conjugate(), p1dot]])
+    records = _records(config.state.psi, config.hamiltonian.matrix)
+    return _rho_dot_matrices(records[_subsystem_index(subsystem)])
 
 
 def finite_difference_rho_dot(

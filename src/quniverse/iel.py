@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, mean_energy
+from .core import Configuration, HamiltonianSpec, _first_row, mean_energy
 from .dynamics import (
     SUBSYSTEMS,
     ExtendedStateRep,
@@ -117,17 +117,26 @@ def rc_frequency(ext: ExtendedStateRep) -> float:
     return freq
 
 
-def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
+def _bare_energies(coords: np.ndarray, omega_a, omega_b):
+    """``(u_a, u_b)`` of the ``bare`` law from ``(..., 2, 6)`` records and floats or ``(...)`` gaps."""
     # only the excited populations enter, and they are left unvalidated
-    p1 = _records(psi, hamiltonian)[..., 2]
-    return hamiltonian.omega_a * p1[..., 0], hamiltonian.omega_b * p1[..., 1]
+    p1 = coords[..., 2]
+    return omega_a * p1[..., 0], omega_b * p1[..., 1]
 
 
-def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
-    coords = _records(psi, hamiltonian)
+def _bare_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
+    return _bare_energies(_records(psi, hamiltonian.matrix), hamiltonian.omega_a, hamiltonian.omega_b)
+
+
+def _rc_energies(coords: np.ndarray):
+    """``(u_a, u_b)`` of the ``rc`` law from ``(..., 2, 6)`` records, checked as extended states are."""
     check_extended_coordinates(coords)
     energies = coords[..., 2] * _rotation_frequency(coords)
     return energies[..., 0], energies[..., 1]
+
+
+def _rc_law(psi: np.ndarray, hamiltonian: HamiltonianSpec):
+    return _rc_energies(_records(psi, hamiltonian.matrix))
 
 
 #: a law maps a ``(..., 4)`` stack of states and the Hamiltonian to two
@@ -164,6 +173,17 @@ def _energies(law: str, config: Configuration) -> list:
     return [float(u) for u in evaluator(config.state.psi, config.hamiltonian)]
 
 
+def _require_defined(u_a, u_b) -> None:
+    """Raise :class:`RCUndefinedError` at the first of ``(...)`` energy stacks' rows with a NaN.
+
+    It names A where both energies of that row are NaN, as
+    :func:`evaluate_law` does at that row's configuration.
+    """
+    row = _first_row(np.isnan(np.stack([u_a, u_b], axis=-1)))
+    if row is not None:
+        raise RCUndefinedError(SUBSYSTEMS[row[-1]])
+
+
 def evaluate_law(law: str, config: Configuration) -> EnergyPair:
     """Apply a registered law to a configuration.
 
@@ -171,9 +191,7 @@ def evaluate_law(law: str, config: Configuration) -> EnergyPair:
     energy is undefined (NaN).
     """
     values = _energies(law, config)
-    for subsystem, value in zip(SUBSYSTEMS, values):
-        if math.isnan(value):
-            raise RCUndefinedError(subsystem)
+    _require_defined(*values)
     return EnergyPair(*values)
 
 
@@ -198,6 +216,11 @@ def effective_hamiltonian(law: str, config: Configuration, subsystem: str) -> np
     return np.array([[0.0, 0.0], [0.0, energy / p1]], dtype=complex)
 
 
+def _defect(u_a, u_b, mean_h):
+    """``u_a + u_b - <H>``, of floats or of ``(...)`` stacks alike."""
+    return u_a + u_b - mean_h
+
+
 def consistency_audit(law: str, config: Configuration) -> ConsistencyAudit:
     """Evaluate a law and report how far the pair misses the conserved total."""
     pair = evaluate_law(law, config)
@@ -206,5 +229,5 @@ def consistency_audit(law: str, config: Configuration) -> ConsistencyAudit:
         u_a=pair.u_a,
         u_b=pair.u_b,
         mean_h=total,
-        defect=pair.total - total,
+        defect=_defect(pair.u_a, pair.u_b, total),
     )

@@ -152,14 +152,6 @@ class JacobianEvaluationError(RuntimeError):
 # polynomial/trigonometric in the coordinates, so no validation belongs here.
 # ---------------------------------------------------------------------------
 
-def _psi_and_matrix(x: np.ndarray):
-    psi = x[..., :4] * np.exp(1j * x[..., 4:8])
-    matrix = core.hamiltonian_matrix(
-        x[..., 8], x[..., 9], x[..., 10:19].reshape(x.shape[:-1] + (3, 3))
-    )
-    return psi, matrix
-
-
 def rep_norm_sq(x):
     """Moduli norm ``sum R_k^2`` of a raw 19-vector, or of each in a ``(..., 19)`` stack."""
     x = np.asarray(x, dtype=float)
@@ -179,7 +171,7 @@ def rep_observables(x) -> np.ndarray:
     and each row of a stack is bitwise the row of its own 19-vector.
     """
     x = np.asarray(x, dtype=float)
-    psi, matrix = _psi_and_matrix(x)
+    psi, matrix = core._psi_and_matrix(x)
     hpsi = core._apply(matrix, psi)
     out = np.empty(x.shape[:-1] + (14,))
     out[..., 0:12] = pure_extended_coordinates(psi, hpsi).reshape(x.shape[:-1] + (12,))
@@ -261,7 +253,7 @@ def _hierarchy(x, order: int) -> np.ndarray:
     lead = x.shape[:-1]
     x = x.reshape(-1, 19)
     n, rows = len(x), 6 * (order + 1) + 2
-    psi, matrix = _psi_and_matrix(x)
+    psi, matrix = core._psi_and_matrix(x)
     hpsi = core._apply(matrix, psi)
     phi = [psi, _rates(hpsi)]
     while len(phi) <= order:

@@ -98,16 +98,21 @@ class ControlCaseState:
     psi_b: complex
 
     def __post_init__(self):
-        # the embedded state (psi0, psi_b, psi_a, 0) is checked as any state is
-        check_states(np.array([self.psi0, self.psi_b, self.psi_a, 0.0], dtype=complex))
+        # the embedded state is checked as any state is
+        check_states(_embedded(self))
         object.__setattr__(self, "psi0", complex(self.psi0))
         object.__setattr__(self, "psi_a", complex(self.psi_a))
         object.__setattr__(self, "psi_b", complex(self.psi_b))
 
 
+def _embedded(state: ControlCaseState) -> np.ndarray:
+    """The four amplitudes ``(psi0, psi_b, psi_a, 0)`` of a control-case state, unchecked."""
+    return np.array([state.psi0, state.psi_b, state.psi_a, 0.0], dtype=complex)
+
+
 def embed_control_state(state: ControlCaseState) -> UniverseState:
     """Four-amplitude global state ``(psi0, psi_b, psi_a, 0)``."""
-    return UniverseState(np.array([state.psi0, state.psi_b, state.psi_a, 0.0]))
+    return UniverseState(_embedded(state))
 
 
 def control_configuration(

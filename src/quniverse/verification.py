@@ -1,15 +1,22 @@
 """Seeded invariant checks behind ``quniverse verify`` and the unit tests.
 
 A check maps a random generator and a sample count ``n`` to its worst
-measured error, one per label when several labels share its sample loop.
+measured error, one per label when several labels share its samples.
 ``verify`` runs each suite's checks in :data:`CHECKS` order on one generator
 seeded from the run seed; the unit tests run them at their own seeds and counts.
+
+A check first draws its ``n`` samples in sequence, with the generator calls
+of a per-sample loop, so it leaves the generator where that loop would; then
+it evaluates them as one stack, through the kernels behind the
+per-configuration wrappers, each row bitwise the wrapper's value at that
+sample.  An oracle with no stacked form (the propagator, ``partial_trace``,
+the ``models`` closed forms) is still called one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -64,15 +71,19 @@ def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> 
             return models.ControlCaseState(psi0=amps[0], psi_a=amps[1], psi_b=amps[2])
 
 
+def _uncoupled_coordinates(rng: np.random.Generator) -> np.ndarray:
+    """19 coordinates of one :func:`random_uncoupled_config` draw."""
+    while True:
+        x = locality.sample_interior_rep(rng).to_array()
+        x[10:] = 0.0
+        psi, _ = core._psi_and_matrix(x)
+        if min(abs(complex(dynamics.partial_trace(psi, s)[0, 1])) for s in dynamics.SUBSYSTEMS) > 0.05:
+            return x
+
+
 def random_uncoupled_config(rng: np.random.Generator) -> core.Configuration:
     """Random interior configuration with ``h = 0`` and both local coherences above 0.05."""
-    while True:
-        rep = locality.sample_interior_rep(rng)
-        config = core.rep_to_config(replace(rep, h=np.zeros((3, 3))))
-        coherences = [abs(complex(dynamics.partial_trace(config.state, s)[0, 1]))
-                      for s in dynamics.SUBSYSTEMS]
-        if min(coherences) > 0.05:
-            return config
+    return core.rep_to_config(core.ConfigRep.from_array(_uncoupled_coordinates(rng)))
 
 
 def random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
@@ -97,14 +108,53 @@ def _draws(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
 
 
+def _realized(x: np.ndarray):
+    """``(n, 4)`` amplitudes and ``(n, 4, 4)`` Hamiltonians of ``core.rep_to_config`` at each row of ``x``.
+
+    The amplitudes are checked as ``UniverseState`` checks them; ``check_reps``
+    has checked what ``HamiltonianSpec`` checks.
+    """
+    psi, matrices = core._psi_and_matrix(x)
+    core.check_states(psi)
+    return psi, matrices
+
+
+def _conserving_hamiltonians(specs, omega_a, omega_b) -> np.ndarray:
+    """``(n, 4, 4)`` matrices of ``models.number_conserving_hamiltonian`` at each draw.
+
+    The gaps are drawn positive and each ``NumberConservingSpec`` is
+    finite, which is all ``HamiltonianSpec`` checks.
+    """
+    return core.hamiltonian_matrix(omega_a, omega_b, np.array([models.h_num(spec) for spec in specs]))
+
+
+def _control_states(states) -> np.ndarray:
+    """``(n, 4)`` amplitudes of ``models.embed_control_state`` at each draw, checked as ``UniverseState`` is."""
+    psi = np.array([models._embedded(state) for state in states])
+    core.check_states(psi)
+    return psi
+
+
+def _rc_pairs(records: np.ndarray) -> np.ndarray:
+    """``(n, 2)`` ``rc`` energies of ``(n, 2, 6)`` records, raising where ``evaluate_law`` would."""
+    energies = iel._rc_energies(records)
+    iel._require_defined(*energies)
+    return np.stack(energies, axis=-1)
+
+
 def _dist(a, b=0.0) -> float:
     """Largest entrywise ``|a - b|``; a NaN propagates, so it fails any tolerance."""
     return float(np.abs(np.subtract(a, b)).max())
 
 
-def _miss(ok: bool) -> float:
-    """Error of an exact assertion: zero where it holds, infinite where it fails."""
-    return 0.0 if ok else math.inf
+def _worst(*errors) -> float:
+    """Largest entry of several error stacks of any shapes; a NaN propagates."""
+    return _dist(np.concatenate([np.ravel(e) for e in errors]))
+
+
+def _miss(ok):
+    """Error of an exact assertion: zero where it holds, infinite where it fails, entrywise on a stack."""
+    return np.where(ok, 0.0, math.inf)
 
 
 #: check name -> (suite, check, samples in ``verify``, ((label, tolerance), ...))
@@ -141,19 +191,20 @@ def _hamiltonian(rng, n):
 
 @_check("core", 50, ("mean energy is gauge invariant", 1e-12), ("representation round trip", 1e-12))
 def _gauge_and_round_trip(rng, n):
-    gauge, trip = [], []
-    for _ in range(n):
-        rep = locality.sample_interior_rep(rng)
-        config = core.rep_to_config(rep)
-        shifted = core.rep_to_config(replace(rep, theta=rep.theta + rng.uniform(0, 2 * np.pi)))
-        gauge.append(abs(core.mean_energy(config) - core.mean_energy(shifted))
-                     + _miss(core.config_equal(config, shifted, tol=1e-12)))
-        back = core.config_to_rep(config)
-        wrapped = np.mod(back.theta - rep.theta + np.pi, 2 * np.pi) - np.pi
-        # the gaps and couplings come back bit for bit
-        exact = np.array_equal(back.to_array()[8:], rep.to_array()[8:])
-        trip.append(_dist(np.concatenate([back.r - rep.r, wrapped])) + _miss(exact))
-    return _dist(gauge), _dist(trip)
+    draws = [(locality.sample_interior_rep(rng).to_array(), rng.uniform(0, 2 * np.pi)) for _ in range(n)]
+    x, shifts = map(np.array, zip(*draws))
+    moved = x.copy()
+    moved[:, 4:8] += shifts[:, None]
+    (psi, matrices), (shifted, shifted_matrices) = _realized(x), _realized(core.check_reps(moved))
+    equal = core._equal_up_to_phase(psi, matrices, shifted, shifted_matrices, 1e-12)
+    energies = core.expectation(psi, matrices).real, core.expectation(shifted, shifted_matrices).real
+    gauge = np.abs(energies[0] - energies[1])
+    back = core.check_reps(np.concatenate([*core._polar(psi), x[:, 8:]], axis=1))
+    wrapped = np.mod(back[:, 4:8] - x[:, 4:8] + np.pi, 2 * np.pi) - np.pi
+    trip = np.abs(np.concatenate([back[:, :4] - x[:, :4], wrapped], axis=1)).max(axis=1)
+    # the gaps and couplings come back bit for bit
+    exact = (back[:, 8:] == x[:, 8:]).all(axis=1)
+    return _dist(gauge + _miss(equal)), _dist(trip + _miss(exact))
 
 
 @_check("dynamics", 5, ("norm and energy conserved along trajectories", 1e-12))
@@ -171,67 +222,69 @@ def _conservation(rng, n):
         ("reduced states and derivatives are legal", 1e-12),
         ("raw coordinate route ties to extended_state", 1e-12))
 def _reduced_states(rng, n):
-    oracle, legal, tie = [], [], []
     x = _draws(rng, n)
-    for row, raw in zip(x, locality.rep_observables(x)):
+    psi, matrices = _realized(x)
+    records = dynamics._records(psi, matrices)
+    dynamics.check_extended_coordinates(records)
+    algebraic = dynamics._rho_dot_matrices(records)
+    # the oracles, one configuration at a time
+    oracle, reduced = [], []
+    for row, amplitudes in zip(x, psi):
         config = core.rep_to_config(core.ConfigRep.from_array(row))
-        for s in dynamics.SUBSYSTEMS:
-            algebraic = dynamics.rho_dot_local(config, s)
-            oracle.append(_dist(algebraic, dynamics.finite_difference_rho_dot(config, s)))
-            reduced = dynamics.partial_trace(config.state, s)
-            legal += [abs(np.trace(algebraic)), _dist(algebraic, algebraic.conj().T),
-                      _dist(reduced, reduced.conj().T), abs(np.trace(reduced) - 1.0),
-                      _dist(np.minimum(np.linalg.eigvalsh(reduced), 0.0))]
-        typed = [dynamics.extended_state(config, s).to_array() for s in dynamics.SUBSYSTEMS]
-        tie += [_dist(raw[:12], np.concatenate(typed)), abs(raw[12] - 1.0),
-                abs(raw[13] - core.mean_energy(config))]
-    return _dist(oracle), _dist(legal), _dist(tie)
+        oracle.append([dynamics.finite_difference_rho_dot(config, s) for s in dynamics.SUBSYSTEMS])
+        reduced.append([dynamics.partial_trace(amplitudes, s) for s in dynamics.SUBSYSTEMS])
+    reduced = np.array(reduced)
+
+    traces = np.trace(algebraic, axis1=-2, axis2=-1), np.trace(reduced, axis1=-2, axis2=-1) - 1.0
+    legal = [*(core._modulus(t) for t in traces), algebraic - algebraic.conj().swapaxes(-1, -2),
+             reduced - reduced.conj().swapaxes(-1, -2), np.minimum(np.linalg.eigvalsh(reduced), 0.0)]
+    raw = locality.rep_observables(x)
+    tie = [raw[:, :12] - records.reshape(n, 12), raw[:, 12] - 1.0,
+           raw[:, 13] - core.expectation(psi, matrices).real]
+    return _dist(algebraic, oracle), _worst(*legal), _worst(*tie)
+
+
+# swapping the subsystems swaps |01> with |10> and the gaps, and transposes h
+_MIRROR = np.concatenate([[0, 2, 1, 3, 4, 6, 5, 7, 9, 8], 10 + np.arange(9).reshape(3, 3).T.ravel()])
 
 
 @_check("dynamics", 10, ("A<->B relabeling symmetry", 1e-12))
 def _relabeling(rng, n):
-    # swapping the subsystems swaps |01> with |10> and the gaps, and transposes h
-    swap = [0, 2, 1, 3]
-    errors = []
-    for _ in range(n):
-        rep = locality.sample_interior_rep(rng)
-        swapped = core.ConfigRep(r=rep.r[swap], theta=rep.theta[swap], omega_a=rep.omega_b,
-                                 omega_b=rep.omega_a, h=rep.h.T)
-        config, mirrored = core.rep_to_config(rep), core.rep_to_config(swapped)
-        for ours, theirs in (("B", "A"), ("A", "B")):
-            one = dynamics.extended_state(config, ours).to_array()
-            errors.append(_dist(one, dynamics.extended_state(mirrored, theirs).to_array()))
-    return _dist(errors)
+    x = _draws(rng, n)
+    records, mirrored = (dynamics._records(*_realized(y)) for y in (x, core.check_reps(x[:, _MIRROR])))
+    for coords in (records, mirrored):
+        dynamics.check_extended_coordinates(coords)
+    # B's records against the mirror's A, then A's against its B
+    return _dist(records[:, ::-1], mirrored)
 
 
 @_check("models", 10, ("conserving family commutes with the number operator", EXACT))
 def _number_conservation(rng, n):
+    specs, gaps = zip(*[(random_spec(rng), rng.uniform(0.2, 1.5)) for _ in range(n)])
+    matrices = _conserving_hamiltonians(specs, 1.0, np.array(gaps))
     number_op = models.number_operator()
-    hams = [models.number_conserving_hamiltonian(random_spec(rng), 1.0, rng.uniform(0.2, 1.5))
-            for _ in range(n)]
-    return _dist([_dist(ham.matrix @ number_op, number_op @ ham.matrix) for ham in hams])
+    return _dist(matrices @ number_op, number_op @ matrices)
 
 
 @_check("models", 100, ("analytic rho_dot matches general machinery", 1e-12),
         ("analytic rc energies match the rc law", 1e-12),
         ("analytic mean energy and energy offset", 1e-12))
 def _control_closed_forms(rng, n):
-    rho_dot, energies, mean = [], [], []
-    for _ in range(n):
-        state = random_control_case(rng)
-        spec = random_spec(rng)
-        gaps = rng.uniform(0.1, 1.0, 2)
-        config = models.control_configuration(state, spec, *gaps)
-        rho_dot += [_dist(models.control_rho_dot_analytic(state, spec, *gaps, s),
-                          dynamics.rho_dot_local(config, s)) for s in dynamics.SUBSYSTEMS]
-        closed = models.rc_energies_analytic(state, spec, *gaps)
-        pair = iel.evaluate_law("rc", config)
-        energies += [abs(closed.u_a - pair.u_a), abs(closed.u_b - pair.u_b),
-                     _miss(abs(closed.u_total - (closed.u_a + closed.u_b)) < 1e-14)]
-        analytic = models.mean_energy_analytic(state, spec, *gaps)
-        mean += [abs(analytic - core.mean_energy(config)),
-                 abs(closed.u_total - (analytic - spec.delta))]
-    return _dist(rho_dot), _dist(energies), _dist(mean)
+    draws = [(random_control_case(rng), random_spec(rng), rng.uniform(0.1, 1.0, 2)) for _ in range(n)]
+    states, specs, gaps = zip(*draws)
+    gaps = np.array(gaps)
+    psi, matrices = _control_states(states), _conserving_hamiltonians(specs, gaps[:, 0], gaps[:, 1])
+    records = dynamics._records(psi, matrices)
+    # the closed forms, one draw at a time
+    analytic_rho_dot = [[models.control_rho_dot_analytic(state, spec, *g, s)
+                         for s in dynamics.SUBSYSTEMS] for state, spec, g in draws]
+    closed = np.array([models.rc_energies_analytic(state, spec, *g) for state, spec, g in draws])
+    analytic = np.array([models.mean_energy_analytic(state, spec, *g) for state, spec, g in draws])
+    delta = np.array([spec.delta for spec in specs])
+    energies = [closed[:, :2] - _rc_pairs(records),
+                _miss(np.abs(closed[:, 2] - (closed[:, 0] + closed[:, 1])) < 1e-14)]
+    mean = [analytic - core.expectation(psi, matrices).real, closed[:, 2] - (analytic - delta)]
+    return _dist(analytic_rho_dot, dynamics._rho_dot_matrices(records)), _worst(*energies), _worst(*mean)
 
 
 @_check("models", 5, ("no-double-excitation block is invariant", 1e-12))
@@ -245,47 +298,45 @@ def _excitation_block(rng, n):
 @_check("iel", 25, ("rc reduces to bare without interaction", 1e-12))
 def _uncoupled(rng, n):
     # both laws agree, rc splits <H> exactly, and each coherence rotates at its gap
-    errors = []
-    for _ in range(n):
-        config = random_uncoupled_config(rng)
-        bare = iel.evaluate_law("bare", config)
-        rotating = iel.evaluate_law("rc", config)
-        gaps = (config.hamiltonian.omega_a, config.hamiltonian.omega_b)
-        errors += [abs(bare.u_a - rotating.u_a), abs(bare.u_b - rotating.u_b),
-                   abs(rotating.total - core.mean_energy(config))]
-        errors += [abs(iel.rc_frequency(dynamics.extended_state(config, s)) - omega)
-                   for s, omega in zip(dynamics.SUBSYSTEMS, gaps)]
-    return _dist(errors)
+    x = np.array([_uncoupled_coordinates(rng) for _ in range(n)])
+    psi, matrices = _realized(x)
+    records = dynamics._records(psi, matrices)
+    bare = iel._bare_energies(records, x[:, 8], x[:, 9])
+    iel._require_defined(*bare)
+    # the rc energies check the records as extended states, and are undefined
+    # wherever a rotation frequency is
+    rotating = _rc_pairs(records)
+    total = rotating[:, 0] + rotating[:, 1]
+    return _worst(np.stack(bare, axis=-1) - rotating, total - core.expectation(psi, matrices).real,
+                  iel._rotation_frequency(records) - x[:, 8:10])
 
 
 @_check("iel", 25, ("control-case defect is minus the dephasing strength", 1e-10),
         ("rc law is gauge invariant", 1e-12))
 def _control_offset(rng, n):
-    offset, gauge = [], []
-    for _ in range(n):
-        state = random_control_case(rng)
-        spec = random_spec(rng)
-        config = models.control_configuration(state, spec, 0.9, 0.6)
-        audit = iel.consistency_audit("rc", config)
-        offset.append(abs(audit.defect + spec.delta)
-                      + _miss(audit.defect == audit.u_a + audit.u_b - audit.mean_h))
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        shifted = replace(config, state=core.UniverseState(config.state.psi * phase))
-        pair, pair_shifted = (iel.evaluate_law("rc", c) for c in (config, shifted))
-        gauge += [abs(pair.u_a - pair_shifted.u_a), abs(pair.u_b - pair_shifted.u_b)]
-    return _dist(offset), _dist(gauge)
+    draws = [(random_control_case(rng), random_spec(rng), np.exp(1j * rng.uniform(0, 2 * np.pi)))
+             for _ in range(n)]
+    states, specs, phases = zip(*draws)
+    psi, matrices = _control_states(states), _conserving_hamiltonians(specs, 0.9, 0.6)
+    energies = _rc_pairs(dynamics._records(psi, matrices))
+    mean_h = core.expectation(psi, matrices).real
+    defect = iel._defect(energies[:, 0], energies[:, 1], mean_h)
+    delta = np.array([spec.delta for spec in specs])
+    offset = np.abs(defect + delta) + _miss(defect == energies[:, 0] + energies[:, 1] - mean_h)
+    shifted = psi * np.array(phases)[:, None]
+    core.check_states(shifted)
+    return _dist(offset), _dist(energies, _rc_pairs(dynamics._records(shifted, matrices)))
 
 
 @_check("iel", 25, ("bare defect equals minus the interaction average", 1e-12))
 def _bare_defect(rng, n):
-    errors = []
-    for _ in range(n):
-        rep = locality.sample_interior_rep(rng)
-        config = core.rep_to_config(rep)
-        psi = config.state.psi
-        coupling = float(np.real(np.vdot(psi, core.hamiltonian_matrix(0.0, 0.0, rep.h) @ psi)))
-        errors.append(abs(iel.consistency_audit("bare", config).defect + coupling))
-    return _dist(errors)
+    x = _draws(rng, n)
+    psi, matrices = _realized(x)
+    u_a, u_b = iel._bare_energies(dynamics._records(psi, matrices), x[:, 8], x[:, 9])
+    iel._require_defined(u_a, u_b)
+    defect = iel._defect(u_a, u_b, core.expectation(psi, matrices).real)
+    coupling = core.expectation(psi, core.hamiltonian_matrix(0.0, 0.0, x[:, 10:].reshape(n, 3, 3))).real
+    return _dist(defect + coupling)
 
 
 @_check("locality", 10, ("norm-row jacobian matches the analytic gradient", 1e-10))
