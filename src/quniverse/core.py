@@ -315,18 +315,24 @@ class Configuration:
     hamiltonian: HamiltonianSpec
 
 
+def _amplitudes(x: np.ndarray) -> np.ndarray:
+    """Amplitudes ``psi_k = R_k exp(i theta_k)`` of ``(..., 19)`` coordinates, as ``(..., 4)``.
+
+    The one realization of the state half of the coordinates, without
+    validation, each row bitwise the one realized from its own point.
+    """
+    return x[..., :4] * np.exp(1j * x[..., 4:8])
+
+
 def _psi_and_matrix(x: np.ndarray):
-    """Amplitudes ``psi_k = R_k exp(i theta_k)`` and raw Hamiltonians of ``(..., 19)`` coordinates.
+    """:func:`_amplitudes` and raw Hamiltonians of ``(..., 19)`` coordinates.
 
     The one realization of the coordinates, without validation, so it
     serves displaced points as well: ``(..., 4)`` amplitudes and ``(..., 4,
     4)`` matrices, each row bitwise the one realized from its own point.
     """
-    psi = x[..., :4] * np.exp(1j * x[..., 4:8])
-    matrix = hamiltonian_matrix(
-        x[..., 8], x[..., 9], x[..., 10:19].reshape(x.shape[:-1] + (3, 3))
-    )
-    return psi, matrix
+    couplings = x[..., 10:19].reshape(x.shape[:-1] + (3, 3))
+    return _amplitudes(x), hamiltonian_matrix(x[..., 8], x[..., 9], couplings)
 
 
 def _polar(psi: np.ndarray):
@@ -336,9 +342,8 @@ def _polar(psi: np.ndarray):
 
 def rep_to_config(rep: ConfigRep) -> Configuration:
     """Realize a representation: ``psi_k = R_k exp(i theta_k)`` plus the Hamiltonian."""
-    psi, _ = _psi_and_matrix(rep.to_array())
     return Configuration(
-        state=UniverseState(psi),
+        state=UniverseState(_amplitudes(rep.to_array())),
         hamiltonian=HamiltonianSpec(rep.omega_a, rep.omega_b, rep.h),
     )
 

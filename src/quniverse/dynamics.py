@@ -14,10 +14,13 @@ Each state record is a quadratic form ``<psi|M|psi>`` with a constant local
 j}>`` with ``phi_j = (-i s H)^j psi`` (``s`` the sign of ``rho_dot``, which
 enters only through ``_rates``); ``quniverse.locality`` reads the ``M`` off
 this reader and differentiates that hierarchy exactly, at any order.  The
-textbook route, :func:`partial_trace` of ``|psi><psi|`` and differences in
-time through the propagator (:func:`finite_difference_rho_dot`, and the
-higher-order stencils of ``quniverse verify``), shares none of that algebra
-and is kept as the independent oracle.  :func:`trajectory` and
+textbook route shares none of that algebra and is kept as the independent
+oracle: :func:`partial_trace` of ``|psi><psi|`` (one matrix or a ``(..., 4,
+4)`` stack), differenced in time along the propagated trajectory by one
+stencil routine, ``_time_differences``, from one eigendecomposition per
+configuration for every row of its stencil.
+:func:`finite_difference_rho_dot` is its order-1 row, and ``quniverse
+verify`` reads its orders 2 and 3 from it.  :func:`trajectory` and
 :func:`propagate` check raw amplitudes as :class:`UniverseState` does before
 they evolve them.
 """
@@ -101,24 +104,46 @@ def propagate(state, hamiltonian: HamiltonianSpec, t: float) -> UniverseState:
     return UniverseState(trajectory(state, hamiltonian, [float(t)])[0])
 
 
+def _projectors(psi: np.ndarray) -> np.ndarray:
+    """``|psi><psi|`` of ``(..., 4)`` amplitudes, as ``(..., 4, 4)``."""
+    return psi[..., :, None] * psi[..., None, :].conj()
+
+
 def partial_trace(state_or_rho, keep: str) -> np.ndarray:
     """Reduced 2x2 matrix of one subsystem.
 
     Accepts a pure state (``UniverseState`` or 4 amplitudes) or a 4x4
-    matrix.  The operation is linear and performs no normalization, so it
-    is equally valid on density matrices and on derivatives like
-    ``rho_dot``.
+    matrix, or a ``(..., 4, 4)`` stack of matrices, which gives ``(..., 2,
+    2)``: slicing and addition only, so each row is bitwise the reduced
+    matrix of its own matrix.  The operation is linear and performs no
+    normalization, so it is equally valid on density matrices and on
+    derivatives like ``rho_dot``.
     """
     _subsystem_index(keep)
     if isinstance(state_or_rho, UniverseState):
         state_or_rho = state_or_rho.psi
     arr = np.asarray(state_or_rho, dtype=complex)
-    if arr.shape not in ((4,), (4, 4)):
-        raise ValueError(f"expected 4 amplitudes or a 4x4 matrix, got shape {arr.shape}")
-    m = arr[:, None] * arr.conj() if arr.shape == (4,) else arr
+    if arr.shape != (4,) and arr.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4 amplitudes or 4x4 matrices, got shape {arr.shape}")
+    m = _projectors(arr) if arr.shape == (4,) else arr
     if keep == "A":
-        return m[::2, ::2] + m[1::2, 1::2]
-    return m[:2, :2] + m[2:, 2:]
+        return m[..., ::2, ::2] + m[..., 1::2, 1::2]
+    return m[..., :2, :2] + m[..., 2:, 2:]
+
+
+def _time_differences(config: Configuration, times, weights) -> np.ndarray:
+    """Partial traces of ``sum_t weights[k, t] |psi(t)><psi(t)|`` for each stencil row ``k``.
+
+    The textbook oracle for the reduced state's time derivatives: the
+    states at ``times`` come from one :func:`trajectory` call, so from one
+    eigendecomposition of ``H``, and the partial trace, being linear, takes
+    each row's weighted sum of projectors at once.  ``weights`` is ``(rows,
+    len(times))``; returns ``(rows, 2, 2, 2)``, A's then B's reduced matrix
+    for each row.
+    """
+    states = trajectory(config.state, config.hamiltonian, times)
+    sums = (np.asarray(weights) @ _projectors(states).reshape(len(states), 16)).reshape(-1, 4, 4)
+    return np.stack([partial_trace(sums, s) for s in SUBSYSTEMS], axis=1)
 
 
 def _rates(hpsi: np.ndarray) -> np.ndarray:
@@ -230,12 +255,14 @@ def finite_difference_rho_dot(
 ) -> np.ndarray:
     """Central-difference oracle for :func:`rho_dot_local`.
 
-    Differentiates the reduced state of the exactly propagated trajectory;
-    shares no algebra with the commutator route.
+    Differentiates the reduced state of the exactly propagated trajectory,
+    the order-1 row of :func:`_time_differences`; shares no algebra with
+    the commutator route.  A ``step`` that is not positive and finite
+    raises ``ValueError``.
     """
-    plus = partial_trace(propagate(config.state, config.hamiltonian, step), subsystem)
-    minus = partial_trace(propagate(config.state, config.hamiltonian, -step), subsystem)
-    return (plus - minus) / (2.0 * step)
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    return _time_differences(config, [step, -step], [[0.5 / step, -0.5 / step]])[0, _subsystem_index(subsystem)]
 
 
 def check_extended_coordinates(coords: np.ndarray) -> None:

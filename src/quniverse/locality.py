@@ -383,6 +383,18 @@ def build_system(x0, h_step: float = 1e-6) -> np.ndarray:
     return numerical_jacobian(rep_observables, x0, h_step)
 
 
+def _cutoff(matrices: np.ndarray) -> float:
+    """lstsq's ``rcond=None`` cutoff ``eps * max(k, d)`` of a ``(..., k, d)`` stack.
+
+    Machine precision is required here: two exact identities among the
+    reduced-state rows (a pure global state forces det rho_A = det rho_B,
+    and likewise for the time derivative) leave the true matrix with rank
+    12, so a coarser cutoff truncates noise-scale directions that the
+    request still overlaps and inflates residuals above 1e-13.
+    """
+    return np.finfo(float).eps * max(matrices.shape[-2:])
+
+
 def _solve_stack(matrices: np.ndarray):
     """Minimum-norm least-squares solutions of a ``(m, k, d)`` stack and their residual norms.
 
@@ -395,13 +407,7 @@ def _solve_stack(matrices: np.ndarray):
     """
     matrices = np.ascontiguousarray(matrices, dtype=float)
     u, s, vt = np.linalg.svd(matrices, full_matrices=False)
-    # lstsq's rcond=None cutoff, s > eps * max(k, d) * s_1.  Machine precision
-    # is required here: two exact identities among the reduced-state rows (a
-    # pure global state forces det rho_A = det rho_B, and likewise for the
-    # time derivative) leave the true matrix with rank 12, so a coarser
-    # cutoff truncates noise-scale directions that the request still
-    # overlaps and inflates residuals above 1e-13.
-    kept = s > np.finfo(float).eps * max(matrices.shape[-2:]) * s[..., :1]
+    kept = s > _cutoff(matrices) * s[..., :1]
     # the request's components along U's columns are U's last row
     coefficients = np.divide(u[..., -1, :], s, out=np.zeros_like(s), where=kept)
     solutions = (coefficients[..., None, :] @ vt)[..., 0, :]
@@ -498,7 +504,7 @@ def _solve_deflated(matrices: np.ndarray, coords: np.ndarray):
     first = _schmidt_normals(values)[:, _STATE_ROWS, 0]
     pivots = np.argmax(np.abs(first), axis=-1)
     samples = np.arange(len(matrices))
-    rcond = np.finfo(float).eps * max(matrices.shape[-2:])
+    rcond = _cutoff(matrices)
     certified = np.abs(first[samples, pivots]) > rcond * values[:, 12]
     # the kept rows are gathered into a temporary that qr copies and then frees
     h, tau = np.linalg.qr(matrices[samples[:, None], _KEPT_ROWS[pivots]].swapaxes(-1, -2), mode="raw")

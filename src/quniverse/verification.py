@@ -9,8 +9,12 @@ A check first draws its ``n`` samples in sequence, with the generator calls
 of a per-sample loop, so it leaves the generator where that loop would; then
 it evaluates them as one stack, through the kernels behind the
 per-configuration wrappers, each row bitwise the wrapper's value at that
-sample.  An oracle with no stacked form (the propagator, ``partial_trace``,
-the ``models`` closed forms) is still called one sample at a time.
+sample.  An oracle with no stacked form is still called one sample at a
+time: the textbook time differences (``dynamics._time_differences``, one
+propagation per configuration for every row of a stencil, the central
+difference of ``finite_difference_rho_dot`` or the orders 2 and 3 of
+``_time_derivatives``), the propagator and the ``models`` closed forms;
+``partial_trace`` takes the whole stack.
 """
 
 from __future__ import annotations
@@ -184,8 +188,8 @@ def _hamiltonian(rng, n):
     x = _draws(rng, n)
     couplings = x[:, 10:].reshape(n, 3, 3)
     matrices = np.stack([core.HamiltonianSpec(*gaps, h).matrix for gaps, h in zip(x[:, 8:10], couplings)])
-    marginals = [dynamics.partial_trace(interaction, s)
-                 for interaction in core.hamiltonian_matrix(0.0, 0.0, couplings) for s in dynamics.SUBSYSTEMS]
+    interactions = core.hamiltonian_matrix(0.0, 0.0, couplings)
+    marginals = [dynamics.partial_trace(interactions, s) for s in dynamics.SUBSYSTEMS]
     return _dist(matrices, matrices.conj().swapaxes(-1, -2)), _dist(marginals)
 
 
@@ -213,9 +217,13 @@ def _conservation(rng, n):
     for _ in range(n):
         config = core.rep_to_config(locality.sample_interior_rep(rng))
         states = dynamics.trajectory(config.state, config.hamiltonian, np.linspace(0.0, 50.0, 1000))
-        energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), config.hamiltonian.matrix, states))
+        energies = core.mean_energies(states, config.hamiltonian)
         errors += [_dist(np.linalg.norm(states, axis=1), 1.0), _dist(energies, energies[0])]
     return _dist(errors)
+
+
+#: the stencil of ``dynamics.finite_difference_rho_dot`` at its default step
+_CENTRAL_TIMES, _CENTRAL = np.array([1e-6, -1e-6]), np.array([[0.5e6, -0.5e6]])
 
 
 @_check("dynamics", 25, ("algebraic rho_dot matches finite-difference oracle", 1e-8),
@@ -227,13 +235,11 @@ def _reduced_states(rng, n):
     records = dynamics._records(psi, matrices)
     dynamics.check_extended_coordinates(records)
     algebraic = dynamics._rho_dot_matrices(records)
-    # the oracles, one configuration at a time
-    oracle, reduced = [], []
-    for row, amplitudes in zip(x, psi):
-        config = core.rep_to_config(core.ConfigRep.from_array(row))
-        oracle.append([dynamics.finite_difference_rho_dot(config, s) for s in dynamics.SUBSYSTEMS])
-        reduced.append([dynamics.partial_trace(amplitudes, s) for s in dynamics.SUBSYSTEMS])
-    reduced = np.array(reduced)
+    # the propagated oracle, one configuration at a time
+    oracle = [dynamics._time_differences(core.rep_to_config(core.ConfigRep.from_array(row)),
+                                         _CENTRAL_TIMES, _CENTRAL)[0] for row in x]
+    rho = dynamics._projectors(psi)
+    reduced = np.stack([dynamics.partial_trace(rho, s) for s in dynamics.SUBSYSTEMS], axis=1)
 
     traces = np.trace(algebraic, axis1=-2, axis2=-1), np.trace(reduced, axis1=-2, axis2=-1) - 1.0
     legal = [*(core._modulus(t) for t in traces), algebraic - algebraic.conj().swapaxes(-1, -2),
@@ -448,20 +454,17 @@ _STENCIL = np.array([[1e8, -2e8, 1e8, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1e9,
         ("order-3 records match third time differences of partial traces", 1e-4))
 def _time_derivatives(rng, n):
     # the textbook partial traces of the propagated states share no algebra with
-    # the hierarchy; being linear, each takes a stencil's sum of |psi><psi| at once.
-    # Time reversal (the rho-dot-sign fault) flips the odd orders, which no rank
-    # can show.  An order-m record scales as ||H||^m, so each error is relative
-    # to ||H||_F^m
+    # the hierarchy; one dynamics._time_differences call per point takes both
+    # stencils.  Time reversal (the rho-dot-sign fault) flips the odd orders,
+    # which no rank can show.  An order-m record scales as ||H||^m, so each
+    # error is relative to ||H||_F^m
     x = _draws(rng, n)
     values = locality._row_values(locality._hierarchy(x, 3), x)
     errors = []
     for row, exact in zip(x, values[:, :-2].reshape(n, 2, 4, 3)):
         config = core.rep_to_config(core.ConfigRep.from_array(row))
-        states = dynamics.trajectory(config.state, config.hamiltonian, _STENCIL_TIMES)
-        differences = _STENCIL @ (states[:, :, None] * states[:, None, :].conj()).reshape(7, 16)
-        for order, difference in zip((2, 3), differences.reshape(2, 4, 4)):
-            columns = [dynamics.partial_trace(difference, s)[:, 1] for s in dynamics.SUBSYSTEMS]
-            records = [[c.real, c.imag, p1.real] for c, p1 in columns]
+        for order, difference in zip((2, 3), dynamics._time_differences(config, _STENCIL_TIMES, _STENCIL)):
+            records = [[c.real, c.imag, p1.real] for c, p1 in difference[..., 1]]
             errors.append(_dist(records, exact[:, order]) / config.hamiltonian.frobenius_norm**order)
     return _dist(errors[0::2]), _dist(errors[1::2])
 

@@ -101,6 +101,14 @@ def test_rep_to_config_ground_state():
     assert np.array_equal(config.state.psi, np.array([1, 0, 0, 0], dtype=complex))
 
 
+def test_rep_to_config_assembles_one_hamiltonian(monkeypatch):
+    calls = []
+    assemble = core.hamiltonian_matrix
+    monkeypatch.setattr(core, "hamiltonian_matrix", lambda *args: calls.append(args) or assemble(*args))
+    core.rep_to_config(locality.sample_interior_rep(0))
+    assert len(calls) == 1
+
+
 def test_rep_normalization_gate():
     with pytest.raises(ValueError, match="not normalized"):
         core.ConfigRep(

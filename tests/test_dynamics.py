@@ -132,6 +132,36 @@ def test_partial_trace_rejects_bad_shapes():
         dynamics.partial_trace(np.zeros((3, 3)), "A")
     with pytest.raises(ValueError, match="subsystem"):
         dynamics.partial_trace(np.zeros(4), "C")
+    # a stack of states is not a stack of matrices
+    for shape in [(3, 4), (5, 4), (2, 3, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            dynamics.partial_trace(np.zeros(shape), "A")
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, np.inf, np.nan])
+def test_finite_difference_rho_dot_refuses_a_step_that_is_not_positive_and_finite(step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"step must be positive and finite, got {step!r}")):
+            dynamics.finite_difference_rho_dot(_random_config(13), "A", step=step)
+
+
+def test_finite_difference_rho_dot_propagates_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(matrix) or eigh(matrix))
+    dynamics.finite_difference_rho_dot(_random_config(14), "B")
+    assert len(calls) == 1
+
+
+def test_partial_trace_of_a_stack_is_bitwise_each_matrix():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+    for subsystem in dynamics.SUBSYSTEMS:
+        reduced = dynamics.partial_trace(stack, subsystem)
+        assert reduced.shape == (3, 5, 2, 2)
+        for index in np.ndindex(3, 5):
+            assert reduced[index].tobytes() == dynamics.partial_trace(stack[index], subsystem).tobytes()
 
 
 def test_rho_dot_uncoupled_rotates_coherence():

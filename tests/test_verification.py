@@ -115,6 +115,22 @@ def test_wrappers_equal_rows_of_their_stacked_kernels_on_sampled_points(seed):
         assert core.config_equal(config, other, tol=1e-12) == equal[i]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_central_stencil_row_is_finite_difference_rho_dot(seed):
+    config = core.rep_to_config(locality.sample_interior_rep(seed))
+    row = dynamics._time_differences(config, verification._CENTRAL_TIMES, verification._CENTRAL)[0]
+    for k, s in enumerate(dynamics.SUBSYSTEMS):
+        assert _bits(row[k]) == _bits(dynamics.finite_difference_rho_dot(config, s))
+
+
+def test_reduced_states_propagates_once_per_sample(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(matrix) or eigh(matrix))
+    verification.run_check("reduced_states", np.random.default_rng(0))
+    assert len(calls) == verification.CHECKS["reduced_states"][2]
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_wrappers_equal_rows_of_their_stacked_kernels_on_control_cases(seed):
     rng = np.random.default_rng(seed)
