@@ -224,10 +224,11 @@ class HamiltonianSpec:
     bound :func:`mean_energies` checks and the scale of the propagation's
     phase rounding.  The bare part and the nine Pauli products are
     orthogonal under the trace inner product, so ``||H||_F^2 = omega_a^2 +
-    omega_b^2 + (omega_a + omega_b)^2 + 4 sum h_jk^2``; in Python floats it
-    is ``inf``, without a warning, where that square overflows, and where it
-    underflows (parameters below about 1e-154) the norm is taken by
-    ``math.hypot`` of the same terms instead.
+    omega_b^2 + (omega_a + omega_b)^2 + 4 sum h_jk^2``, read by
+    ``_frobenius_norms``, which also serves stacks; the norm is ``inf``,
+    without a warning, where that square overflows, and where it underflows
+    (parameters below about 1e-154) it is taken by ``math.hypot`` of the
+    same terms instead.
     """
 
     omega_a: float
@@ -242,15 +243,25 @@ class HamiltonianSpec:
         object.__setattr__(self, "omega_b", omega_b)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "matrix", _frozen(hamiltonian_matrix(omega_a, omega_b, h)))
-        couplings = h.ravel().tolist()
-        bare = omega_a * omega_a + omega_b * omega_b + (omega_a + omega_b) * (omega_a + omega_b)
-        norm_sq = bare + 4.0 * sum(v * v for v in couplings)
-        if norm_sq < np.finfo(float).tiny:
-            # the squares underflowed; hypot scales them, so the norm keeps its precision
-            norm = math.hypot(omega_a, omega_b, omega_a + omega_b, *(2.0 * v for v in couplings))
-        else:
-            norm = math.sqrt(norm_sq)
-        object.__setattr__(self, "frobenius_norm", norm)
+        norm = _frobenius_norms(np.array([omega_a]), np.array([omega_b]), h[None])
+        object.__setattr__(self, "frobenius_norm", float(norm[0]))
+
+
+def _frobenius_norms(omega_a: np.ndarray, omega_b: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``||H||_F`` of ``(n,)`` gaps and ``(n, 3, 3)`` couplings, as ``(n,)``: the one formula for it.
+
+    The squares of :class:`HamiltonianSpec`'s docstring, the couplings summed
+    one by one in row-major order, so each entry is bitwise that of its own
+    parameters; ``inf`` where the sum overflows, and ``math.hypot`` of the
+    same terms where it underflows.
+    """
+    with np.errstate(over="ignore"):
+        norm_sq = omega_a * omega_a + omega_b * omega_b + (omega_a + omega_b) * (omega_a + omega_b)
+        norm_sq = norm_sq + 4.0 * sum(v * v for v in h.reshape(-1, 9).T)
+    norms = np.sqrt(norm_sq)
+    for k in np.flatnonzero(norm_sq < np.finfo(float).tiny):
+        norms[k] = math.hypot(omega_a[k], omega_b[k], omega_a[k] + omega_b[k], *(2.0 * h[k].ravel()))
+    return norms
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,12 +17,13 @@ this reader and differentiates that hierarchy exactly, at any order.  The
 textbook route shares none of that algebra and is kept as the independent
 oracle: :func:`partial_trace` of ``|psi><psi|`` (one matrix or a ``(..., 4,
 4)`` stack), differenced in time along the propagated trajectory by one
-stencil routine, ``_time_differences``, from one eigendecomposition per
-configuration for every row of its stencil.
+stencil routine, ``_time_differences``, which takes a stack of
+configurations and evolves it by one stacked eigendecomposition, ``_evolve``,
+for every row of its stencil.
 :func:`finite_difference_rho_dot` is its order-1 row, and ``quniverse
-verify`` reads its orders 2 and 3 from it.  :func:`trajectory` and
-:func:`propagate` check raw amplitudes as :class:`UniverseState` does before
-they evolve them.
+verify`` reads its orders 2 and 3 from it.  :func:`trajectory` is the
+one-row read of ``_evolve``; it and :func:`propagate` check raw amplitudes
+as :class:`UniverseState` does before they evolve them.
 """
 
 from __future__ import annotations
@@ -93,10 +94,20 @@ def trajectory(state, hamiltonian: HamiltonianSpec, times) -> np.ndarray:
         raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {float(times[~np.isfinite(times)][0])!r}")
-    w, v = np.linalg.eigh(hamiltonian.matrix)
-    coeff = v.conj().T @ psi
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * coeff) @ v.T
+    return _evolve(psi[None], hamiltonian.matrix[None], times)[0]
+
+
+def _evolve(psi: np.ndarray, matrices: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``exp(-i H_k t) psi_k`` of ``(n, 4)`` amplitudes under ``(n, 4, 4)`` Hermitian matrices.
+
+    Returns ``(n, len(times), 4)`` from one stacked eigendecomposition, with
+    no validation; each row is bitwise the evolution of its own pair, so
+    :func:`trajectory` is its one-row read.
+    """
+    w, v = np.linalg.eigh(matrices)
+    coeff = _apply(v.conj().swapaxes(-1, -2), psi)
+    phases = np.exp(-1j * (times[:, None] * w[:, None, :]))
+    return (phases * coeff[:, None, :]) @ v.swapaxes(-1, -2)
 
 
 def propagate(state, hamiltonian: HamiltonianSpec, t: float) -> UniverseState:
@@ -131,19 +142,22 @@ def partial_trace(state_or_rho, keep: str) -> np.ndarray:
     return m[..., :2, :2] + m[..., 2:, 2:]
 
 
-def _time_differences(config: Configuration, times, weights) -> np.ndarray:
+def _time_differences(psi: np.ndarray, matrices: np.ndarray, times, weights) -> np.ndarray:
     """Partial traces of ``sum_t weights[k, t] |psi(t)><psi(t)|`` for each stencil row ``k``.
 
     The textbook oracle for the reduced state's time derivatives: the
-    states at ``times`` come from one :func:`trajectory` call, so from one
-    eigendecomposition of ``H``, and the partial trace, being linear, takes
-    each row's weighted sum of projectors at once.  ``weights`` is ``(rows,
-    len(times))``; returns ``(rows, 2, 2, 2)``, A's then B's reduced matrix
-    for each row.
+    states of ``(n, 4)`` amplitudes under ``(n, 4, 4)`` Hamiltonians at
+    ``times`` come from one :func:`_evolve` call, so from one stacked
+    eigendecomposition, and the partial trace, being linear, takes each
+    row's weighted sum of projectors at once.  ``weights`` is ``(rows,
+    len(times))``; returns ``(n, rows, 2, 2, 2)``, A's then B's reduced
+    matrix for each configuration and row, each configuration's rows
+    bitwise those of a one-configuration call.
     """
-    states = trajectory(config.state, config.hamiltonian, times)
-    sums = (np.asarray(weights) @ _projectors(states).reshape(len(states), 16)).reshape(-1, 4, 4)
-    return np.stack([partial_trace(sums, s) for s in SUBSYSTEMS], axis=1)
+    states = _evolve(psi, matrices, np.asarray(times, dtype=float))
+    sums = np.asarray(weights) @ _projectors(states).reshape(states.shape[:2] + (16,))
+    sums = sums.reshape(sums.shape[:2] + (4, 4))
+    return np.stack([partial_trace(sums, s) for s in SUBSYSTEMS], axis=2)
 
 
 def _rates(hpsi: np.ndarray) -> np.ndarray:
@@ -250,6 +264,10 @@ def rho_dot_local(config: Configuration, subsystem: str) -> np.ndarray:
     return _rho_dot_matrices(records[_subsystem_index(subsystem)])
 
 
+#: smallest ``step * ||H||_F`` that :func:`finite_difference_rho_dot` accepts
+_STEP_FLOOR = 1e-12
+
+
 def finite_difference_rho_dot(
     config: Configuration, subsystem: str, step: float = 1e-6
 ) -> np.ndarray:
@@ -258,11 +276,19 @@ def finite_difference_rho_dot(
     Differentiates the reduced state of the exactly propagated trajectory,
     the order-1 row of :func:`_time_differences`; shares no algebra with
     the commutator route.  A ``step`` that is not positive and finite
-    raises ``ValueError``.
+    raises ``ValueError``, and so does one below the time resolution of
+    the propagation, ``step * ||H||_F < 1e-12``, where the two propagated
+    states differ by rounding alone.
     """
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    return _time_differences(config, [step, -step], [[0.5 / step, -0.5 / step]])[0, _subsystem_index(subsystem)]
+    hamiltonian = config.hamiltonian
+    if step * hamiltonian.frobenius_norm < _STEP_FLOOR:
+        raise ValueError(f"step {step!r} is below the time resolution: step * ||H||_F = "
+                         f"{step * hamiltonian.frobenius_norm!r} < {_STEP_FLOOR!r}")
+    differences = _time_differences(config.state.psi[None], hamiltonian.matrix[None], [step, -step],
+                                    [[0.5 / step, -0.5 / step]])
+    return differences[0, 0, _subsystem_index(subsystem)]
 
 
 def check_extended_coordinates(coords: np.ndarray) -> None:

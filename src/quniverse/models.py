@@ -14,6 +14,11 @@ energies and the mean energy, whose totals obey
     u_a + u_b = <H> - delta
 
 at every instant of such a trajectory.
+
+Each closed form is the one-row read of a stacked kernel on raw arrays
+``psi0, psi_a, psi_b, lam, delta, omega_a, omega_b`` of one shape ``(...)``,
+which ``quniverse verify`` evaluates on its whole stack of draws; moduli go
+through ``core._modulus``, so each row is bitwise its own draw's value.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Configuration, HamiltonianSpec, UniverseState, check_states
+from .core import Configuration, HamiltonianSpec, UniverseState, _modulus, check_states
 from .dynamics import _subsystem_index
 from .iel import COHERENCE_CUTOFF, RCUndefinedError
 
@@ -65,11 +70,17 @@ def h_num(spec: NumberConservingSpec) -> np.ndarray:
     leaves only four axis pairs: ``h_xx = h_yy = Re(lam)/2``,
     ``h_xy = -h_yx = Im(lam)/2`` and ``h_zz = delta``.
     """
-    h = np.zeros((3, 3))
-    h[0, 0] = h[1, 1] = spec.lam.real / 2.0
-    h[0, 1] = spec.lam.imag / 2.0
-    h[1, 0] = -spec.lam.imag / 2.0
-    h[2, 2] = spec.delta
+    return _couplings(spec.lam, spec.delta)
+
+
+def _couplings(lam, delta) -> np.ndarray:
+    """:func:`h_num` of ``(...)`` arrays of ``lam`` and ``delta``, as ``(..., 3, 3)``."""
+    lam = np.asarray(lam, dtype=complex)
+    h = np.zeros(lam.shape + (3, 3))
+    h[..., 0, 0] = h[..., 1, 1] = lam.real / 2.0
+    h[..., 0, 1] = lam.imag / 2.0
+    h[..., 1, 0] = -lam.imag / 2.0
+    h[..., 2, 2] = delta
     return h
 
 
@@ -99,20 +110,23 @@ class ControlCaseState:
 
     def __post_init__(self):
         # the embedded state is checked as any state is
-        check_states(_embedded(self))
+        check_states(_embedded(self.psi0, self.psi_a, self.psi_b))
         object.__setattr__(self, "psi0", complex(self.psi0))
         object.__setattr__(self, "psi_a", complex(self.psi_a))
         object.__setattr__(self, "psi_b", complex(self.psi_b))
 
 
-def _embedded(state: ControlCaseState) -> np.ndarray:
-    """The four amplitudes ``(psi0, psi_b, psi_a, 0)`` of a control-case state, unchecked."""
-    return np.array([state.psi0, state.psi_b, state.psi_a, 0.0], dtype=complex)
+def _embedded(psi0, psi_a, psi_b) -> np.ndarray:
+    """The four amplitudes ``(psi0, psi_b, psi_a, 0)`` of ``(...)`` control-case amplitudes, unchecked."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    psi = np.zeros(psi0.shape + (4,), dtype=complex)
+    psi[..., 0], psi[..., 1], psi[..., 2] = psi0, psi_b, psi_a
+    return psi
 
 
 def embed_control_state(state: ControlCaseState) -> UniverseState:
     """Four-amplitude global state ``(psi0, psi_b, psi_a, 0)``."""
-    return UniverseState(_embedded(state))
+    return UniverseState(_embedded(state.psi0, state.psi_a, state.psi_b))
 
 
 def control_configuration(
@@ -123,6 +137,24 @@ def control_configuration(
         state=embed_control_state(state),
         hamiltonian=number_conserving_hamiltonian(spec, omega_a, omega_b),
     )
+
+
+def _row(state: ControlCaseState, spec: NumberConservingSpec, omega_a: float, omega_b: float) -> list:
+    """The kernels' seven arguments at one control case, each a length-1 array."""
+    values = (state.psi0, state.psi_a, state.psi_b, spec.lam, spec.delta, omega_a, omega_b)
+    return [np.array([v]) for v in values]
+
+
+def _control_rho_dot(psi0, psi_a, psi_b, lam, delta, omega_a, omega_b) -> np.ndarray:
+    """Closed-form reduced derivatives, ``(..., 2, 2, 2)``: A's then B's 2x2 matrix."""
+    p1dot = 2.0 * np.imag(lam * np.conj(psi_a) * psi_b)
+    cdot = [1j * psi0 * (np.conj(lam) * np.conj(psi_b) + (omega_a - 2.0 * delta) * np.conj(psi_a)),
+            1j * psi0 * (lam * np.conj(psi_a) + (omega_b - 2.0 * delta) * np.conj(psi_b))]
+    out = np.empty(p1dot.shape + (2, 2, 2), dtype=complex)
+    for k, (c, p) in enumerate(zip(cdot, (p1dot, -p1dot))):
+        out[..., k, 0, 0], out[..., k, 0, 1] = -p, c
+        out[..., k, 1, 0], out[..., k, 1, 1] = np.conj(c), p
+    return out
 
 
 def control_rho_dot_analytic(
@@ -139,21 +171,23 @@ def control_rho_dot_analytic(
     the population derivative ``+2 Im(lam conj(psi_a) psi_b)``; B follows by
     swapping the subsystems along with ``lam -> conj(lam)``.
     """
-    lam, delta = spec.lam, spec.delta
-    p0, pa, pb = state.psi0, state.psi_a, state.psi_b
-    if _subsystem_index(subsystem) == 0:
-        cdot = 1j * p0 * (np.conj(lam) * np.conj(pb) + (omega_a - 2.0 * delta) * np.conj(pa))
-        p1dot = 2.0 * np.imag(lam * np.conj(pa) * pb)
-    else:
-        cdot = 1j * p0 * (lam * np.conj(pa) + (omega_b - 2.0 * delta) * np.conj(pb))
-        p1dot = -2.0 * np.imag(lam * np.conj(pa) * pb)
-    return np.array([[-p1dot, cdot], [np.conj(cdot), p1dot]], dtype=complex)
+    return _control_rho_dot(*_row(state, spec, omega_a, omega_b))[0, _subsystem_index(subsystem)]
 
 
 class RCEnergies(NamedTuple):
     u_a: float
     u_b: float
     u_total: float
+
+
+def _rc_energies(psi0, psi_a, psi_b, lam, delta, omega_a, omega_b) -> np.ndarray:
+    """Closed-form ``(u_a, u_b, u_total)``, as ``(..., 3)``; vanishing amplitudes are not refused."""
+    pop_a, pop_b = _modulus(psi_a) ** 2, _modulus(psi_b) ** 2
+    cross = np.real(lam * psi_b * np.conj(psi_a))
+    u_a = pop_a * (omega_a - 2.0 * delta) + cross
+    u_b = pop_b * (omega_b - 2.0 * delta) + cross
+    u_total = pop_a * omega_a + pop_b * omega_b + 2.0 * cross - 2.0 * (1.0 - _modulus(psi0) ** 2) * delta
+    return np.stack([u_a, u_b, u_total], axis=-1)
 
 
 def rc_energies_analytic(
@@ -167,33 +201,23 @@ def rc_energies_analytic(
     - 2 (1 - |psi0|^2) delta``, which sits exactly ``delta`` below the mean
     energy.
     """
-    lam, delta = spec.lam, spec.delta
-    pa, pb = state.psi_a, state.psi_b
-    for subsystem, amp in (("A", pa), ("B", pb)):
+    for subsystem, amp in (("A", state.psi_a), ("B", state.psi_b)):
         if abs(amp) < COHERENCE_CUTOFF:
             raise RCUndefinedError(subsystem, detail="vanishing excitation amplitude")
-    cross = np.real(lam * pb * np.conj(pa))
-    u_a = abs(pa) ** 2 * (omega_a - 2.0 * delta) + cross
-    u_b = abs(pb) ** 2 * (omega_b - 2.0 * delta) + cross
-    u_total = (
-        abs(pa) ** 2 * omega_a
-        + abs(pb) ** 2 * omega_b
-        + 2.0 * cross
-        - 2.0 * (1.0 - abs(state.psi0) ** 2) * delta
-    )
-    return RCEnergies(float(u_a), float(u_b), float(u_total))
+    return RCEnergies(*_rc_energies(*_row(state, spec, omega_a, omega_b))[0].tolist())
+
+
+def _mean_energy(psi0, psi_a, psi_b, lam, delta, omega_a, omega_b) -> np.ndarray:
+    """Closed-form mean energy, as ``(...)``."""
+    return (_modulus(psi_a) ** 2 * omega_a
+            + _modulus(psi_b) ** 2 * omega_b
+            + 2.0 * np.real(lam * np.conj(psi_a) * psi_b)
+            - 2.0 * (1.0 - _modulus(psi0) ** 2) * delta
+            + delta)
 
 
 def mean_energy_analytic(
     state: ControlCaseState, spec: NumberConservingSpec, omega_a: float, omega_b: float
 ) -> float:
     """Closed-form mean energy on a control-case state."""
-    lam, delta = spec.lam, spec.delta
-    pa, pb = state.psi_a, state.psi_b
-    return float(
-        abs(pa) ** 2 * omega_a
-        + abs(pb) ** 2 * omega_b
-        + 2.0 * np.real(lam * np.conj(pa) * pb)
-        - 2.0 * (1.0 - abs(state.psi0) ** 2) * delta
-        + delta
-    )
+    return float(_mean_energy(*_row(state, spec, omega_a, omega_b))[0])

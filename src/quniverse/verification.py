@@ -5,16 +5,18 @@ measured error, one per label when several labels share its samples.
 ``verify`` runs each suite's checks in :data:`CHECKS` order on one generator
 seeded from the run seed; the unit tests run them at their own seeds and counts.
 
-A check first draws its ``n`` samples in sequence, with the generator calls
-of a per-sample loop, so it leaves the generator where that loop would; then
-it evaluates them as one stack, through the kernels behind the
-per-configuration wrappers, each row bitwise the wrapper's value at that
-sample.  An oracle with no stacked form is still called one sample at a
-time: the textbook time differences (``dynamics._time_differences``, one
-propagation per configuration for every row of a stencil, the central
-difference of ``finite_difference_rho_dot`` or the orders 2 and 3 of
-``_time_derivatives``), the propagator and the ``models`` closed forms;
-``partial_trace`` takes the whole stack.
+A check first draws its ``n`` samples with the generator calls of a
+per-sample loop, so it leaves the generator where that loop would; where no
+rejection intervenes, the draws are replayed in blocks (``_draws``,
+``_uncoupled_draws``), and the control-case draws keep their sequential
+calls but make raw arrays, not value objects.  Then it evaluates them as one
+stack, through the kernels behind the per-configuration wrappers, each row
+bitwise the wrapper's value at that sample.  Every oracle takes the stack:
+the propagator (``dynamics._evolve``), the textbook time differences
+(``dynamics._time_differences``, the central difference of
+``finite_difference_rho_dot`` or the orders 2 and 3 of
+``_time_derivatives``), ``partial_trace`` and the ``models`` closed forms, so
+a propagating check makes one stacked eigendecomposition.
 """
 
 from __future__ import annotations
@@ -66,23 +68,57 @@ class SuiteResult:
         return not self.failures
 
 
-def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> models.ControlCaseState:
-    """Random no-double-excitation state with all moduli bounded below."""
+def _control_amplitudes(rng: np.random.Generator, min_modulus: float = 0.05) -> np.ndarray:
+    """``(psi0, psi_a, psi_b)`` of one :func:`random_control_case` draw, unchecked."""
     while True:
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
         amps /= np.linalg.norm(amps)
         if (np.abs(amps) > min_modulus).all():
-            return models.ControlCaseState(psi0=amps[0], psi_a=amps[1], psi_b=amps[2])
+            return amps
+
+
+def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> models.ControlCaseState:
+    """Random no-double-excitation state with all moduli bounded below."""
+    psi0, psi_a, psi_b = _control_amplitudes(rng, min_modulus)
+    return models.ControlCaseState(psi0=psi0, psi_a=psi_a, psi_b=psi_b)
+
+
+def _coherent(x: np.ndarray) -> np.ndarray:
+    """Which rows of ``(n, 19)`` coordinates have both local coherences above 0.05."""
+    rho = dynamics._projectors(core._amplitudes(x))
+    return np.all([core._modulus(dynamics.partial_trace(rho, s)[:, 0, 1]) > 0.05 for s in dynamics.SUBSYSTEMS],
+                  axis=0)
 
 
 def _uncoupled_coordinates(rng: np.random.Generator) -> np.ndarray:
     """19 coordinates of one :func:`random_uncoupled_config` draw."""
     while True:
-        x = locality.sample_interior_rep(rng).to_array()
-        x[10:] = 0.0
-        psi, _ = core._psi_and_matrix(x)
-        if min(abs(complex(dynamics.partial_trace(psi, s)[0, 1])) for s in dynamics.SUBSYSTEMS) > 0.05:
-            return x
+        x = locality.sample_interior_rep(rng).to_array()[None]
+        x[:, 10:] = 0.0
+        if _coherent(x)[0]:
+            return x[0]
+
+
+def _uncoupled_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``(n, 19)`` coordinates of ``n`` calls of :func:`_uncoupled_coordinates`, bit for bit.
+
+    One ``rng.random((2 n, 19))`` block holds ``2 n`` attempts of 19 unit
+    doubles, and the first ``n`` that the sampler's map and the coherence
+    test accept are kept; ``rng`` then goes back and draws exactly the
+    attempts those consumed, so it ends where the loop leaves it.  If the
+    block accepts fewer than ``n``, the loop itself draws them.
+    """
+    state = rng.bit_generator.state
+    u = rng.random((2 * n, 19))
+    inside = np.flatnonzero(locality._interior(u))
+    x = core.check_reps(u[inside])
+    x[:, 10:] = 0.0
+    kept = np.flatnonzero(_coherent(x))[:n]
+    rng.bit_generator.state = state
+    if len(kept) < n:
+        return np.array([_uncoupled_coordinates(rng) for _ in range(n)])
+    rng.random((inside[kept[-1]] + 1, 19))
+    return x[kept]
 
 
 def random_uncoupled_config(rng: np.random.Generator) -> core.Configuration:
@@ -90,26 +126,47 @@ def random_uncoupled_config(rng: np.random.Generator) -> core.Configuration:
     return core.rep_to_config(core.ConfigRep.from_array(_uncoupled_coordinates(rng)))
 
 
+def _spec_parameters(rng: np.random.Generator) -> tuple:
+    """``(lam, delta)`` of one :func:`random_spec` draw."""
+    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return lam, float(rng.uniform(-1, 1))
+
+
 def random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
     """Random exchange amplitude and dephasing strength, each part uniform in (-1, 1)."""
-    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return models.NumberConservingSpec(lam=lam, delta=float(rng.uniform(-1, 1)))
+    lam, delta = _spec_parameters(rng)
+    return models.NumberConservingSpec(lam=lam, delta=delta)
 
 
-def _draws(rng: np.random.Generator, n: int) -> np.ndarray:
+def _control_draws(rng: np.random.Generator, n: int, extra=lambda rng: 0.0):
+    """``n`` draws of :func:`random_control_case`, :func:`random_spec` and ``extra(rng)``, in loop order.
+
+    Returns the ``(n, 3)`` amplitudes ``(psi0, psi_a, psi_b)``, ``(n,)``
+    arrays of ``lam`` and ``delta``, and the extras stacked; by default
+    ``extra`` draws nothing.
+    """
+    draws = [(_control_amplitudes(rng), *_spec_parameters(rng), extra(rng)) for _ in range(n)]
+    return tuple(map(np.array, zip(*draws)))
+
+
+def _draws(rng: np.random.Generator, n: int, extra: int = 0) -> np.ndarray:
     """``(n, 19)`` coordinates of ``n`` calls of ``locality.sample_interior_rep(rng)``, bit for bit.
 
-    One ``rng.random((n, 19))`` feeds the sampler's map and check for every
-    row at once.  If the map rejects a row, ``rng`` goes back to where it
-    was and the sampler itself draws the ``n`` rows, redrawing that one; so
-    ``rng`` ends where ``n`` sampler calls leave it either way.
+    Each call may be followed by ``extra`` unit doubles ``rng.random()``,
+    which fill ``extra`` more columns.  One ``rng.random((n, 19 + extra))``
+    feeds the sampler's map and check for every row at once.  If the map
+    rejects a row, ``rng`` goes back to where it was and the sampler itself
+    draws the ``n`` rows, redrawing that one; so ``rng`` ends where the
+    sequential calls leave it either way.
     """
     state = rng.bit_generator.state
-    x = rng.random((n, 19))
-    if np.all(locality._interior(x)):
-        return core.check_reps(x)
+    u = rng.random((n, 19 + extra))
+    if np.all(locality._interior(u[:, :19])):
+        u[:, :19] = core.check_reps(u[:, :19])
+        return u
     rng.bit_generator.state = state
-    return np.stack([locality.sample_interior_rep(rng).to_array() for _ in range(n)])
+    return np.array([np.concatenate([locality.sample_interior_rep(rng).to_array(), rng.random(extra)])
+                     for _ in range(n)])
 
 
 def _realized(x: np.ndarray):
@@ -123,18 +180,19 @@ def _realized(x: np.ndarray):
     return psi, matrices
 
 
-def _conserving_hamiltonians(specs, omega_a, omega_b) -> np.ndarray:
+def _conserving_hamiltonians(lam, delta, omega_a, omega_b) -> np.ndarray:
     """``(n, 4, 4)`` matrices of ``models.number_conserving_hamiltonian`` at each draw.
 
-    The gaps are drawn positive and each ``NumberConservingSpec`` is
-    finite, which is all ``HamiltonianSpec`` checks.
+    The gaps are drawn positive and ``lam`` and ``delta`` finite, which is
+    all ``NumberConservingSpec`` and ``HamiltonianSpec`` check.
     """
-    return core.hamiltonian_matrix(omega_a, omega_b, np.array([models.h_num(spec) for spec in specs]))
+    return core.hamiltonian_matrix(omega_a, omega_b, models._couplings(lam, delta))
 
 
-def _control_states(states) -> np.ndarray:
-    """``(n, 4)`` amplitudes of ``models.embed_control_state`` at each draw, checked as ``UniverseState`` is."""
-    psi = np.array([models._embedded(state) for state in states])
+def _control_states(amps: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` amplitudes of ``models.embed_control_state`` at ``(n, 3)`` ``(psi0, psi_a, psi_b)``,
+    checked as ``UniverseState`` is."""
+    psi = models._embedded(*amps.T)
     core.check_states(psi)
     return psi
 
@@ -187,7 +245,7 @@ def _pauli(rng, n):
 def _hamiltonian(rng, n):
     x = _draws(rng, n)
     couplings = x[:, 10:].reshape(n, 3, 3)
-    matrices = np.stack([core.HamiltonianSpec(*gaps, h).matrix for gaps, h in zip(x[:, 8:10], couplings)])
+    matrices = core.hamiltonian_matrix(x[:, 8], x[:, 9], couplings)
     interactions = core.hamiltonian_matrix(0.0, 0.0, couplings)
     marginals = [dynamics.partial_trace(interactions, s) for s in dynamics.SUBSYSTEMS]
     return _dist(matrices, matrices.conj().swapaxes(-1, -2)), _dist(marginals)
@@ -195,10 +253,10 @@ def _hamiltonian(rng, n):
 
 @_check("core", 50, ("mean energy is gauge invariant", 1e-12), ("representation round trip", 1e-12))
 def _gauge_and_round_trip(rng, n):
-    draws = [(locality.sample_interior_rep(rng).to_array(), rng.uniform(0, 2 * np.pi)) for _ in range(n)]
-    x, shifts = map(np.array, zip(*draws))
-    moved = x.copy()
-    moved[:, 4:8] += shifts[:, None]
+    # each sample's last double is its rng.uniform(0, 2 pi) shift
+    u = _draws(rng, n, extra=1)
+    x, moved = u[:, :19], u[:, :19].copy()
+    moved[:, 4:8] += 2 * np.pi * u[:, 19:]
     (psi, matrices), (shifted, shifted_matrices) = _realized(x), _realized(core.check_reps(moved))
     equal = core._equal_up_to_phase(psi, matrices, shifted, shifted_matrices, 1e-12)
     energies = core.expectation(psi, matrices).real, core.expectation(shifted, shifted_matrices).real
@@ -213,13 +271,10 @@ def _gauge_and_round_trip(rng, n):
 
 @_check("dynamics", 5, ("norm and energy conserved along trajectories", 1e-12))
 def _conservation(rng, n):
-    errors = []
-    for _ in range(n):
-        config = core.rep_to_config(locality.sample_interior_rep(rng))
-        states = dynamics.trajectory(config.state, config.hamiltonian, np.linspace(0.0, 50.0, 1000))
-        energies = core.mean_energies(states, config.hamiltonian)
-        errors += [_dist(np.linalg.norm(states, axis=1), 1.0), _dist(energies, energies[0])]
-    return _dist(errors)
+    psi, matrices = _realized(_draws(rng, n))
+    states = dynamics._evolve(psi, matrices, np.linspace(0.0, 50.0, 1000))
+    energies = core.expectation(states, matrices[:, None]).real
+    return _worst(np.linalg.norm(states, axis=-1) - 1.0, energies - energies[:, :1])
 
 
 #: the stencil of ``dynamics.finite_difference_rho_dot`` at its default step
@@ -235,9 +290,7 @@ def _reduced_states(rng, n):
     records = dynamics._records(psi, matrices)
     dynamics.check_extended_coordinates(records)
     algebraic = dynamics._rho_dot_matrices(records)
-    # the propagated oracle, one configuration at a time
-    oracle = [dynamics._time_differences(core.rep_to_config(core.ConfigRep.from_array(row)),
-                                         _CENTRAL_TIMES, _CENTRAL)[0] for row in x]
+    oracle = dynamics._time_differences(psi, matrices, _CENTRAL_TIMES, _CENTRAL)[:, 0]
     rho = dynamics._projectors(psi)
     reduced = np.stack([dynamics.partial_trace(rho, s) for s in dynamics.SUBSYSTEMS], axis=1)
 
@@ -266,8 +319,8 @@ def _relabeling(rng, n):
 
 @_check("models", 10, ("conserving family commutes with the number operator", EXACT))
 def _number_conservation(rng, n):
-    specs, gaps = zip(*[(random_spec(rng), rng.uniform(0.2, 1.5)) for _ in range(n)])
-    matrices = _conserving_hamiltonians(specs, 1.0, np.array(gaps))
+    lam, delta, gaps = map(np.array, zip(*[(*_spec_parameters(rng), rng.uniform(0.2, 1.5)) for _ in range(n)]))
+    matrices = _conserving_hamiltonians(lam, delta, 1.0, gaps)
     number_op = models.number_operator()
     return _dist(matrices @ number_op, number_op @ matrices)
 
@@ -276,17 +329,12 @@ def _number_conservation(rng, n):
         ("analytic rc energies match the rc law", 1e-12),
         ("analytic mean energy and energy offset", 1e-12))
 def _control_closed_forms(rng, n):
-    draws = [(random_control_case(rng), random_spec(rng), rng.uniform(0.1, 1.0, 2)) for _ in range(n)]
-    states, specs, gaps = zip(*draws)
-    gaps = np.array(gaps)
-    psi, matrices = _control_states(states), _conserving_hamiltonians(specs, gaps[:, 0], gaps[:, 1])
+    amps, lam, delta, gaps = _control_draws(rng, n, lambda rng: rng.uniform(0.1, 1.0, 2))
+    psi, matrices = _control_states(amps), _conserving_hamiltonians(lam, delta, gaps[:, 0], gaps[:, 1])
     records = dynamics._records(psi, matrices)
-    # the closed forms, one draw at a time
-    analytic_rho_dot = [[models.control_rho_dot_analytic(state, spec, *g, s)
-                         for s in dynamics.SUBSYSTEMS] for state, spec, g in draws]
-    closed = np.array([models.rc_energies_analytic(state, spec, *g) for state, spec, g in draws])
-    analytic = np.array([models.mean_energy_analytic(state, spec, *g) for state, spec, g in draws])
-    delta = np.array([spec.delta for spec in specs])
+    closed_form = (*amps.T, lam, delta, gaps[:, 0], gaps[:, 1])
+    analytic_rho_dot = models._control_rho_dot(*closed_form)
+    closed, analytic = models._rc_energies(*closed_form), models._mean_energy(*closed_form)
     energies = [closed[:, :2] - _rc_pairs(records),
                 _miss(np.abs(closed[:, 2] - (closed[:, 0] + closed[:, 1])) < 1e-14)]
     mean = [analytic - core.expectation(psi, matrices).real, closed[:, 2] - (analytic - delta)]
@@ -295,16 +343,15 @@ def _control_closed_forms(rng, n):
 
 @_check("models", 5, ("no-double-excitation block is invariant", 1e-12))
 def _excitation_block(rng, n):
-    draws = [(random_control_case(rng), random_spec(rng)) for _ in range(n)]
-    return _dist([dynamics.trajectory(models.embed_control_state(state),
-                                      models.number_conserving_hamiltonian(spec, 1.0, 0.85),
-                                      np.linspace(0, 30, 500))[:, 3] for state, spec in draws])
+    amps, lam, delta, _ = _control_draws(rng, n)
+    matrices = _conserving_hamiltonians(lam, delta, 1.0, 0.85)
+    return _dist(dynamics._evolve(_control_states(amps), matrices, np.linspace(0, 30, 500))[..., 3])
 
 
 @_check("iel", 25, ("rc reduces to bare without interaction", 1e-12))
 def _uncoupled(rng, n):
     # both laws agree, rc splits <H> exactly, and each coherence rotates at its gap
-    x = np.array([_uncoupled_coordinates(rng) for _ in range(n)])
+    x = _uncoupled_draws(rng, n)
     psi, matrices = _realized(x)
     records = dynamics._records(psi, matrices)
     bare = iel._bare_energies(records, x[:, 8], x[:, 9])
@@ -320,16 +367,13 @@ def _uncoupled(rng, n):
 @_check("iel", 25, ("control-case defect is minus the dephasing strength", 1e-10),
         ("rc law is gauge invariant", 1e-12))
 def _control_offset(rng, n):
-    draws = [(random_control_case(rng), random_spec(rng), np.exp(1j * rng.uniform(0, 2 * np.pi)))
-             for _ in range(n)]
-    states, specs, phases = zip(*draws)
-    psi, matrices = _control_states(states), _conserving_hamiltonians(specs, 0.9, 0.6)
+    amps, lam, delta, phases = _control_draws(rng, n, lambda rng: np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    psi, matrices = _control_states(amps), _conserving_hamiltonians(lam, delta, 0.9, 0.6)
     energies = _rc_pairs(dynamics._records(psi, matrices))
     mean_h = core.expectation(psi, matrices).real
     defect = iel._defect(energies[:, 0], energies[:, 1], mean_h)
-    delta = np.array([spec.delta for spec in specs])
     offset = np.abs(defect + delta) + _miss(defect == energies[:, 0] + energies[:, 1] - mean_h)
-    shifted = psi * np.array(phases)[:, None]
+    shifted = psi * phases[:, None]
     core.check_states(shifted)
     return _dist(offset), _dist(energies, _rc_pairs(dynamics._records(shifted, matrices)))
 
@@ -454,19 +498,18 @@ _STENCIL = np.array([[1e8, -2e8, 1e8, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1e9,
         ("order-3 records match third time differences of partial traces", 1e-4))
 def _time_derivatives(rng, n):
     # the textbook partial traces of the propagated states share no algebra with
-    # the hierarchy; one dynamics._time_differences call per point takes both
-    # stencils.  Time reversal (the rho-dot-sign fault) flips the odd orders,
+    # the hierarchy; one dynamics._time_differences call takes both stencils at
+    # every point.  Time reversal (the rho-dot-sign fault) flips the odd orders,
     # which no rank can show.  An order-m record scales as ||H||^m, so each
     # error is relative to ||H||_F^m
     x = _draws(rng, n)
-    values = locality._row_values(locality._hierarchy(x, 3), x)
-    errors = []
-    for row, exact in zip(x, values[:, :-2].reshape(n, 2, 4, 3)):
-        config = core.rep_to_config(core.ConfigRep.from_array(row))
-        for order, difference in zip((2, 3), dynamics._time_differences(config, _STENCIL_TIMES, _STENCIL)):
-            records = [[c.real, c.imag, p1.real] for c, p1 in difference[..., 1]]
-            errors.append(_dist(records, exact[:, order]) / config.hamiltonian.frobenius_norm**order)
-    return _dist(errors[0::2]), _dist(errors[1::2])
+    exact = locality._row_values(locality._hierarchy(x, 3), x)[:, :-2].reshape(n, 2, 4, 3)[:, :, 2:]
+    # [point, order, subsystem, row, column] -> column 1: c, then p1
+    column = dynamics._time_differences(*_realized(x), _STENCIL_TIMES, _STENCIL)[..., 1]
+    records = np.stack([column[..., 0].real, column[..., 0].imag, column[..., 1].real], axis=-1)
+    scales = core._frobenius_norms(x[:, 8], x[:, 9], x[:, 10:].reshape(n, 3, 3))[:, None] ** (2, 3)
+    errors = np.abs(records - exact.swapaxes(1, 2)).max(axis=(2, 3)) / scales
+    return _dist(errors[:, 0]), _dist(errors[:, 1])
 
 
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:

@@ -146,6 +146,18 @@ def test_finite_difference_rho_dot_refuses_a_step_that_is_not_positive_and_finit
             dynamics.finite_difference_rho_dot(_random_config(13), "A", step=step)
 
 
+@pytest.mark.parametrize("step", [1e-300, 1e-310])
+def test_finite_difference_rho_dot_refuses_a_step_below_the_time_resolution(step):
+    config = _random_config(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"step {step!r} is below the time resolution")):
+            dynamics.finite_difference_rho_dot(config, "A", step=step)
+    # the floor is relative to ||H||_F: just above it, the step is taken
+    step = 2e-12 / config.hamiltonian.frobenius_norm
+    assert np.isfinite(dynamics.finite_difference_rho_dot(config, "B", step=step)).all()
+
+
 def test_finite_difference_rho_dot_propagates_once(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
