@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -345,7 +346,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["all_passed"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use (not at import) and reused by every ``main`` call."""
     parser = _Parser(
         prog="quniverse",
         description="Two-qubit universe energy laws: solvability runs, trajectories, self checks.",

@@ -1000,19 +1000,22 @@ def hyperspherical_backward(radius: float, alpha: float, beta: float, gamma: flo
 
 
 def _forward_jacobian(radius, alpha, beta, gamma) -> np.ndarray:
-    """d(R0..R3) / d(r, alpha, beta, gamma) of the backward map."""
+    """d(R0..R3) / d(r, alpha, beta, gamma) of the backward map.
+
+    Scalars give the ``(4, 4)`` matrix; stacks of any broadcastable shapes
+    give ``(..., 4, 4)``, each row bitwise the matrix of its own angles.
+    """
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
     sin_b, cos_b = np.sin(beta), np.cos(beta)
     sin_g, cos_g = np.sin(gamma), np.cos(gamma)
     r = radius
-    return np.array(
-        [
-            [sin_a * sin_b * sin_g, r * cos_a * sin_b * sin_g, r * sin_a * cos_b * sin_g, r * sin_a * sin_b * cos_g],
-            [cos_a, -r * sin_a, 0.0, 0.0],
-            [sin_a * cos_b, r * cos_a * cos_b, -r * sin_a * sin_b, 0.0],
-            [sin_a * sin_b * cos_g, r * cos_a * sin_b * cos_g, r * sin_a * cos_b * cos_g, -r * sin_a * sin_b * sin_g],
-        ]
+    entries = np.broadcast_arrays(
+        sin_a * sin_b * sin_g, r * cos_a * sin_b * sin_g, r * sin_a * cos_b * sin_g, r * sin_a * sin_b * cos_g,
+        cos_a, -r * sin_a, 0.0, 0.0,
+        sin_a * cos_b, r * cos_a * cos_b, -r * sin_a * sin_b, 0.0,
+        sin_a * sin_b * cos_g, r * cos_a * sin_b * cos_g, r * sin_a * cos_b * cos_g, -r * sin_a * sin_b * sin_g,
     )
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (4, 4))
 
 
 def _chart_coords(coords, what: str) -> np.ndarray:
@@ -1022,6 +1025,54 @@ def _chart_coords(coords, what: str) -> np.ndarray:
     if not np.all(np.isfinite(coords)):
         raise ValueError(f"{what} must be finite")
     return coords
+
+
+def _chart_angles(x: np.ndarray, dx: np.ndarray | None = None) -> tuple:
+    """Angles ``(r, alpha, beta, gamma)`` of each row of ``(m, 19)`` base points, checked row by row.
+
+    Each row is checked as the one-point entries check it: a finite base
+    point, then, if ``dx`` holds ``(m, 19)`` solutions, a finite solution
+    tangent to the moduli sphere, then the chart's own checks
+    (:func:`hyperspherical_forward`).  The stack raises the ``ValueError``
+    of its first refused row.
+    """
+    ok = np.all(np.isfinite(x), axis=-1)
+    if dx is not None:
+        radial = np.vecdot(x[:, :4], dx[:, :4])
+        ok &= np.all(np.isfinite(dx), axis=-1) & (np.abs(radial) <= TANGENCY_TOL)
+    row = core._first_row(~ok)
+    if row is not None:
+        # an earlier row that has no angles raises first
+        hyperspherical_forward(x[:row[0], :4])
+        _chart_coords(x[row], "base point")
+        _chart_coords(dx[row], "solution")
+        raise ValueError(
+            f"solution is not tangent to the moduli sphere: |sum R_k dR_k| = {abs(radial[row]):.3e}"
+        )
+    return hyperspherical_forward(x[:, :4])
+
+
+def _transported(dx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(m, 18)`` intrinsic increments of ``(m, 19)`` solutions ``dx`` at base points ``x``.
+
+    The stack of :func:`transport_solution`, each row bitwise its one-point
+    value, checked by :func:`_chart_angles`.
+    """
+    chart = _forward_jacobian(*_chart_angles(x, dx))
+    d_angles = (np.linalg.inv(chart)[:, 1:] @ dx[:, :4, None])[..., 0]
+    return np.concatenate([d_angles, dx[:, 4:]], axis=1)
+
+
+def _tangent_systems(x: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
+    """``(m, 13, 18)`` intrinsic systems at ``(m, 19)`` base points ``x``.
+
+    ``jacobians`` is ``audit_jacobian(x)``.  The stack of
+    :func:`build_tangent_system`'s matrices, each row bitwise its one-point
+    value, checked by :func:`_chart_angles`.
+    """
+    chart = _forward_jacobian(*_chart_angles(x))[..., 1:]
+    rows = np.delete(jacobians, 12, axis=-2)
+    return np.concatenate([rows[..., :4] @ chart, rows[..., 4:]], axis=-1)
 
 
 def transport_solution(dx, x0) -> np.ndarray:
@@ -1036,14 +1087,7 @@ def transport_solution(dx, x0) -> np.ndarray:
     """
     x0 = _chart_coords(_as_coords(x0), "base point")
     dx = _chart_coords(np.asarray(dx, dtype=float), "solution")
-    radial = float(np.dot(x0[:4], dx[:4]))
-    if not abs(radial) <= TANGENCY_TOL:
-        raise ValueError(
-            f"solution is not tangent to the moduli sphere: |sum R_k dR_k| = {abs(radial):.3e}"
-        )
-    chart = _forward_jacobian(*hyperspherical_forward(x0[:4]))
-    d_angles = np.linalg.inv(chart)[1:] @ dx[:4]
-    return np.concatenate([d_angles, dx[4:]])
+    return _transported(dx[None], x0[None])[0]
 
 
 def build_tangent_system(x0):
@@ -1059,7 +1103,5 @@ def build_tangent_system(x0):
     rounding at any radius; that equivalence is what justifies auditing
     with the extra norm row instead of intrinsic coordinates.
     """
-    x0 = _chart_coords(_as_coords(x0), "base point")
-    rows = np.delete(audit_jacobian(x0), 12, axis=0)
-    chart = _forward_jacobian(*hyperspherical_forward(x0[:4]))[:, 1:]
-    return np.concatenate([rows[:, :4] @ chart, rows[:, 4:]], axis=1), np.eye(13)[-1]
+    x0 = _chart_coords(_as_coords(x0), "base point")[None]
+    return _tangent_systems(x0, audit_jacobian(x0))[0], np.eye(13)[-1]

@@ -8,8 +8,10 @@ seeded from the run seed; the unit tests run them at their own seeds and counts.
 A check first draws its ``n`` samples with the generator calls of a
 per-sample loop, so it leaves the generator where that loop would; where no
 rejection intervenes, the draws are replayed in blocks (``_draws``,
-``_uncoupled_draws``), and the control-case draws keep their sequential
-calls but make raw arrays, not value objects.  Then it evaluates them as one
+``_uncoupled_draws``, ``number_conservation``'s uniforms), and a
+control-case sample makes two calls, its amplitudes' ``normal(size=6)``
+and one ``random`` for its spec and extras (``_control_draws``), into raw
+arrays, not value objects.  Then it evaluates them as one
 stack, through the kernels behind the per-configuration wrappers, each row
 bitwise the wrapper's value at that sample.  Every oracle takes the stack:
 the propagator (``dynamics._evolve``), the textbook time differences
@@ -22,6 +24,7 @@ a propagating check makes one stacked eigendecomposition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -68,19 +71,37 @@ class SuiteResult:
         return not self.failures
 
 
+def _bounded(amps: np.ndarray, min_modulus: float):
+    """``amps`` normalized in place, or ``None`` if a modulus is then at most ``min_modulus``."""
+    amps /= np.linalg.norm(amps)
+    return amps if (np.abs(amps) > min_modulus).all() else None
+
+
 def _control_amplitudes(rng: np.random.Generator, min_modulus: float = 0.05) -> np.ndarray:
-    """``(psi0, psi_a, psi_b)`` of one :func:`random_control_case` draw, unchecked."""
+    """``(psi0, psi_a, psi_b)`` of one :func:`random_control_case` draw, unchecked.
+
+    Each attempt is one ``normal(size=6)``, which holds the values of that
+    function's two ``normal(size=3)`` calls: the real parts, then the
+    imaginary parts.
+    """
     while True:
-        amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-        amps /= np.linalg.norm(amps)
-        if (np.abs(amps) > min_modulus).all():
+        z = rng.normal(size=6)
+        amps = _bounded(z[:3] + 1j * z[3:], min_modulus)
+        if amps is not None:
             return amps
 
 
 def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> models.ControlCaseState:
-    """Random no-double-excitation state with all moduli bounded below."""
-    psi0, psi_a, psi_b = _control_amplitudes(rng, min_modulus)
-    return models.ControlCaseState(psi0=psi0, psi_a=psi_a, psi_b=psi_b)
+    """Random no-double-excitation state with all moduli bounded below.
+
+    Each attempt draws the real parts, then the imaginary parts, by two
+    ``normal(size=3)`` calls: the sequential reference that the checks'
+    draws (:func:`_control_amplitudes`) replay.
+    """
+    while True:
+        amps = _bounded(rng.normal(size=3) + 1j * rng.normal(size=3), min_modulus)
+        if amps is not None:
+            return models.ControlCaseState(*amps)
 
 
 def _coherent(x: np.ndarray) -> np.ndarray:
@@ -126,27 +147,39 @@ def random_uncoupled_config(rng: np.random.Generator) -> core.Configuration:
     return core.rep_to_config(core.ConfigRep.from_array(_uncoupled_coordinates(rng)))
 
 
-def _spec_parameters(rng: np.random.Generator) -> tuple:
-    """``(lam, delta)`` of one :func:`random_spec` draw."""
-    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return lam, float(rng.uniform(-1, 1))
-
-
 def random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
     """Random exchange amplitude and dephasing strength, each part uniform in (-1, 1)."""
-    lam, delta = _spec_parameters(rng)
-    return models.NumberConservingSpec(lam=lam, delta=delta)
+    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return models.NumberConservingSpec(lam=lam, delta=float(rng.uniform(-1, 1)))
 
 
-def _control_draws(rng: np.random.Generator, n: int, extra=lambda rng: 0.0):
-    """``n`` draws of :func:`random_control_case`, :func:`random_spec` and ``extra(rng)``, in loop order.
+def _uniform(u, low: float, high: float):
+    """``Generator.uniform(low, high)`` of unit doubles ``u``, bit for bit: ``low + (high - low) u``."""
+    return low + (high - low) * u
 
-    Returns the ``(n, 3)`` amplitudes ``(psi0, psi_a, psi_b)``, ``(n,)``
-    arrays of ``lam`` and ``delta``, and the extras stacked; by default
-    ``extra`` draws nothing.
+
+def _spec_arrays(u: np.ndarray) -> tuple:
+    """``(n,)`` arrays of ``lam`` and ``delta`` of :func:`random_spec` from its ``(n, 3)`` unit doubles."""
+    parts = _uniform(u, -1.0, 1.0)
+    # the real and imaginary parts side by side are the complex lam, as complex() builds it
+    return np.ascontiguousarray(parts[:, :2]).view(complex)[:, 0], parts[:, 2]
+
+
+def _control_draws(rng: np.random.Generator, n: int, extra: int = 0) -> tuple:
+    """``n`` draws of :func:`random_control_case`, :func:`random_spec` and ``extra`` unit doubles, in loop order.
+
+    A sample makes two generator calls where no rejection intervenes: the
+    amplitudes' ``normal(size=6)``, then one ``rng.random(3 + extra)``
+    holding the spec's three uniforms and the ``extra`` doubles, which the
+    caller maps as ``Generator.uniform`` would (:func:`_uniform`).  Returns
+    the ``(n, 3)`` amplitudes ``(psi0, psi_a, psi_b)``, ``(n,)`` arrays of
+    ``lam`` and ``delta``, and the ``(n, extra)`` unit doubles.
     """
-    draws = [(_control_amplitudes(rng), *_spec_parameters(rng), extra(rng)) for _ in range(n)]
-    return tuple(map(np.array, zip(*draws)))
+    amps, u = np.empty((n, 3), dtype=complex), np.empty((n, 3 + extra))
+    for i in range(n):
+        amps[i] = _control_amplitudes(rng)
+        rng.random(out=u[i])
+    return amps, *_spec_arrays(u[:, :3]), u[:, 3:]
 
 
 def _draws(rng: np.random.Generator, n: int, extra: int = 0) -> np.ndarray:
@@ -319,8 +352,9 @@ def _relabeling(rng, n):
 
 @_check("models", 10, ("conserving family commutes with the number operator", EXACT))
 def _number_conservation(rng, n):
-    lam, delta, gaps = map(np.array, zip(*[(*_spec_parameters(rng), rng.uniform(0.2, 1.5)) for _ in range(n)]))
-    matrices = _conserving_hamiltonians(lam, delta, 1.0, gaps)
+    # each sample's three spec uniforms, then its rng.uniform(0.2, 1.5) gap
+    u = rng.random((n, 4))
+    matrices = _conserving_hamiltonians(*_spec_arrays(u[:, :3]), 1.0, _uniform(u[:, 3], 0.2, 1.5))
     number_op = models.number_operator()
     return _dist(matrices @ number_op, number_op @ matrices)
 
@@ -329,7 +363,8 @@ def _number_conservation(rng, n):
         ("analytic rc energies match the rc law", 1e-12),
         ("analytic mean energy and energy offset", 1e-12))
 def _control_closed_forms(rng, n):
-    amps, lam, delta, gaps = _control_draws(rng, n, lambda rng: rng.uniform(0.1, 1.0, 2))
+    amps, lam, delta, u = _control_draws(rng, n, extra=2)
+    gaps = _uniform(u, 0.1, 1.0)
     psi, matrices = _control_states(amps), _conserving_hamiltonians(lam, delta, gaps[:, 0], gaps[:, 1])
     records = dynamics._records(psi, matrices)
     closed_form = (*amps.T, lam, delta, gaps[:, 0], gaps[:, 1])
@@ -367,7 +402,8 @@ def _uncoupled(rng, n):
 @_check("iel", 25, ("control-case defect is minus the dephasing strength", 1e-10),
         ("rc law is gauge invariant", 1e-12))
 def _control_offset(rng, n):
-    amps, lam, delta, phases = _control_draws(rng, n, lambda rng: np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    amps, lam, delta, u = _control_draws(rng, n, extra=1)
+    phases = np.exp(1j * _uniform(u[:, 0], 0.0, 2 * np.pi))
     psi, matrices = _control_states(amps), _conserving_hamiltonians(lam, delta, 0.9, 0.6)
     energies = _rc_pairs(dynamics._records(psi, matrices))
     mean_h = core.expectation(psi, matrices).real
@@ -420,11 +456,11 @@ def _audit_and_chart(rng, n):
     moduli = rng.uniform(0.02, 1.0, (8 * n, 4))
     moduli /= np.linalg.norm(moduli, axis=1, keepdims=True)
     trips = locality.hyperspherical_backward(*locality.hyperspherical_forward(moduli)).T
-    transport = []
-    for x in locality._draw_chunk(seed, range(3)):
-        solution, _ = locality.solve_least_squares(locality.audit_jacobian(x))
-        dy = locality.transport_solution(solution, x)
-        transport.append(float(locality._residual_norms(locality.build_tangent_system(x)[0], dy)))
+    x = locality._draw_chunk(seed, range(3))
+    jacobians = locality.audit_jacobian(x)
+    solutions, _ = locality._solve_stack(jacobians)
+    transported = locality._transported(solutions, x)
+    transport = locality._residual_norms(locality._tangent_systems(x, jacobians), transported)
     return report.n_samples - report.n_solvable, _miss(same), _dist(trips, moduli), _dist(transport)
 
 
@@ -481,7 +517,7 @@ def _chart_jacobian(rng, n):
     # the angle columns of the unit-radius chart, which carry solutions into the
     # intrinsic system, against central differences of the backward map
     angles = rng.uniform(0.1, np.pi / 2 - 0.1, (n, 3))
-    exact = [locality._forward_jacobian(1.0, *a)[:, 1:] for a in angles]
+    exact = locality._forward_jacobian(1.0, *angles.T)[..., 1:]
     central = locality.numerical_jacobian(lambda y: locality.hyperspherical_backward(1.0, *y.T).T,
                                           angles)
     return _dist(exact, central)
@@ -514,9 +550,19 @@ def _time_derivatives(rng, n):
 
 def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:
     """``(label, error, tolerance)`` of each case of one check, which passes
-    when ``error < tolerance``; ``n`` defaults to the count in ``verify``."""
+    when ``error < tolerance``; ``n`` defaults to the count in ``verify``.
+
+    An ``n`` is taken through ``operator.index``, and one below 1 raises
+    ``ValueError``; a check that draws nothing (count 0) takes any ``n``.
+    """
     _, check, default_n, cases = CHECKS[name]
-    errors = np.atleast_1d(check(rng, default_n if n is None else n))
+    if n is None:
+        n = default_n
+    elif default_n:
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n!r}")
+    errors = np.atleast_1d(check(rng, n))
     return [(label, float(error), tol) for (label, tol), error in zip(cases, errors, strict=True)]
 
 

@@ -843,3 +843,24 @@ def test_simulate_large_parameters_give_real_mean_energies(argv, tmp_path):
     means = _column(rows, "mean_h")
     assert len(means) == 51
     assert np.max(np.abs(means - means[0])) <= 1e-12 * abs(means[0])
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    assert main(["sample", "--n", "3", "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["simulate", "--n-steps", "4", "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["verify", "--suite", "core", "--out", str(tmp_path / "v.json")]) == 0
+    capsys.readouterr()
+    # a usage error after good calls is still one line and exit 2
+    assert main(["sample", "--n", "many"]) == 2
+    assert capsys.readouterr().err == "error: argument --n: invalid int value: 'many'\n"
+    # the top-level parser and its three subcommand parsers, once
+    assert built.count("quniverse") == 1 and len(built) == 4

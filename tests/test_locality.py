@@ -1074,3 +1074,57 @@ def test_global_phase_leaves_every_audited_row_unchanged(x, angle):
     before = locality.rep_observables(x)
     after = locality.rep_observables(turned)
     assert np.all(np.abs(after - before) <= 1e-14 * _audit_scale(x))
+
+
+def _chart_points(count: int) -> np.ndarray:
+    """``count`` audit base points, every third one off the unit sphere."""
+    x = locality._draw_chunk(31, range(count))
+    x[::3, :4] *= 1.7
+    return x
+
+
+def test_stacked_chart_kernels_are_rows_of_the_one_point_entries():
+    x = _chart_points(120)
+    jacobians = locality.audit_jacobian(x)
+    solutions, _ = locality._solve_stack(jacobians)
+    transported = locality._transported(solutions, x)
+    systems = locality._tangent_systems(x, jacobians)
+    charts = locality._forward_jacobian(*locality.hyperspherical_forward(x[:, :4]))
+    assert transported.shape == (120, 18) and systems.shape == (120, 13, 18) and charts.shape == (120, 4, 4)
+    for i, x0 in enumerate(x):
+        assert locality.transport_solution(solutions[i], x0).tobytes() == transported[i].tobytes()
+        matrix, rhs = locality.build_tangent_system(x0)
+        assert matrix.tobytes() == systems[i].tobytes()
+        assert np.array_equal(rhs, np.eye(13)[-1])
+        angles = locality.hyperspherical_forward(x0[:4])
+        assert locality._forward_jacobian(*angles).tobytes() == charts[i].tobytes()
+
+
+def _refusal(entry, *args) -> str:
+    with pytest.raises(ValueError) as refused:
+        entry(*args)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("fault", ["nonfinite base", "nonfinite solution", "not tangent", "pathological"])
+def test_a_stacked_chart_kernel_raises_its_first_refused_rows_message(fault):
+    x = _chart_points(8)
+    solutions, _ = locality._solve_stack(locality.audit_jacobian(x))
+    # row 5 is refused for the fault; row 6 for another reason, which must not decide the message
+    x[6, :4] = [0.0, 1.0, 0.0, 0.0]
+    solutions[6, 0] = 1.0
+    if fault == "nonfinite base":
+        x[5, 4] = np.nan
+    elif fault == "nonfinite solution":
+        solutions[5, 7] = np.inf
+    elif fault == "not tangent":
+        solutions[5, :4] += x[5, :4]
+    else:
+        x[5, :4] = [0.0, 0.5, 0.5, 0.0]
+        x[5, :4] /= np.linalg.norm(x[5, :4])
+        solutions[5, :4] = 0.0
+    alone = _refusal(locality.transport_solution, solutions[5], x[5])
+    assert _refusal(locality._transported, solutions, x) == alone
+    if fault in ("nonfinite base", "pathological"):
+        jacobians = locality.audit_jacobian(x)
+        assert _refusal(locality._tangent_systems, x, jacobians) == _refusal(locality.build_tangent_system, x[5])

@@ -241,3 +241,64 @@ def test_an_undefined_stacked_energy_raises_what_evaluate_law_raises():
     with pytest.raises(iel.RCUndefinedError, match="subsystem A"):
         iel._require_defined(np.array([1.0, nan]), np.array([2.0, nan]))
     iel._require_defined(np.array([1.0]), np.array([2.0]))
+
+
+#: the checks that draw nothing and so take any n
+_DRAWLESS = ("pauli",)
+
+
+@pytest.mark.parametrize("name", sorted(set(verification.CHECKS) - set(_DRAWLESS)))
+def test_run_check_refuses_a_count_below_one(name):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+            verification.run_check(name, np.random.default_rng(0), n)
+    with pytest.raises(TypeError):
+        verification.run_check(name, np.random.default_rng(0), 2.5)
+
+
+def test_a_check_that_draws_nothing_takes_any_count():
+    for name in _DRAWLESS:
+        assert verification.CHECKS[name][2] == 0
+        default = verification.run_check(name, np.random.default_rng(0))
+        for n in (0, -3):
+            assert verification.run_check(name, np.random.default_rng(0), n) == default
+
+
+def test_run_check_at_its_default_count_is_unchanged():
+    for name in ("number_conservation", "control_offset"):
+        n = verification.CHECKS[name][2]
+        assert (verification.run_check(name, np.random.default_rng(5))
+                == verification.run_check(name, np.random.default_rng(5), n))
+
+
+@pytest.mark.parametrize("seed", [0, REJECTING_SEED, 2024])
+def test_control_draws_are_the_sequential_draws_bit_for_bit(seed):
+    n = 60
+    extras = {0: lambda rng: np.empty(0), 1: lambda rng: [rng.uniform(0, 2 * np.pi)],
+              2: lambda rng: rng.uniform(0.1, 1.0, 2)}
+    for extra, draw in extras.items():
+        reference = np.random.default_rng(seed)
+        expected = [(random_control_case(reference), random_spec(reference), draw(reference)) for _ in range(n)]
+        rng = np.random.default_rng(seed)
+        amps, lam, delta, u = verification._control_draws(rng, n, extra)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert _bits(amps) == _bits([[s.psi0, s.psi_a, s.psi_b] for s, _, _ in expected])
+        assert _bits(lam) == _bits([spec.lam for _, spec, _ in expected])
+        assert _bits(delta) == _bits([spec.delta for _, spec, _ in expected])
+        bounds = {1: (0.0, 2 * np.pi), 2: (0.1, 1.0)}.get(extra, (0.0, 1.0))
+        assert _bits(verification._uniform(u, *bounds)) == _bits([e for _, _, e in expected])
+    # number_conservation's block of four uniforms per sample
+    reference = np.random.default_rng(seed)
+    expected = [(random_spec(reference), reference.uniform(0.2, 1.5)) for _ in range(n)]
+    u = np.random.default_rng(seed).random((n, 4))
+    lam, delta = verification._spec_arrays(u[:, :3])
+    assert _bits(lam) == _bits([spec.lam for spec, _ in expected])
+    assert _bits(delta) == _bits([spec.delta for spec, _ in expected])
+    assert _bits(verification._uniform(u[:, 3], 0.2, 1.5)) == _bits([gap for _, gap in expected])
+
+
+def test_the_rejecting_seed_rejects_control_amplitudes():
+    # one normal(size=6) per attempt, so more calls than samples means a rejection
+    rng = _CountingGenerator(REJECTING_SEED)
+    verification._control_draws(rng, 100)
+    assert rng.calls["normal"] > 100
