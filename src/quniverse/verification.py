@@ -19,6 +19,11 @@ the propagator (``dynamics._evolve``), the textbook time differences
 ``finite_difference_rho_dot`` or the orders 2 and 3 of
 ``_time_derivatives``), ``partial_trace`` and the ``models`` closed forms, so
 a propagating check makes one stacked eigendecomposition.
+
+Each draw kind has one implementation, and its public sampler, which takes a
+seed or a ``numpy.random.Generator``, is the one-row read of it:
+:func:`random_control_case` of ``_control_amplitudes``, :func:`random_spec`
+of ``_spec_arrays`` and :func:`random_uncoupled_config` of ``_uncoupled_draws``.
 """
 
 from __future__ import annotations
@@ -71,37 +76,30 @@ class SuiteResult:
         return not self.failures
 
 
-def _bounded(amps: np.ndarray, min_modulus: float):
-    """``amps`` normalized in place, or ``None`` if a modulus is then at most ``min_modulus``."""
-    amps /= np.linalg.norm(amps)
-    return amps if (np.abs(amps) > min_modulus).all() else None
-
-
 def _control_amplitudes(rng: np.random.Generator, min_modulus: float = 0.05) -> np.ndarray:
     """``(psi0, psi_a, psi_b)`` of one :func:`random_control_case` draw, unchecked.
 
-    Each attempt is one ``normal(size=6)``, which holds the values of that
-    function's two ``normal(size=3)`` calls: the real parts, then the
-    imaginary parts.
+    Each attempt is one ``normal(size=6)``, the real parts, then the
+    imaginary parts, normalized and kept once every modulus exceeds
+    ``min_modulus``.
     """
     while True:
         z = rng.normal(size=6)
-        amps = _bounded(z[:3] + 1j * z[3:], min_modulus)
-        if amps is not None:
+        amps = z[:3] + 1j * z[3:]
+        amps /= np.linalg.norm(amps)
+        if (np.abs(amps) > min_modulus).all():
             return amps
 
 
-def random_control_case(rng: np.random.Generator, min_modulus: float = 0.05) -> models.ControlCaseState:
-    """Random no-double-excitation state with all moduli bounded below.
+def random_control_case(rng, min_modulus: float = 0.05) -> models.ControlCaseState:
+    """Random no-double-excitation state with all moduli above ``min_modulus``.
 
-    Each attempt draws the real parts, then the imaginary parts, by two
-    ``normal(size=3)`` calls: the sequential reference that the checks'
-    draws (:func:`_control_amplitudes`) replay.
+    No normalized 3-vector has all moduli above ``3**-0.5``, so a
+    ``min_modulus`` outside ``[0, 3**-0.5)`` raises ``ValueError``.
     """
-    while True:
-        amps = _bounded(rng.normal(size=3) + 1j * rng.normal(size=3), min_modulus)
-        if amps is not None:
-            return models.ControlCaseState(*amps)
+    if not 0 <= min_modulus < 3**-0.5:
+        raise ValueError(f"min_modulus must lie in [0, 3**-0.5), got {min_modulus!r}")
+    return models.ControlCaseState(*_control_amplitudes(np.random.default_rng(rng), min_modulus))
 
 
 def _coherent(x: np.ndarray) -> np.ndarray:
@@ -111,46 +109,40 @@ def _coherent(x: np.ndarray) -> np.ndarray:
                   axis=0)
 
 
-def _uncoupled_coordinates(rng: np.random.Generator) -> np.ndarray:
-    """19 coordinates of one :func:`random_uncoupled_config` draw."""
-    while True:
-        x = locality.sample_interior_rep(rng).to_array()[None]
-        x[:, 10:] = 0.0
-        if _coherent(x)[0]:
-            return x[0]
-
-
 def _uncoupled_draws(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``(n, 19)`` coordinates of ``n`` calls of :func:`_uncoupled_coordinates`, bit for bit.
+    """``(n, 19)`` coordinates of ``n`` uncoupled draws in sequence, bit for bit.
 
-    One ``rng.random((2 n, 19))`` block holds ``2 n`` attempts of 19 unit
-    doubles, and the first ``n`` that the sampler's map and the coherence
-    test accept are kept; ``rng`` then goes back and draws exactly the
-    attempts those consumed, so it ends where the loop leaves it.  If the
-    block accepts fewer than ``n``, the loop itself draws them.
+    An attempt is 19 unit doubles that ``locality.sample_interior_rep``'s map
+    and then, couplings zeroed, the coherence test accept.  One block holds
+    ``2 n`` attempts; while it accepts fewer than ``n``, a block twice its
+    size is drawn from the same generator state.  The first ``n`` accepted
+    are kept, and ``rng`` then draws exactly the attempts those consumed, so
+    it ends where ``n`` sequential draws leave it.
     """
-    state = rng.bit_generator.state
-    u = rng.random((2 * n, 19))
-    inside = np.flatnonzero(locality._interior(u))
-    x = core.check_reps(u[inside])
-    x[:, 10:] = 0.0
-    kept = np.flatnonzero(_coherent(x))[:n]
-    rng.bit_generator.state = state
-    if len(kept) < n:
-        return np.array([_uncoupled_coordinates(rng) for _ in range(n)])
-    rng.random((inside[kept[-1]] + 1, 19))
-    return x[kept]
+    state, m = rng.bit_generator.state, 2 * n
+    while True:
+        u = rng.random((m, 19))
+        inside = np.flatnonzero(locality._interior(u))
+        x = core.check_reps(u[inside])
+        x[:, 10:] = 0.0
+        kept = np.flatnonzero(_coherent(x))[:n]
+        rng.bit_generator.state = state
+        if len(kept) == n:
+            rng.random((inside[kept[-1]] + 1, 19))
+            return x[kept]
+        m *= 2
 
 
-def random_uncoupled_config(rng: np.random.Generator) -> core.Configuration:
+def random_uncoupled_config(rng) -> core.Configuration:
     """Random interior configuration with ``h = 0`` and both local coherences above 0.05."""
-    return core.rep_to_config(core.ConfigRep.from_array(_uncoupled_coordinates(rng)))
+    x = _uncoupled_draws(np.random.default_rng(rng), 1)[0]
+    return core.rep_to_config(core.ConfigRep.from_array(x))
 
 
-def random_spec(rng: np.random.Generator) -> models.NumberConservingSpec:
+def random_spec(rng) -> models.NumberConservingSpec:
     """Random exchange amplitude and dephasing strength, each part uniform in (-1, 1)."""
-    lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return models.NumberConservingSpec(lam=lam, delta=float(rng.uniform(-1, 1)))
+    lam, delta = _spec_arrays(np.random.default_rng(rng).random((1, 3)))
+    return models.NumberConservingSpec(lam=lam[0], delta=delta[0])
 
 
 def _uniform(u, low: float, high: float):

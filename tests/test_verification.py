@@ -1,5 +1,7 @@
 """The stacked self-checks against the per-sample draws and wrappers they replace."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,30 @@ class _CountingGenerator(np.random.Generator):
         return super().random(*args, **kwargs)
 
 
+def _sequential_control_case(rng, min_modulus=0.05):
+    """``(psi0, psi_a, psi_b)``: two ``normal(size=3)`` calls per attempt, real parts first."""
+    while True:
+        amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+        amps /= np.linalg.norm(amps)
+        if (np.abs(amps) > min_modulus).all():
+            return amps
+
+
+def _sequential_spec(rng):
+    """``(lam, delta)`` from three ``uniform(-1, 1)`` calls."""
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+
+
+def _sequential_uncoupled(rng):
+    """19 coordinates: interior draws with zeroed couplings until both local coherences exceed 0.05."""
+    while True:
+        x = locality.sample_interior_rep(rng).to_array()
+        x[10:] = 0.0
+        state = core.rep_to_config(core.ConfigRep.from_array(x)).state
+        if all(abs(dynamics.partial_trace(state, s)[0, 1]) > 0.05 for s in dynamics.SUBSYSTEMS):
+            return x
+
+
 #: one sample's generator calls in each check's per-sample loop, in loop order
 SEQUENTIAL_DRAWS = {
     "gauge_and_round_trip": lambda rng: (locality.sample_interior_rep(rng), rng.uniform(0, 2 * np.pi)),
@@ -32,7 +58,7 @@ SEQUENTIAL_DRAWS = {
     "number_conservation": lambda rng: (random_spec(rng), rng.uniform(0.2, 1.5)),
     "control_closed_forms": lambda rng: (random_control_case(rng), random_spec(rng), rng.uniform(0.1, 1.0, 2)),
     "excitation_block": lambda rng: (random_control_case(rng), random_spec(rng)),
-    "uncoupled": random_uncoupled_config,
+    "uncoupled": _sequential_uncoupled,
     "control_offset": lambda rng: (random_control_case(rng), random_spec(rng), rng.uniform(0, 2 * np.pi)),
     "bare_defect": locality.sample_interior_rep,
     "time_derivatives": locality.sample_interior_rep,
@@ -49,12 +75,12 @@ def _seed(draws):
     return {"seed 0": 0, "rejecting seed": REJECTING_SEED, "interior rejections": INTERIOR_REJECTION_SEED}[draws]
 
 
-def _reject_low_first_coordinates(monkeypatch):
-    """Make the interior sampler reject every draw whose first unit double is below 0.1."""
+def _reject_low_first_coordinates(monkeypatch, below=0.1):
+    """Make the interior sampler reject every draw whose first unit double is below ``below``."""
     interior = locality._interior
 
     def rejecting(u):
-        low = u[:, 0] < 0.1
+        low = u[:, 0] < below
         return interior(u) & ~low
 
     monkeypatch.setattr(locality, "_interior", rejecting)
@@ -76,8 +102,9 @@ def test_each_check_leaves_the_generator_where_its_sequential_draws_do(name, dra
     if draws == "interior rejections" and name not in ("number_conservation", "control_closed_forms",
                                                       "excitation_block", "control_offset"):
         assert reference.calls["random"] > n
+    # random_control_case makes one normal call per attempt
     if draws == "rejecting seed" and name in ("control_closed_forms", "control_offset"):
-        assert reference.calls["normal"] > 2 * n
+        assert reference.calls["normal"] > n
     if draws == "rejecting seed" and name == "uncoupled":
         assert reference.calls["random"] > n
 
@@ -94,18 +121,21 @@ def test_block_draws_are_the_sequential_draws_bit_for_bit(draws, monkeypatch):
     assert _bits(u[:, :19]) == _bits([x for x, _ in expected])
     assert _bits(2 * np.pi * u[:, 19]) == _bits([shift for _, shift in expected])
     reference = np.random.default_rng(seed)
-    expected = [verification._uncoupled_coordinates(reference) for _ in range(25)]
-    assert _bits(verification._uncoupled_draws(np.random.default_rng(seed), 25)) == _bits(expected)
+    expected = [_sequential_uncoupled(reference) for _ in range(25)]
+    rng = np.random.default_rng(seed)
+    assert _bits(verification._uncoupled_draws(rng, 25)) == _bits(expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_uncoupled_draws_fall_back_to_the_loop_when_the_block_accepts_too_few(monkeypatch):
-    coherent = verification._coherent
-    # the block keeps one attempt in four; the loop's one-row tests are untouched
-    monkeypatch.setattr(verification, "_coherent", lambda x: coherent(x) & (np.arange(len(x)) % 4 == 0)
-                        if len(x) > 1 else coherent(x))
-    rng, reference = np.random.default_rng(1), np.random.default_rng(1)
-    x = verification._uncoupled_draws(rng, 25)
-    assert _bits(x) == _bits([verification._uncoupled_coordinates(reference) for _ in range(25)])
+def test_uncoupled_draws_grow_their_block_until_it_accepts_enough(monkeypatch):
+    # about one attempt in six is accepted, so the n draws take more than 4n
+    # attempts and the first block of 2n doubles twice
+    _reject_low_first_coordinates(monkeypatch, below=0.8)
+    n, reference = 25, _CountingGenerator(1)
+    expected = [_sequential_uncoupled(reference) for _ in range(n)]
+    assert reference.calls["random"] > 4 * n
+    rng = np.random.default_rng(1)
+    assert _bits(verification._uncoupled_draws(rng, n)) == _bits(expected)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -302,3 +332,61 @@ def test_the_rejecting_seed_rejects_control_amplitudes():
     rng = _CountingGenerator(REJECTING_SEED)
     verification._control_draws(rng, 100)
     assert rng.calls["normal"] > 100
+
+
+def _control_values(rng, min_modulus=0.05):
+    state = random_control_case(rng, min_modulus)
+    return [state.psi0, state.psi_a, state.psi_b]
+
+
+def _spec_values(rng):
+    spec = random_spec(rng)
+    return [spec.lam, spec.delta]
+
+
+def _config_values(config):
+    return [*config.state.psi, *config.hamiltonian.matrix.ravel()]
+
+
+def _uncoupled_values(rng):
+    return _config_values(random_uncoupled_config(rng))
+
+
+def _sequential_uncoupled_values(rng):
+    return _config_values(core.rep_to_config(core.ConfigRep.from_array(_sequential_uncoupled(rng))))
+
+
+@pytest.mark.parametrize("seed", [0, REJECTING_SEED, 2024])
+def test_public_samplers_are_their_sequential_references_bit_for_bit(seed):
+    # min_modulus 0.1 is the bound of tests/test_acceptance.py
+    cases = {"control case": (_control_values, _sequential_control_case),
+             "control case at 0.1": (partial(_control_values, min_modulus=0.1),
+                                     partial(_sequential_control_case, min_modulus=0.1)),
+             "spec": (_spec_values, _sequential_spec),
+             "uncoupled configuration": (_uncoupled_values, _sequential_uncoupled_values)}
+    for label, (sampler, sequential) in cases.items():
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _bits([sampler(rng) for _ in range(40)]) == _bits([sequential(reference) for _ in range(40)]), label
+        assert rng.bit_generator.state == reference.bit_generator.state, label
+
+
+@pytest.mark.parametrize("seed", [10, 22])
+@pytest.mark.parametrize("sampler", [_control_values, _spec_values, _uncoupled_values])
+def test_a_sampler_takes_a_seed_as_default_rng_does(sampler, seed):
+    # at seeds 10 and 22 the first uncoupled attempt is rejected, so a sampler
+    # that re-seeded from the int on each attempt would never return
+    assert _bits(sampler(seed)) == _bits(sampler(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("min_modulus", [0.6, 3**-0.5, float("nan"), -0.1])
+def test_random_control_case_refuses_a_bound_outside_its_range(min_modulus):
+    # no normalized 3-vector has all three moduli above 3**-0.5
+    with pytest.raises(ValueError, match="min_modulus"):
+        random_control_case(np.random.default_rng(0), min_modulus)
+
+
+@pytest.mark.parametrize("min_modulus", [0.0, 0.5])
+def test_random_control_case_bounds_every_modulus(min_modulus):
+    # the ends of the accepted range; 0.05 and 0.1 are drawn bit for bit above
+    state = random_control_case(np.random.default_rng(0), min_modulus)
+    assert min(abs(state.psi0), abs(state.psi_a), abs(state.psi_b)) > min_modulus
