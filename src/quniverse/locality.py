@@ -570,6 +570,29 @@ def _interior(u: np.ndarray) -> np.ndarray:
     return accepted
 
 
+def _accepted(draw: Callable, accept: Callable, n: int) -> np.ndarray:
+    """The first ``n`` rows a rejection loop accepts, drawn in blocks.
+
+    ``draw(m)`` gives ``m`` attempts as the rows of one array; ``accept``
+    maps such a block in place and returns which of its rows are kept.  A
+    block holds only as many attempts as acceptances are still needed, so
+    it never draws past the ``n``-th: the rows, and where ``draw`` leaves
+    its generator, are those of a loop that draws one attempt at a time.
+    """
+    kept, missing = [], n
+    while True:
+        block = draw(missing)
+        kept.append(block[accept(block)])
+        missing -= len(kept[-1])
+        if not missing:
+            return np.concatenate(kept)
+
+
+def _interior_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Checked ``(n, 19)`` coordinates of ``n`` interior draws from ``rng``, one 19-double attempt each."""
+    return core.check_reps(_accepted(lambda m: rng.random((m, 19)), _interior, n))
+
+
 def sample_interior_rep(rng) -> ConfigRep:
     """Draw one representation from the interior of the configuration surface.
 
@@ -579,15 +602,11 @@ def sample_interior_rep(rng) -> ConfigRep:
     bound or a moduli norm at or below 1e-3 is redone whole.  Only energy
     ratios matter, so bounded gap and coupling ranges lose no generality.
     ``rng`` is a seed or a ``numpy.random.Generator``; a given seed
-    reproduces the sample bitwise.  :func:`run_experiment` draws its
-    samples a block at a time and falls back on this sampler, which stays
-    the reference for those draws.
+    reproduces the sample bitwise.  It is the one-row read of
+    ``_interior_draws``, and :func:`run_experiment` redraws through it
+    each sample its block draw rejects.
     """
-    rng = np.random.default_rng(rng)
-    while True:
-        x = rng.random((1, 19))
-        if _interior(x)[0]:
-            return ConfigRep.from_array(x[0])
+    return ConfigRep.from_array(_interior_draws(np.random.default_rng(rng), 1)[0])
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:

@@ -5,16 +5,18 @@ measured error, one per label when several labels share its samples.
 ``verify`` runs each suite's checks in :data:`CHECKS` order on one generator
 seeded from the run seed; the unit tests run them at their own seeds and counts.
 
-A check first draws its ``n`` samples with the generator calls of a
-per-sample loop, so it leaves the generator where that loop would; where no
-rejection intervenes, the draws are replayed in blocks (``_draws``,
-``_uncoupled_draws``, ``number_conservation``'s uniforms), and a
-control-case sample makes two calls, its amplitudes' ``normal(size=6)``
-and one ``random`` for its spec and extras (``_control_draws``), into raw
-arrays, not value objects.  Then it evaluates them as one
-stack, through the kernels behind the per-configuration wrappers, each row
-bitwise the wrapper's value at that sample.  Every oracle takes the stack:
-the propagator (``dynamics._evolve``), the textbook time differences
+A check first draws its ``n`` samples into raw arrays, leaving the
+generator where a loop drawing one attempt at a time would: every interior
+rejection loop (``locality._interior_draws``, ``_uncoupled_draws`` and
+``gauge_and_round_trip``'s draws) is ``locality._accepted``, whose blocks
+hold only the acceptances still needed.  A control-case sample makes two
+calls, ``normal(size=6)`` for its amplitudes and one ``random`` for its
+spec and extras (``_control_draws``); its normals interleave with those
+uniforms, so its rejection loop stays per sample.  Then the check
+evaluates its draws as one stack, through the kernels behind the
+per-configuration wrappers, each row bitwise the wrapper's value at that
+sample.  Every oracle takes the stack: the propagator
+(``dynamics._evolve``), the textbook time differences
 (``dynamics._time_differences``, the central difference of
 ``finite_difference_rho_dot`` or the orders 2 and 3 of
 ``_time_derivatives``), ``partial_trace`` and the ``models`` closed forms, so
@@ -109,28 +111,18 @@ def _coherent(x: np.ndarray) -> np.ndarray:
                   axis=0)
 
 
-def _uncoupled_draws(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``(n, 19)`` coordinates of ``n`` uncoupled draws in sequence, bit for bit.
+def _accept_uncoupled(u: np.ndarray) -> np.ndarray:
+    """Map ``(m, 19)`` attempts as ``locality._interior`` does, couplings zeroed; return
+    which are accepted: interior, with both local coherences above 0.05."""
+    accepted = locality._interior(u)
+    u[:, 10:] = 0.0
+    accepted[accepted] = _coherent(u[accepted])
+    return accepted
 
-    An attempt is 19 unit doubles that ``locality.sample_interior_rep``'s map
-    and then, couplings zeroed, the coherence test accept.  One block holds
-    ``2 n`` attempts; while it accepts fewer than ``n``, a block twice its
-    size is drawn from the same generator state.  The first ``n`` accepted
-    are kept, and ``rng`` then draws exactly the attempts those consumed, so
-    it ends where ``n`` sequential draws leave it.
-    """
-    state, m = rng.bit_generator.state, 2 * n
-    while True:
-        u = rng.random((m, 19))
-        inside = np.flatnonzero(locality._interior(u))
-        x = core.check_reps(u[inside])
-        x[:, 10:] = 0.0
-        kept = np.flatnonzero(_coherent(x))[:n]
-        rng.bit_generator.state = state
-        if len(kept) == n:
-            rng.random((inside[kept[-1]] + 1, 19))
-            return x[kept]
-        m *= 2
+
+def _uncoupled_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Checked ``(n, 19)`` coordinates of ``n`` uncoupled draws, one 19-double attempt each."""
+    return core.check_reps(locality._accepted(lambda m: rng.random((m, 19)), _accept_uncoupled, n))
 
 
 def random_uncoupled_config(rng) -> core.Configuration:
@@ -172,26 +164,6 @@ def _control_draws(rng: np.random.Generator, n: int, extra: int = 0) -> tuple:
         amps[i] = _control_amplitudes(rng)
         rng.random(out=u[i])
     return amps, *_spec_arrays(u[:, :3]), u[:, 3:]
-
-
-def _draws(rng: np.random.Generator, n: int, extra: int = 0) -> np.ndarray:
-    """``(n, 19)`` coordinates of ``n`` calls of ``locality.sample_interior_rep(rng)``, bit for bit.
-
-    Each call may be followed by ``extra`` unit doubles ``rng.random()``,
-    which fill ``extra`` more columns.  One ``rng.random((n, 19 + extra))``
-    feeds the sampler's map and check for every row at once.  If the map
-    rejects a row, ``rng`` goes back to where it was and the sampler itself
-    draws the ``n`` rows, redrawing that one; so ``rng`` ends where the
-    sequential calls leave it either way.
-    """
-    state = rng.bit_generator.state
-    u = rng.random((n, 19 + extra))
-    if np.all(locality._interior(u[:, :19])):
-        u[:, :19] = core.check_reps(u[:, :19])
-        return u
-    rng.bit_generator.state = state
-    return np.array([np.concatenate([locality.sample_interior_rep(rng).to_array(), rng.random(extra)])
-                     for _ in range(n)])
 
 
 def _realized(x: np.ndarray):
@@ -268,7 +240,7 @@ def _pauli(rng, n):
 @_check("core", 25, ("hamiltonian exactly hermitian", EXACT),
         ("interaction has traceless marginals", EXACT))
 def _hamiltonian(rng, n):
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     couplings = x[:, 10:].reshape(n, 3, 3)
     matrices = core.hamiltonian_matrix(x[:, 8], x[:, 9], couplings)
     interactions = core.hamiltonian_matrix(0.0, 0.0, couplings)
@@ -278,9 +250,10 @@ def _hamiltonian(rng, n):
 
 @_check("core", 50, ("mean energy is gauge invariant", 1e-12), ("representation round trip", 1e-12))
 def _gauge_and_round_trip(rng, n):
-    # each sample's last double is its rng.uniform(0, 2 pi) shift
-    u = _draws(rng, n, extra=1)
-    x, moved = u[:, :19], u[:, :19].copy()
+    # 20 doubles an attempt, accepted on the first 19; the last is its rng.uniform(0, 2 pi) shift
+    u = locality._accepted(lambda m: rng.random((m, 20)), lambda u: locality._interior(u[:, :19]), n)
+    x = core.check_reps(u[:, :19])
+    moved = x.copy()
     moved[:, 4:8] += 2 * np.pi * u[:, 19:]
     (psi, matrices), (shifted, shifted_matrices) = _realized(x), _realized(core.check_reps(moved))
     equal = core._equal_up_to_phase(psi, matrices, shifted, shifted_matrices, 1e-12)
@@ -296,7 +269,7 @@ def _gauge_and_round_trip(rng, n):
 
 @_check("dynamics", 5, ("norm and energy conserved along trajectories", 1e-12))
 def _conservation(rng, n):
-    psi, matrices = _realized(_draws(rng, n))
+    psi, matrices = _realized(locality._interior_draws(rng, n))
     states = dynamics._evolve(psi, matrices, np.linspace(0.0, 50.0, 1000))
     energies = core.expectation(states, matrices[:, None]).real
     return _worst(np.linalg.norm(states, axis=-1) - 1.0, energies - energies[:, :1])
@@ -310,7 +283,7 @@ _CENTRAL_TIMES, _CENTRAL = np.array([1e-6, -1e-6]), np.array([[0.5e6, -0.5e6]])
         ("reduced states and derivatives are legal", 1e-12),
         ("raw coordinate route ties to extended_state", 1e-12))
 def _reduced_states(rng, n):
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     psi, matrices = _realized(x)
     records = dynamics._records(psi, matrices)
     dynamics.check_extended_coordinates(records)
@@ -334,7 +307,7 @@ _MIRROR = np.concatenate([[0, 2, 1, 3, 4, 6, 5, 7, 9, 8], 10 + np.arange(9).resh
 
 @_check("dynamics", 10, ("A<->B relabeling symmetry", 1e-12))
 def _relabeling(rng, n):
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     records, mirrored = (dynamics._records(*_realized(y)) for y in (x, core.check_reps(x[:, _MIRROR])))
     for coords in (records, mirrored):
         dynamics.check_extended_coordinates(coords)
@@ -408,7 +381,7 @@ def _control_offset(rng, n):
 
 @_check("iel", 25, ("bare defect equals minus the interaction average", 1e-12))
 def _bare_defect(rng, n):
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     psi, matrices = _realized(x)
     u_a, u_b = iel._bare_energies(dynamics._records(psi, matrices), x[:, 8], x[:, 9])
     iel._require_defined(u_a, u_b)
@@ -419,7 +392,7 @@ def _bare_defect(rng, n):
 
 @_check("locality", 10, ("norm-row jacobian matches the analytic gradient", 1e-10))
 def _norm_gradient(rng, n):
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     # quadratic: truncation-free at any step, so a larger step only lowers
     # the rounding floor (~eps/h)
     jac = locality.numerical_jacobian(locality.rep_norm_sq, x, 1e-4)
@@ -463,7 +436,7 @@ def _exact_jacobian(rng, n):
     # orders 2 and 3 on every tenth point only, since their central differences
     # cost about 30 times the order-1 ones; an order-m row scales as |H|^m, so
     # each order's error is relative to the largest entry of its rows there
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     few = x[::10]
     exact = locality._hierarchy(few, 3)
     central = locality.numerical_jacobian(lambda y: locality._row_values(locality._hierarchy(y, 3), y), few)
@@ -477,7 +450,7 @@ def _exact_jacobian(rng, n):
 def _schmidt_identities(rng, n):
     # |n^T A| / (|n| |A|) for the gradients of det_A - det_B and of its time
     # derivative, built from the observables, not from the Jacobian
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     matrices = locality.audit_jacobian(x)
     normals = locality._schmidt_normals(locality.rep_observables(x))
     products = np.linalg.norm(normals.swapaxes(-1, -2) @ matrices, axis=-1)
@@ -497,7 +470,7 @@ _BELL_STATE = np.concatenate([[2**-0.5, 0.0, 0.0, 2**-0.5], [0.1, 0.2, 0.3, 0.4]
 def _deflated_solve(rng, n):
     # residual gaps to the SVD: rounding on sampled points, none where the
     # deflation cannot be certified
-    x = np.concatenate([_draws(rng, n), [_PRODUCT_STATE, _BELL_STATE]])
+    x = np.concatenate([locality._interior_draws(rng, n), [_PRODUCT_STATE, _BELL_STATE]])
     matrices = locality.audit_jacobian(x)
     _, deflated = locality._solve_deflated(matrices, x)
     _, reference = locality._solve_stack(matrices)
@@ -530,7 +503,7 @@ def _time_derivatives(rng, n):
     # every point.  Time reversal (the rho-dot-sign fault) flips the odd orders,
     # which no rank can show.  An order-m record scales as ||H||^m, so each
     # error is relative to ||H||_F^m
-    x = _draws(rng, n)
+    x = locality._interior_draws(rng, n)
     exact = locality._row_values(locality._hierarchy(x, 3), x)[:, :-2].reshape(n, 2, 4, 3)[:, :, 2:]
     # [point, order, subsystem, row, column] -> column 1: c, then p1
     column = dynamics._time_differences(*_realized(x), _STENCIL_TIMES, _STENCIL)[..., 1]
@@ -540,13 +513,16 @@ def _time_derivatives(rng, n):
     return _dist(errors[:, 0]), _dist(errors[:, 1])
 
 
-def run_check(name: str, rng: np.random.Generator, n: int | None = None) -> list:
+def run_check(name: str, rng, n: int | None = None) -> list:
     """``(label, error, tolerance)`` of each case of one check, which passes
     when ``error < tolerance``; ``n`` defaults to the count in ``verify``.
 
-    An ``n`` is taken through ``operator.index``, and one below 1 raises
-    ``ValueError``; a check that draws nothing (count 0) takes any ``n``.
+    ``rng`` is a seed or a ``numpy.random.Generator``, taken through
+    ``np.random.default_rng``.  An ``n`` is taken through ``operator.index``,
+    and one below 1 raises ``ValueError``; a check that draws nothing
+    (count 0) takes any ``n``.
     """
+    rng = np.random.default_rng(rng)
     _, check, default_n, cases = CHECKS[name]
     if n is None:
         n = default_n

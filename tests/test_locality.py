@@ -131,22 +131,20 @@ def test_rejected_draws_fall_back_on_the_sequential_sampler(monkeypatch):
         assert chunk[index].tobytes() == core.check_reps(redraw)[0].tobytes()
 
 
-@pytest.mark.parametrize("rejects", ["none", "once", "always"])
+@pytest.mark.parametrize("rejects", ["none", "always"])
 def test_verify_draws_are_the_sequential_samplers_draws(rejects, monkeypatch):
     # verify's checks draw n samples from their generator in one stacked pass;
-    # a rejected row, in that pass alone ("once") or in every draw of it
-    # ("always", so the sampler redraws it), replays the sampler from the
-    # generator's saved state
+    # a row the map rejects ("always") is redrawn in a block of one attempt,
+    # the one acceptance still missing
     n = 25
     target = np.random.default_rng(35).random((8, 19))[7]
-    interior, stacked, rejected = locality._interior, [], []
+    interior, sizes, rejected = locality._interior, [], []
 
     def rejecting(u):
         hit = np.all(u == target, axis=1)
         accepted = interior(u)
-        if len(u) > 1:
-            stacked.append(bool(np.any(hit)))
-        if np.any(hit) and (rejects == "always" or (rejects == "once" and len(u) > 1)):
+        sizes.append(len(u))
+        if np.any(hit) and rejects == "always":
             rejected.append(len(u))
             accepted &= ~hit
         return accepted
@@ -154,15 +152,41 @@ def test_verify_draws_are_the_sequential_samplers_draws(rejects, monkeypatch):
     monkeypatch.setattr(locality, "_interior", rejecting)
     reference = np.random.default_rng(35)
     expected = np.stack([locality.sample_interior_rep(reference).to_array() for _ in range(n)])
+    sizes.clear()
     rng = np.random.default_rng(35)
-    drawn = verification._draws(rng, n)
-    assert stacked == [True]
-    assert rejected == {"none": [], "once": [n], "always": [1, n, 1]}[rejects]
+    drawn = locality._interior_draws(rng, n)
+    assert sizes == {"none": [n], "always": [n, 1]}[rejects]
+    assert rejected == {"none": [], "always": [1, n]}[rejects]
     assert drawn.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == reference.bit_generator.state
     if rejects == "always":
         # the rejected draw was redone, from the next 19 doubles
         assert not np.any(np.all(expected[:, 10:] == 2.0 * target[10:] - 1.0, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 25])
+def test_accepted_rows_are_the_one_attempt_loops_rows(n):
+    # acceptance reads each row's content, a first double of at least 0.8, so
+    # about four attempts in five are rejected; a block of the helper holds
+    # only the acceptances still missing, so it draws no attempt the loop does not
+    reference, expected, attempts = np.random.default_rng(1), [], 0
+    while len(expected) < n:
+        u = reference.random(19)
+        attempts += 1
+        if u[0] >= 0.8:
+            expected.append(u)
+    assert attempts > n
+    rng, blocks = np.random.default_rng(1), []
+
+    def draw(m):
+        blocks.append(m)
+        return rng.random((m, 19))
+
+    rows = locality._accepted(draw, lambda u: u[:, 0] >= 0.8, n)
+    assert rows.tobytes() == np.stack(expected).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert sum(blocks) == attempts
+    assert blocks[0] == n and len(blocks) > 1
 
 
 def test_jacobian_calls_f_once_for_a_stack_and_for_a_point():
@@ -702,6 +726,18 @@ def test_deflated_solve_matches_lstsq_on_exact_matrices():
 
 
 _PRODUCT_STATE, _BELL_STATE = verification._PRODUCT_STATE, verification._BELL_STATE
+
+
+def test_the_audit_cutoff_keeps_every_sampled_rank():
+    # _solve_stack and _solve_deflated drop what lies below _cutoff(A) * s_1;
+    # every sampled matrix keeps its 12 singular values there, and the
+    # product and Bell points of verify's deflated-solve check keep 10 and 9
+    def kept(matrices):
+        s = np.linalg.svd(matrices, compute_uv=False)
+        return (s > locality._cutoff(matrices) * s[:, :1]).sum(axis=1)
+
+    assert (kept(locality.audit_jacobian(locality._draw_chunk(0, range(5000)))) == 12).all()
+    assert list(kept(locality.audit_jacobian(np.stack([_PRODUCT_STATE, _BELL_STATE])))) == [10, 9]
 
 
 def test_deflated_solve_hands_degenerate_points_to_the_svd(monkeypatch):

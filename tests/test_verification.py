@@ -49,9 +49,18 @@ def _sequential_uncoupled(rng):
             return x
 
 
+def _sequential_gauge(rng):
+    """20 unit doubles an attempt, accepted on the first 19 as an interior draw: the
+    checked coordinates and the shift, the 20th double mapped as ``uniform(0, 2 pi)``."""
+    while True:
+        u = rng.random((1, 20))
+        if locality._interior(u[:, :19])[0]:
+            return core.check_reps(u[:, :19])[0], 2 * np.pi * u[0, 19]
+
+
 #: one sample's generator calls in each check's per-sample loop, in loop order
 SEQUENTIAL_DRAWS = {
-    "gauge_and_round_trip": lambda rng: (locality.sample_interior_rep(rng), rng.uniform(0, 2 * np.pi)),
+    "gauge_and_round_trip": _sequential_gauge,
     "conservation": locality.sample_interior_rep,
     "reduced_states": locality.sample_interior_rep,
     "relabeling": locality.sample_interior_rep,
@@ -115,27 +124,29 @@ def test_block_draws_are_the_sequential_draws_bit_for_bit(draws, monkeypatch):
     if draws == "interior rejections":
         _reject_low_first_coordinates(monkeypatch)
     reference = np.random.default_rng(seed)
-    expected = [(locality.sample_interior_rep(reference).to_array(), reference.uniform(0, 2 * np.pi))
-                for _ in range(50)]
-    u = verification._draws(np.random.default_rng(seed), 50, extra=1)
-    assert _bits(u[:, :19]) == _bits([x for x, _ in expected])
+    expected = [_sequential_gauge(reference) for _ in range(50)]
+    # gauge_and_round_trip's accepted attempts, as its one _accepted call returns them
+    accepted, returned = locality._accepted, []
+
+    def recorded(*args):
+        returned.append(accepted(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(locality, "_accepted", recorded)
+    verification.run_check("gauge_and_round_trip", np.random.default_rng(seed), 50)
+    [u] = returned
+    assert _bits(core.check_reps(u[:, :19])) == _bits([x for x, _ in expected])
     assert _bits(2 * np.pi * u[:, 19]) == _bits([shift for _, shift in expected])
+    if draws != "interior rejections":
+        # with no interior rejection an attempt is an interior draw, then its shift
+        reference = np.random.default_rng(seed)
+        assert _bits([[*x, shift] for x, shift in expected]) == _bits(
+            [[*locality.sample_interior_rep(reference).to_array(), reference.uniform(0, 2 * np.pi)]
+             for _ in range(50)])
     reference = np.random.default_rng(seed)
     expected = [_sequential_uncoupled(reference) for _ in range(25)]
     rng = np.random.default_rng(seed)
     assert _bits(verification._uncoupled_draws(rng, 25)) == _bits(expected)
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def test_uncoupled_draws_grow_their_block_until_it_accepts_enough(monkeypatch):
-    # about one attempt in six is accepted, so the n draws take more than 4n
-    # attempts and the first block of 2n doubles twice
-    _reject_low_first_coordinates(monkeypatch, below=0.8)
-    n, reference = 25, _CountingGenerator(1)
-    expected = [_sequential_uncoupled(reference) for _ in range(n)]
-    assert reference.calls["random"] > 4 * n
-    rng = np.random.default_rng(1)
-    assert _bits(verification._uncoupled_draws(rng, n)) == _bits(expected)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -168,7 +179,7 @@ def _assert_wrappers_are_rows(configs, psi, matrices, gaps):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_wrappers_equal_rows_of_their_stacked_kernels_on_sampled_points(seed):
-    x = verification._draws(np.random.default_rng(seed), 50)
+    x = locality._interior_draws(np.random.default_rng(seed), 50)
     psi, matrices = core._psi_and_matrix(x)
     configs = [core.rep_to_config(core.ConfigRep.from_array(row)) for row in x]
     _assert_wrappers_are_rows(configs, psi, matrices, x[:, 8:10])
@@ -194,7 +205,7 @@ def test_the_central_stencil_row_is_finite_difference_rho_dot(seed):
 @pytest.mark.parametrize("times, weights", [(verification._CENTRAL_TIMES, verification._CENTRAL),
                                             (verification._STENCIL_TIMES, verification._STENCIL)])
 def test_stacked_time_differences_are_rows_of_one_configuration_calls(times, weights):
-    psi, matrices = core._psi_and_matrix(verification._draws(np.random.default_rng(5), 20))
+    psi, matrices = core._psi_and_matrix(locality._interior_draws(np.random.default_rng(5), 20))
     stacked = dynamics._time_differences(psi, matrices, times, weights)
     assert stacked.shape == (20, len(weights), 2, 2, 2)
     for i in range(20):
@@ -203,7 +214,7 @@ def test_stacked_time_differences_are_rows_of_one_configuration_calls(times, wei
 
 
 def test_trajectory_is_a_row_of_the_stacked_propagator():
-    x = verification._draws(np.random.default_rng(6), 20)
+    x = locality._interior_draws(np.random.default_rng(6), 20)
     psi, matrices = core._psi_and_matrix(x)
     # the simulate default grid, the self-check grids and a single time
     for times in (np.linspace(0.0, 20.0, 1001), np.linspace(0.0, 50.0, 1000), np.array([0.7])):
@@ -284,6 +295,11 @@ def test_run_check_refuses_a_count_below_one(name):
             verification.run_check(name, np.random.default_rng(0), n)
     with pytest.raises(TypeError):
         verification.run_check(name, np.random.default_rng(0), 2.5)
+
+
+@pytest.mark.parametrize("name", sorted(verification.CHECKS))
+def test_run_check_takes_a_seed_as_default_rng_does(name):
+    assert verification.run_check(name, 7) == verification.run_check(name, np.random.default_rng(7))
 
 
 def test_a_check_that_draws_nothing_takes_any_count():
